@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,10 @@ from .tensorfile import (TensorFileError, read_group_file, read_isotropy_file,
                          read_tensor_file, write_tensor_file)
 from .transforms import tensor_lift, tensor_project, tensor_zero
 from .trilinear import TrilinearSyntaxError
+
+
+# Largest --size that mul accepts: 3**5, five levels of a 3x3 base.
+MAX_MUL_SIZE = 243
 
 
 class CliError(Exception):
@@ -273,8 +278,8 @@ def _cmd_codegen(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    if args.size < 1:
-        raise CliError("--size must be >= 1")
+    if not 1 <= args.size <= MAX_MUL_SIZE:
+        raise CliError(f"--size must lie in 1..{MAX_MUL_SIZE}")
     base = _load_tensor(args.base, _parse_lambda(args.lam))
     rng = random.Random(args.seed)
     def rnd():
@@ -330,10 +335,26 @@ _DISPATCH = {
 }
 
 
+def _join_negative_lambda(argv: list[str]) -> list[str]:
+    """Rewrite "--lambda -3/7" as "--lambda=-3/7".
+
+    argparse takes a separate token such as -3/7 for an option flag, as it
+    only knows negative numbers of the form -3 or -0.5.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--lambda" and re.match(r"-\d", tok):
+            out[-1] = f"--lambda={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_lambda(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import add, mul, sub
 
 from .matrix import Matrix, format_fraction
-from .tensor import Tensor
+from .tensor import Tensor, is_matmul_tensor
 
 # A linear form over matrix entries: {(i, j): coefficient}.
 LinearForm = dict[tuple[int, int], Fraction]
@@ -57,16 +60,11 @@ class Schedule:
 
     def evaluate(self, a: Matrix, b: Matrix) -> Matrix:
         """Run the schedule; returns A.B for multiplication tensors."""
-        prods = []
-        for af, bf in zip(self.a_forms, self.b_forms):
-            va = sum((c * a[i, j] for (i, j), c in af.items()), Fraction(0))
-            vb = sum((c * b[i, j] for (i, j), c in bf.items()), Fraction(0))
-            prods.append(va * vb)
         n = self.dim
-        return Matrix([[sum((c * prods[p] for p, c in
-                             self.c_entries.get((s, u), ())), Fraction(0))
-                        for u in range(1, n + 1)]
-                       for s in range(1, n + 1)])
+        if not (a.rows == a.cols == b.rows == b.cols == n):
+            raise ValueError("evaluate expects square matrices of the "
+                             "schedule dimension")
+        return _run(self, a, b, padded=n, levels=1)[0]
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,118 @@ class MultiplyResult:
     scalar_multiplications: int
 
 
-def _submatrix(m: Matrix, r0: int, c0: int, size: int) -> Matrix:
-    return Matrix([[m[r0 + i, c0 + j] for j in range(size)]
-                   for i in range(size)])
+# Execution runs on plain lists of int rows.  A schedule is lowered once to
+# integer coefficients on flat block indices k = (i-1)*n + (j-1); the inputs
+# are scaled to integers once; the product is divided out once at the end.
+
+def _int_terms(terms) -> tuple[tuple[tuple[int, int], ...], int]:
+    """((key, c*d) pairs, d) for d the lcm of the denominators of the
+    coefficients c; a coefficient-1 term comes first if there is one."""
+    d = lcm(1, *(c.denominator for _, c in terms))
+    return tuple(sorted(((k, (c * d).numerator) for k, c in terms),
+                        key=lambda kc: kc[1] != 1)), d
+
+
+def _lower(s: Schedule):
+    """Integer program for s: (a_prog, b_prog, c_prog, scale).
+
+    Product p is (sum c*X_k over a_prog[p]) times (sum c*Y_k over
+    b_prog[p]); output block k is sum c*P_p over c_prog[k].  Its outputs
+    are exactly scale times those of s: each a and b form is multiplied by
+    the lcm of its denominators, each c coefficient divided by the two
+    weights of its product, and then all multiplied by the lcm of their
+    own denominators.
+    """
+    n = s.dim
+
+    def flat(form: LinearForm):
+        return _int_terms([((i - 1) * n + j - 1, c)
+                           for (i, j), c in form.items()])
+
+    a_prog, b_prog, weights = [], [], []
+    for af, bf in zip(s.a_forms, s.b_forms):
+        (a_terms, alpha), (b_terms, beta) = flat(af), flat(bf)
+        a_prog.append(a_terms)
+        b_prog.append(b_terms)
+        weights.append(alpha * beta)
+    c_forms = [[(p, c / weights[p]) for p, c in s.c_entries.get((si, ui), ())]
+               for si in range(1, n + 1) for ui in range(1, n + 1)]
+    scale = lcm(1, *(c.denominator for form in c_forms for _, c in form))
+    c_prog = [_int_terms([(p, c * scale) for p, c in form])[0]
+              for form in c_forms]
+    return a_prog, b_prog, c_prog, scale
+
+
+def _blocks(x, bs: int):
+    """The bs x bs blocks of the row list x, by flat block index."""
+    starts = range(0, len(x), bs)
+    return [[row[j:j + bs] for row in x[i:i + bs]]
+            for i in starts for j in starts]
+
+
+def _combo(blocks, terms):
+    """sum of c*blocks[k] over (k, c) in terms; builds new rows only."""
+    (k, c), *rest = terms
+    acc = blocks[k]
+    if c == -1:
+        acc = [[-v for v in row] for row in acc]
+    elif c != 1:
+        acc = [[c * v for v in row] for row in acc]
+    for k, c in rest:
+        if c == 1:
+            acc = [list(map(add, r, s)) for r, s in zip(acc, blocks[k])]
+        elif c == -1:
+            acc = [list(map(sub, r, s)) for r, s in zip(acc, blocks[k])]
+        else:
+            acc = [[u + c * v for u, v in zip(r, s)]
+                   for r, s in zip(acc, blocks[k])]
+    return acc
+
+
+def _cleared(m: Matrix, padded: int):
+    """(int rows of d*m zero-padded to padded x padded, d) with d the lcm
+    of m's entry denominators."""
+    rows = m.row_list()
+    d = lcm(*(v.denominator for row in rows for v in row))
+    pad = [0] * (padded - m.cols)
+    out = [[v.numerator * (d // v.denominator) for v in row] + pad
+           for row in rows]
+    out += [[0] * padded for _ in range(padded - m.rows)]
+    return out, d
+
+
+def _run(s: Schedule, a: Matrix, b: Matrix, padded: int, levels: int):
+    """A.B through `levels` recursion levels of s, leaves by schoolbook.
+
+    a and b are zero-padded to padded x padded, where padded is
+    s.dim**levels times the leaf size.
+    Returns (product, scalar multiplications done at the leaves).
+    """
+    n = s.dim
+    a_prog, b_prog, c_prog, scale = _lower(s)
+    count = 0
+
+    def step(x, y, depth):
+        nonlocal count
+        if not depth:
+            count += len(x) ** 3
+            cols = list(zip(*y))
+            return [[sum(map(mul, row, col)) for col in cols] for row in x]
+        bs = len(x) // n
+        xb, yb = _blocks(x, bs), _blocks(y, bs)
+        prods = [step(_combo(xb, af), _combo(yb, bf), depth - 1)
+                 for af, bf in zip(a_prog, b_prog)]
+        out = [_combo(prods, cf) if cf else [[0] * bs for _ in range(bs)]
+               for cf in c_prog]
+        return [list(chain.from_iterable(rows))
+                for i in range(0, n * n, n) for rows in zip(*out[i:i + n])]
+
+    ai, da = _cleared(a, padded)
+    bi, db = _cleared(b, padded)
+    prod = step(ai, bi, levels)
+    div = da * db * scale ** levels
+    return Matrix([[Fraction(v, div) for v in row[:a.rows]]
+                   for row in prod[:a.rows]]), count
 
 
 def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
@@ -204,64 +311,25 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
 
     Inputs are zero-padded up to the next power of t.dim; blocks below the
     threshold fall back to schoolbook.  scalar_multiplications counts the
-    entry-level multiplications actually performed.
+    entry-level multiplications actually performed.  Raises ValueError when
+    t is not a multiplication tensor.
     """
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("recursive_multiply expects square matrices of "
                          "equal size")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    size = a.rows
-    sched = extract_schedule(t)
-    count = 0
-
-    def schoolbook(x: Matrix, y: Matrix) -> Matrix:
-        nonlocal count
-        m = x.rows
-        count += m * m * m
-        return x @ y
-
-    def mul(x: Matrix, y: Matrix) -> Matrix:
-        n = t.dim
-        m = x.rows
-        if m <= threshold or m == 1 or n == 1 or m % n:
-            return schoolbook(x, y)
-        bs = m // n
-        xb = {(i, j): _submatrix(x, (i - 1) * bs + 1, (j - 1) * bs + 1, bs)
-              for i in range(1, n + 1) for j in range(1, n + 1)}
-        yb = {(i, j): _submatrix(y, (i - 1) * bs + 1, (j - 1) * bs + 1, bs)
-              for i in range(1, n + 1) for j in range(1, n + 1)}
-
-        def combo(blocks, form):
-            acc = Matrix.zeros(bs)
-            for ij, c in form.items():
-                acc = acc + (blocks[ij] if c == 1 else blocks[ij].scale(c))
-            return acc
-
-        prods = [mul(combo(xb, af), combo(yb, bf))
-                 for af, bf in zip(sched.a_forms, sched.b_forms)]
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for (si, ui), accum in sched.c_entries.items():
-            acc = Matrix.zeros(bs)
-            for p, c in accum:
-                acc = acc + (prods[p] if c == 1 else prods[p].scale(c))
-            for i in range(bs):
-                for j in range(bs):
-                    out[(si - 1) * bs + i][(ui - 1) * bs + j] = acc[i + 1, j + 1]
-        return Matrix(out)
-
-    padded = size
-    if t.dim > 1:
+    if not is_matmul_tensor(t):
+        raise ValueError("base tensor is not a multiplication tensor")
+    n = t.dim
+    padded, levels = a.rows, 0
+    if n > 1:
         padded = 1
-        while padded < size:
-            padded *= t.dim
-    if padded != size:
-        def pad(m: Matrix) -> Matrix:
-            return Matrix([[m[i, j] if i <= size and j <= size else 0
-                            for j in range(1, padded + 1)]
-                           for i in range(1, padded + 1)])
-        a, b = pad(a), pad(b)
-    prod = mul(a, b)
-    if padded != size:
-        prod = _submatrix(prod, 1, 1, size)
+        while padded < a.rows:
+            padded *= n
+    m = padded
+    while n > 1 and m > threshold:
+        m //= n
+        levels += 1
+    prod, count = _run(extract_schedule(t), a, b, padded, levels)
     return MultiplyResult(product=prod, scalar_multiplications=count)

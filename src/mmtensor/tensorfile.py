@@ -43,6 +43,21 @@ def _parse_rational(tok: str, lineno: int) -> Fraction:
         raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
 
 
+def _parse_count(lineno: int, line: str, key: str, minimum: int) -> int:
+    """The N of a 'key N' line, an integer >= minimum."""
+    parts = line.split()
+    if parts[0] != key:
+        raise TensorFileError(f"line {lineno}: expected '{key} N'")
+    try:
+        (value,) = map(int, parts[1:])
+    except ValueError:
+        raise TensorFileError(f"line {lineno}: malformed count in {line!r}")
+    if value < minimum:
+        raise TensorFileError(
+            f"line {lineno}: '{key}' must be at least {minimum}, got {value}")
+    return value
+
+
 def _logical_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -77,17 +92,12 @@ def read_tensor_file(text: str) -> Tensor:
         pos += 1
         return lineno, line
 
-    lineno, line = next_line()
-    if not line.startswith("dim "):
-        raise TensorFileError(f"line {lineno}: expected 'dim N'")
-    dim = int(line.split()[1])
+    dim = _parse_count(*next_line(), "dim", minimum=1)
     lineno, line = next_line()
     if line.startswith("lambda "):
         _parse_rational(line.split()[1], lineno)
         lineno, line = next_line()
-    if not line.startswith("terms "):
-        raise TensorFileError(f"line {lineno}: expected 'terms N'")
-    nterms = int(line.split()[1])
+    nterms = _parse_count(lineno, line, "terms", minimum=0)
 
     terms = []
     for _ in range(nterms):

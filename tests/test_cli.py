@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mmtensor as mm
 from mmtensor import read_tensor_file, write_group_file
 from mmtensor.cli import run
@@ -151,3 +156,54 @@ def test_bad_tensor_file(tmp_path, capsys):
     path.write_text("dim 2\nterms 1\nterm\nbogus\n")
     code, _, err = invoke(capsys, "verify", "--tensor", str(path))
     assert code == 2 and "bad tensor file" in err
+
+
+def test_bad_tensor_file_counts(tmp_path, capsys):
+    path = tmp_path / "bad.tensor"
+    path.write_text("dim 2\nterms -1\n")
+    code, _, err = invoke(capsys, "verify", "--tensor", str(path))
+    assert code == 2 and "line 2" in err
+
+
+def test_negative_lambda(tmp_path, capsys):
+    path = tmp_path / "v.tensor"
+    code, _, _ = invoke(capsys, "construct", "laderman-variant", "--lambda",
+                        "-3/7", "--out", str(path))
+    assert code == 0
+    assert "lambda -3/7" in path.read_text().splitlines()
+    code, out, _ = invoke(capsys, "verify", "--tensor", "builtin:winograd",
+                          "--lambda", "-2/3")
+    assert code == 0 and out.strip() == "VERIFIED n=2 terms=7"
+    code, out, _ = invoke(capsys, "mul", "--size", "3", "--base",
+                          "builtin:laderman-variant", "--lambda", "-3/7")
+    assert code == 0 and out.strip().endswith("OK")
+
+
+def test_mul_refuses_non_multiplication_base(capsys):
+    code, out, err = invoke(capsys, "mul", "--size", "3", "--base",
+                            "builtin:lifted-winograd")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "not a multiplication tensor" in err
+
+
+def test_mul_size_bound(capsys):
+    from mmtensor.cli import MAX_MUL_SIZE
+    code, _, err = invoke(capsys, "mul", "--size", str(MAX_MUL_SIZE + 1),
+                          "--base", "builtin:strassen")
+    assert code == 2 and "--size" in err
+    assert invoke(capsys, "mul", "--size", "0", "--base",
+                  "builtin:strassen")[0] == 2
+
+
+def test_python_dash_m():
+    src = str(Path(mm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mmtensor", "verify",
+                           "--tensor", "builtin:strassen"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "VERIFIED n=2 terms=7"

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import Matrix, contract12, emit_code, extract_schedule, op_count
@@ -121,3 +123,61 @@ def test_recursive_multiply_validation(rng):
     with pytest.raises(ValueError):
         mm.recursive_multiply(mm.strassen(), rand_matrix(rng, 2),
                               rand_matrix(rng, 2), threshold=0)
+
+
+def test_recursive_multiply_refuses_non_multiplication_tensors():
+    eye = Matrix.identity(3)
+    with pytest.raises(ValueError, match="not a multiplication tensor"):
+        mm.recursive_multiply(mm.lifted_winograd(), eye, eye)
+    with pytest.raises(ValueError, match="not a multiplication tensor"):
+        mm.recursive_multiply(mm.klein_orbit_sum_winograd(), eye, eye)
+
+
+def test_evaluate_validation(rng):
+    sched = extract_schedule(mm.strassen())
+    with pytest.raises(ValueError):
+        sched.evaluate(rand_matrix(rng, 3), rand_matrix(rng, 3))
+
+
+def test_recursive_multiply_rational_depth_three(rng):
+    a, b = rand_matrix(rng, 27), rand_matrix(rng, 27)
+    res = mm.recursive_multiply(mm.laderman_variant(Fraction(3, 4)), a, b,
+                                threshold=1)
+    assert res.product == a @ b
+    assert res.scalar_multiplications == 23 ** 3
+
+
+@lru_cache(maxsize=None)
+def _base(name, lam):
+    return {"strassen": mm.strassen, "laderman": mm.laderman,
+            "laderman_variant": lambda: mm.laderman_variant(lam),
+            "winograd": lambda: mm.winograd(lam)}[name]()
+
+
+_entries = st.one_of(
+    st.integers(-99, 99).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def _operand(draw, n):
+    rows = draw(st.lists(st.one_of(st.lists(_entries, min_size=n, max_size=n),
+                                   st.just([Fraction(0)] * n)),
+                         min_size=n, max_size=n))
+    return Matrix(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(1, 12),
+       st.sampled_from(["strassen", "laderman", "laderman_variant",
+                        "winograd"]),
+       st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)),
+       st.booleans(), st.integers(1, 3))
+def test_recursive_multiply_property(data, n, name, lam, negate, threshold):
+    lam = -lam if negate else lam
+    a, b = data.draw(_operand(n)), data.draw(_operand(n))
+    res = mm.recursive_multiply(_base(name, lam), a, b, threshold=threshold)
+    assert res.product == a @ b
+    assert all(isinstance(v, Fraction) for row in res.product.row_list()
+               for v in row)

@@ -48,6 +48,18 @@ def test_malformed_inputs():
         read_tensor_file("dim 1\nterms 1\nterm\n1/0\n1\n1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim 2.5\nterms 0\n", "line 1: malformed count"),
+    ("dim 0\nterms 0\n", "line 1: 'dim' must be at least 1"),
+    ("dim 2\nterms x\n", "line 2: malformed count"),
+    ("dim 2\nterms -1\n", "line 2: 'terms' must be at least 0"),
+], ids=["non-integer-dim", "non-positive-dim", "non-integer-terms",
+        "negative-terms"])
+def test_malformed_counts(text, message):
+    with pytest.raises(TensorFileError, match=message):
+        read_tensor_file(text)
+
+
 def test_group_file_roundtrip():
     K = mm.klein_group()
     text = write_group_file(K)
