@@ -7,10 +7,10 @@ Strassen, and compiles verified tensors into executable multiplication
 schedules.
 """
 
-from .matrix import Matrix, as_fraction, format_fraction, proportionality
+from .matrix import Matrix, as_fraction, proportionality
 from .tensor import (RankOneTerm, Tensor, add_forms, combine,
                      decomposition_length, form_equal, full_contraction,
-                     is_matmul_tensor, mat_rank, matmul_form, monomial_term,
+                     is_matmul_tensor, matmul_form, monomial_term,
                      scale_form, tensor_type, format_type, term,
                      to_coefficient_form)
 from .transforms import (matrix_lift, matrix_project, matrix_zero,

@@ -19,7 +19,7 @@ from .codegen import emit_code, extract_schedule, op_count, recursive_multiply
 from .constructions import (builtin, correction_term, klein_group,
                             merge_shared_factors)
 from .isotropy import act, orbit_sum, monomial_stabilizer_search
-from .matrix import Matrix, format_fraction
+from .matrix import Matrix
 from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
 from .tensorfile import (TensorFileError, read_group_file, read_isotropy_file,
@@ -258,8 +258,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_correction(args) -> int:
     res = correction_term(_load_group(args.group))
-    print(f"corner coefficient {format_fraction(res.corner_coefficient)} "
-          f"(total weight {format_fraction(res.corner_total_weight)})",
+    print(f"corner coefficient {res.corner_coefficient} "
+          f"(total weight {res.corner_total_weight})",
           file=sys.stderr)
     _output_tensor(res.tensor, args.out)
     return 0

@@ -15,8 +15,9 @@ from itertools import chain
 from math import lcm
 from operator import add, mul, sub
 
-from .matrix import Matrix, format_fraction
+from .matrix import Matrix
 from .tensor import Tensor, is_matmul_tensor
+from .trilinear import format_form, format_sum
 
 # A linear form over matrix entries: {(i, j): coefficient}.
 LinearForm = dict[tuple[int, int], Fraction]
@@ -103,24 +104,6 @@ def op_count(s: Schedule) -> OpCount:
                    scalar_multiplications=scalar)
 
 
-def _format_form(letter: str, form: LinearForm) -> str:
-    chunks = []
-    for (i, j), c in sorted(form.items()):
-        atom = f"{letter}{i}{j}"
-        if c == 1:
-            text = atom
-        elif c == -1:
-            text = f"-{atom}"
-        else:
-            text = f"{format_fraction(c)}*{atom}"
-        if chunks:
-            chunks.append(f"+ {text}" if not text.startswith("-")
-                          else f"- {text[1:]}")
-        else:
-            chunks.append(text)
-    return " ".join(chunks)
-
-
 def emit_code(s: Schedule, style: str = "flat") -> str:
     """Deterministic straight-line pseudo-code for the schedule.
 
@@ -136,48 +119,25 @@ def emit_code(s: Schedule, style: str = "flat") -> str:
     def single_unit(form: LinearForm) -> bool:
         return len(form) == 1 and next(iter(form.values())) == 1
 
-    uses: dict[int, int] = {}
+    uses: dict[int, list[Fraction]] = {}
     for accum in s.c_entries.values():
-        for p, _ in accum:
-            uses[p] = uses.get(p, 0) + 1
-    inline = set()
-    for p in range(s.num_products):
-        if (single_unit(s.a_forms[p]) and single_unit(s.b_forms[p])
-                and uses.get(p) == 1):
-            (s_out, u_out), = (k for k, accum in s.c_entries.items()
-                               if any(q == p for q, _ in accum))
-            coeff = dict(s.c_entries[(s_out, u_out)])[p]
-            if coeff == 1:
-                inline.add(p)
+        for p, c in accum:
+            uses.setdefault(p, []).append(c)
+    inline = {p for p, cs in uses.items() if cs == [1]
+              and single_unit(s.a_forms[p]) and single_unit(s.b_forms[p])}
+    ab = [(format_form("a", af.items()), format_form("b", bf.items()))
+          for af, bf in zip(s.a_forms, s.b_forms)]
 
     lines = []
-    for p in range(s.num_products):
-        if p in inline:
-            continue
-        line = (f"p{p + 1} = ({_format_form('a', s.a_forms[p])})"
-                f" * ({_format_form('b', s.b_forms[p])})")
-        if annotate:
-            line += f"  # term {p + 1}"
-        lines.append(line)
-    n = s.dim
-    for si in range(1, n + 1):
-        for ui in range(1, n + 1):
+    for p, (a, b) in enumerate(ab):
+        if p not in inline:
+            note = f"  # term {p + 1}" if annotate else ""
+            lines.append(f"p{p + 1} = ({a}) * ({b}){note}")
+    for si in range(1, s.dim + 1):
+        for ui in range(1, s.dim + 1):
             accum = s.c_entries.get((si, ui), ())
-            chunks = []
-            for p, c in accum:
-                if p in inline:
-                    text = (f"{_format_form('a', s.a_forms[p])}"
-                            f" * {_format_form('b', s.b_forms[p])}")
-                else:
-                    text = f"p{p + 1}" if c == 1 else (
-                        f"-p{p + 1}" if c == -1
-                        else f"{format_fraction(c)}*p{p + 1}")
-                if chunks:
-                    chunks.append(f"+ {text}" if not text.startswith("-")
-                                  else f"- {text[1:]}")
-                else:
-                    chunks.append(text)
-            rhs = " ".join(chunks) if chunks else "0"
+            rhs = format_sum((" * ".join(ab[p]) if p in inline
+                              else f"p{p + 1}", c) for p, c in accum)
             line = f"c{si}{ui} = {rhs}"
             if annotate and accum:
                 line += "  # terms " + ",".join(str(p + 1) for p, _ in accum)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, Monomial,
                        MonomialOrbitPartition, act, orbit_sum)
@@ -157,9 +158,6 @@ CYCLIC_CORRECTION_SHAPE = (
     ((3, 2, 3), Fraction(1)),
 )
 
-_CORNER = ((3, 3), (3, 3), (3, 3))
-
-
 @dataclass(frozen=True)
 class CorrectionResult:
     """Correction tensor plus the solved corner coefficient.
@@ -189,13 +187,12 @@ def _group_sum(source, m: Monomial) -> Tensor:
 
 def _group_sum_zeroed_classical(source) -> Tensor:
     """Group sum of the classical tensor zeroed at (1,1,1)."""
+    n = source.dim
     if isinstance(source, IsotropyGroup):
-        return orbit_sum(source, tensor_zero(classical(source.dim), (1, 1, 1)))
-    terms = []
-    monomials = [(i, j, k) for i in (2, 3) for j in (2, 3) for k in (2, 3)]
-    for m in monomials:
-        terms.extend(_group_sum(source, m).terms)
-    return Tensor(3, terms)
+        return orbit_sum(source, tensor_zero(classical(n), (1, 1, 1)))
+    rest = range(2, n + 1)
+    return Tensor(n, (tm for m in product(rest, rest, rest)
+                      for tm in _group_sum(source, m).terms))
 
 
 def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
@@ -204,41 +201,44 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
         classical = GroupSum(e11 term) + GroupSum(zeroed classical) - R
 
     where R is constrained to the given shape: fixed weights on all base
-    monomials except the corner (3,3,3), whose coefficient is derived from
-    the identity and verified against it in full.
+    monomials except the corner (n,n,n), n = source.dim, whose coefficient
+    is derived from the identity and verified against it in full.
 
     source is an IsotropyGroup acting monomially, or a
     MonomialOrbitPartition standing in for a group given by orbit data only.
     """
+    n = source.dim
     unknowns = [m for m, c in shape if c is None]
-    if unknowns != [(3, 3, 3)]:
-        raise ValueError("shape must leave exactly the corner (3,3,3) open")
+    if unknowns != [(n, n, n)]:
+        raise ValueError(f"shape must leave exactly the corner ({n},{n},{n}) "
+                         "open")
+    corner = ((n, n), (n, n), (n, n))
 
     required = add_forms(
         add_forms(to_coefficient_form(_group_sum(source, (1, 1, 1))),
                   to_coefficient_form(_group_sum_zeroed_classical(source))),
-        scale_form(to_coefficient_form(classical(3)), -1))
+        scale_form(to_coefficient_form(classical(n)), -1))
 
     known_terms = []
     for m, c in shape:
         if c is not None:
             known_terms.extend(tm.scaled(c) for tm in _group_sum(source, m).terms)
-    known = Tensor(3, known_terms)
+    known = Tensor(n, known_terms)
 
     residual = add_forms(required, scale_form(to_coefficient_form(known), -1))
-    corner_gsum = _group_sum(source, (3, 3, 3))
+    corner_gsum = _group_sum(source, (n, n, n))
     corner_form = to_coefficient_form(corner_gsum)
-    if _CORNER not in corner_form:
+    if corner not in corner_form:
         raise ValueError("corner group sum vanishes; cannot solve")
-    c_fix = residual.get(_CORNER, Fraction(0)) / corner_form[_CORNER]
+    c_fix = residual.get(corner, Fraction(0)) / corner_form[corner]
     if residual != scale_form(corner_form, c_fix):
         raise ValueError("no coefficient assignment of this shape satisfies "
                          "the decomposition identity")
 
-    tensor = Tensor(3, known.terms + tuple(tm.scaled(c_fix)
+    tensor = Tensor(n, known.terms + tuple(tm.scaled(c_fix)
                                            for tm in corner_gsum.terms))
     return CorrectionResult(tensor=tensor, corner_coefficient=c_fix,
-                            corner_total_weight=c_fix * corner_form[_CORNER],
+                            corner_total_weight=c_fix * corner_form[corner],
                             shape=tuple(shape))
 
 

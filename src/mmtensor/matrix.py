@@ -23,11 +23,6 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def format_fraction(x: Fraction) -> str:
-    """Canonical 'p/q' (q omitted when 1)."""
-    return str(x)
-
-
 class Matrix:
     """Immutable rows x cols matrix of Fractions, addressed as m[i, j], 1-based."""
 
@@ -190,8 +185,7 @@ class Matrix:
         return hash(self._e)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_fraction(v) for v in row)
-                         for row in self._e)
+        body = "; ".join(" ".join(map(str, row)) for row in self._e)
         return f"Matrix[{body}]"
 
 

@@ -81,9 +81,6 @@ class Tensor:
     def nonzero_terms(self) -> tuple[RankOneTerm, ...]:
         return tuple(t for t in self.terms if not t.is_zero())
 
-    def with_terms(self, terms) -> "Tensor":
-        return Tensor(self.dim, terms)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor) and self.dim == other.dim
                 and self.terms == other.terms)
@@ -108,11 +105,6 @@ def monomial_term(n: int, i: int, j: int, k: int) -> RankOneTerm:
 
 
 # -- operations ----------------------------------------------------------------
-
-def mat_rank(m: Matrix) -> int:
-    """Rank of a matrix over the rationals (exact)."""
-    return m.rank()
-
 
 def to_coefficient_form(t: Tensor) -> CoefficientForm:
     """Expand the decomposition into the sparse 6-index coefficient table."""

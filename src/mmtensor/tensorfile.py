@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import Matrix, format_fraction
+from .matrix import Matrix
 from .tensor import RankOneTerm, Tensor
 
 
@@ -69,13 +69,13 @@ def write_tensor_file(t: Tensor, lam=None) -> str:
     """Serialize a tensor; lam is optional metadata recorded verbatim."""
     out = [f"dim {t.dim}"]
     if lam is not None:
-        out.append(f"lambda {format_fraction(Fraction(lam))}")
+        out.append(f"lambda {Fraction(lam)}")
     out.append(f"terms {len(t.terms)}")
     for tm in t.terms:
         out.append("term")
         for m in (tm.a, tm.b, tm.c):
             for row in m.row_list():
-                out.append(" ".join(format_fraction(v) for v in row))
+                out.append(" ".join(map(str, row)))
     return "\n".join(out) + "\n"
 
 

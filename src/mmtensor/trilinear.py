@@ -1,4 +1,4 @@
-"""Parse and print trilinear-form text like "(a11+a12)*b22*c21 + ...".
+"""Parse and print trilinear-form text like "(a11 + a12)*b22*c21 + ...".
 
 Grammar (whitespace insignificant, indices 1..9):
 
@@ -14,13 +14,17 @@ Each product must contain exactly one a-form, one b-form and one c-form, in
 any order.  The symbol L stands for the free parameter and is instantiated to
 a nonzero rational at parse time.  Multiplication is always explicit: no
 juxtaposition.
+
+print_trilinear writes one product per line, "(a11 + a12)*b22*c21\n+ ...",
+and refuses tensors with n > 9, whose indices need two digits.  Its linear
+forms come from format_sum, which codegen uses for its lines as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrix import Matrix, as_fraction, format_fraction
+from .matrix import Matrix, as_fraction
 from .tensor import RankOneTerm, Tensor
 
 
@@ -114,7 +118,8 @@ class _Parser:
             letter, entries = self.linform()
             s.expect(")")
             return letter, entries
-        return self.atom_entry(Fraction(1))
+        letter, i, j = self.atom()
+        return letter, [(i, j, Fraction(1))]
 
     def linform(self):
         s = self.s
@@ -144,10 +149,6 @@ class _Parser:
             self.s.expect("*")
         letter, i, j = self.atom()
         return letter, i, j, coeff
-
-    def atom_entry(self, coeff: Fraction):
-        letter, i, j = self.atom()
-        return letter, [(i, j, coeff)]
 
     def atom(self):
         s = self.s
@@ -216,35 +217,46 @@ def parse_trilinear(text: str, lam=1) -> Tensor:
     return Tensor(dim, terms)
 
 
-def _format_linform(letter: str, m: Matrix) -> str:
-    entries = list(m.entries())
-    if len(entries) == 1 and entries[0][2] == 1:
-        i, j, _ = entries[0]
-        return f"{letter}{i}{j}"
-    parts = []
-    for i, j, v in entries:
-        atom = f"{letter}{i}{j}"
-        if v == 1:
-            chunk = atom
-        elif v == -1:
-            chunk = f"-{atom}"
+def format_sum(pairs) -> str:
+    """Signed sum of (text, coefficient) pairs, e.g. "x + y - 1/2*z".
+
+    Coefficients +-1 are omitted, the first term carries its own '-', and
+    an empty sum is "0".  The one formatter for linear forms: trilinear
+    factors, schedule products and schedule outputs all go through it.
+    """
+    chunks = []
+    for text, c in pairs:
+        body = text if abs(c) == 1 else f"{abs(c)}*{text}"
+        if chunks:
+            chunks.append(f"{'-' if c < 0 else '+'} {body}")
         else:
-            chunk = f"{format_fraction(v)}*{atom}"
-        if parts and not chunk.startswith("-"):
-            parts.append("+" + chunk)
-        else:
-            parts.append(chunk)
-    return f"({''.join(parts)})"
+            chunks.append(f"-{body}" if c < 0 else body)
+    return " ".join(chunks) or "0"
+
+
+def format_form(letter: str, entries) -> str:
+    """Linear form over atoms like a11, from (i, j, c) triples such as
+    Matrix.entries() or ((i, j), c) items of a LinearForm."""
+    triples = sorted(e if len(e) == 3 else (*e[0], e[1]) for e in entries)
+    return format_sum((f"{letter}{i}{j}", c) for i, j, c in triples)
 
 
 def print_trilinear(t: Tensor) -> str:
-    """Inverse presentation; parse(print(t)) reproduces t's nonzero terms."""
+    """Inverse presentation; parse(print(t)) reproduces t's nonzero terms.
+
+    A factor is written bare only when it is a single atom with coefficient
+    1.  Atoms carry one digit per index, so t.dim must be at most 9.
+    """
+    if t.dim >= 10:
+        raise ValueError("trilinear text has one digit per index: n <= 9")
     terms = t.nonzero_terms()
     if not terms:
         return "0"
-    lines = []
-    for tm in terms:
-        lines.append("*".join((_format_linform("a", tm.a),
-                               _format_linform("b", tm.b),
-                               _format_linform("c", tm.c))))
-    return "\n+ ".join(lines)
+
+    def factor(letter: str, m: Matrix) -> str:
+        entries = list(m.entries())
+        text = format_form(letter, entries)
+        return text if [e[2] for e in entries] == [1] else f"({text})"
+
+    return "\n+ ".join("*".join((factor("a", tm.a), factor("b", tm.b),
+                                 factor("c", tm.c))) for tm in terms)

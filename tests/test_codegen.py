@@ -92,6 +92,67 @@ def test_emit_code_styles_and_determinism():
         emit_code(sched, style="fancy")
 
 
+# Full emit_code text for schedules with fractional and negative non-unit
+# coefficients and inlined products; the flat style is the annotated one
+# without its "  # ..." comments.
+WINOGRAD_5_7_ANNOTATED = """\
+p1 = (-a11 + 5/7*a12 - 7/5*a21) * (-b11 + 5/7*b12 - 7/5*b21)  # term 1
+p2 = (a11 - 5/7*a12 + 7/5*a21 - a22) * (-7/5*b21)  # term 2
+p3 = (a11 + 7/5*a21) * (-b11 - 7/5*b21)  # term 3
+p4 = (-a22) * (-b22)  # term 4
+p5 = (-7/5*a21) * (-5/7*b12)  # term 5
+p6 = (-a11 + 5/7*a12) * (b11 - 5/7*b12)  # term 6
+p7 = (5/7*a12) * (-b11 + 5/7*b12 - 7/5*b21 + b22)  # term 7
+c11 = -p1 - p3 - p5 - p6  # terms 1,3,5,6
+c12 = -7/5*p1 - 7/5*p3 - 7/5*p5 + 7/5*p7  # terms 1,3,5,7
+c21 = 5/7*p1 + 5/7*p2 + 5/7*p5 + 5/7*p6  # terms 1,2,5,6
+c22 = p4 + p5  # terms 4,5
+"""
+
+VARIANT_M3_7_ANNOTATED = """\
+p5 = (-a22 - 3/7*a23 + 7/3*a32) * (-b22 - 3/7*b23 + 7/3*b32)  # term 5
+p6 = (-a11 - 3/7*a13 - a22 - 3/7*a23 + 7/3*a31 + 7/3*a32 + a33) * (b32)  # term 6
+p7 = (a22 - 7/3*a32) * (-b22 + 7/3*b32)  # term 7
+p8 = (-3/4*a33) * (b33)  # term 8
+p9 = (-1/2*a32) * (b23)  # term 9
+p10 = (-a22 - 3/7*a23) * (b22 + 3/7*b23)  # term 10
+p11 = (-1/2*a23) * (2*b11 + 6/7*b13 + 2*b22 + 6/7*b23 - 14/3*b31 - 14/3*b32 - 2*b33)  # term 11
+p12 = (-a21 - 3/7*a23 + 7/3*a31) * (-b11 - 3/7*b13 + 7/3*b31)  # term 12
+p13 = (-a12 - 3/7*a13 - a21 - 3/7*a23 + 7/3*a31 + 7/3*a32 + a33) * (b31)  # term 13
+p14 = (a21 - 7/3*a31) * (-b11 + 7/3*b31)  # term 14
+p15 = (-1/2*a31) * (b13)  # term 15
+p16 = (-a21 - 3/7*a23) * (b11 + 3/7*b13)  # term 16
+p17 = (-a11 - 3/7*a13 + 7/3*a31) * (-b12 - 3/7*b13 + 7/3*b32)  # term 17
+p18 = (a11 - 7/3*a31) * (-b12 + 7/3*b32)  # term 18
+p19 = (-a11 - 3/7*a13) * (b12 + 3/7*b13)  # term 19
+p20 = (-1/2*a13) * (2*b12 + 6/7*b13 + 2*b21 + 6/7*b23 - 14/3*b31 - 14/3*b32 - 2*b33)  # term 20
+p21 = (-a12 - 3/7*a13 + 7/3*a32) * (-b21 - 3/7*b23 + 7/3*b31)  # term 21
+p22 = (a12 - 7/3*a32) * (-b21 + 7/3*b31)  # term 22
+p23 = (-a12 - 3/7*a13) * (b21 + 3/7*b23)  # term 23
+c11 = a11 * b11 + 2*p9 - p21 - p22 - p23  # terms 1,9,21,22,23
+c12 = a12 * b22 + 2*p15 - p17 - p18 - p19  # terms 2,15,17,18,19
+c13 = -14/3*p9 - 14/3*p15 + 7/3*p17 + 7/3*p18 + p20 + 7/3*p21 + 7/3*p22  # terms 9,15,17,18,20,21,22
+c21 = a22 * b21 - p12 - p14 + 2*p15 - p16  # terms 3,12,14,15,16
+c22 = a21 * b12 - p5 - p7 + 2*p9 - p10  # terms 4,5,7,9,10
+c23 = 7/3*p5 + 7/3*p7 - 14/3*p9 + p11 + 7/3*p12 + 7/3*p14 - 14/3*p15  # terms 5,7,9,11,12,14,15
+c31 = 6/7*p9 - 3/7*p12 + p13 + 6/7*p15 - 3/7*p16 - 3/7*p21 - 3/7*p23  # terms 9,12,13,15,16,21,23
+c32 = -3/7*p5 + p6 + 6/7*p9 - 3/7*p10 + 6/7*p15 - 3/7*p17 - 3/7*p19  # terms 5,6,9,10,15,17,19
+c33 = -4/3*p8 - 2*p9 - 2*p15  # terms 8,9,15
+"""
+
+
+@pytest.mark.parametrize("tensor, annotated", [
+    (lambda: mm.winograd(Fraction(5, 7)), WINOGRAD_5_7_ANNOTATED),
+    (lambda: mm.laderman_variant(Fraction(-3, 7)), VARIANT_M3_7_ANNOTATED),
+])
+def test_emit_code_golden(tensor, annotated):
+    sched = extract_schedule(tensor())
+    assert emit_code(sched, style="annotated") == annotated
+    flat = "".join(ln.split("  #")[0] + "\n"
+                   for ln in annotated.splitlines())
+    assert emit_code(sched, style="flat") == flat
+
+
 def test_recursive_multiply_counts(rng):
     a, b = rand_matrix(rng, 4), rand_matrix(rng, 4)
     res = mm.recursive_multiply(mm.strassen(), a, b, threshold=1)

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -120,6 +121,24 @@ def test_correction_term_cyclic_partition():
     assert res.corner_coefficient == Fraction(3, 4)
     assert res.corner_total_weight == 3
 
+
+def test_correction_term_dimension_two():
+    # Trivial group at n = 2: base + bulk = m111 + m222, so R is minus the
+    # six off-diagonal monomials and the open corner (2,2,2) solves to 0.
+    off = [m for m in product((1, 2), repeat=3) if len(set(m)) > 1]
+    shape = tuple((m, Fraction(-1)) for m in off) + (((2, 2, 2), None),)
+    group = mm.IsotropyGroup([mm.Isotropy.identity(2)])
+    partition = mm.MonomialOrbitPartition(
+        1, tuple((frozenset([m]), 1) for m in product((1, 2), repeat=3)))
+    results = [mm.correction_term(src, shape) for src in (group, partition)]
+    assert mm.form_equal(results[0].tensor, results[1].tensor)
+    for res in results:
+        assert res.tensor.dim == 2
+        assert res.corner_coefficient == res.corner_total_weight == 0
+        base = Tensor(2, [mm.monomial_term(2, 1, 1, 1)])
+        bulk = mm.tensor_zero(mm.classical(2), (1, 1, 1))
+        total = mm.combine(mm.combine(base, 1, bulk, 1), 1, res.tensor, -1)
+        assert mm.is_matmul_tensor(total)
 
 def test_correction_term_rejects_unsatisfiable_shape():
     bad_shape = (((2, 3, 3), Fraction(1)), ((3, 3, 2), Fraction(1, 2)),

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmtensor import Matrix, as_fraction, format_fraction, proportionality
+from mmtensor import Matrix, as_fraction, proportionality
 
 
 def test_construction_and_indexing():
@@ -84,5 +84,3 @@ def test_fraction_helpers():
     assert as_fraction(2) == 2
     with pytest.raises(TypeError):
         as_fraction(0.5)
-    assert format_fraction(Fraction(-3, 4)) == "-3/4"
-    assert format_fraction(Fraction(6, 3)) == "2"

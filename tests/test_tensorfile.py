@@ -20,6 +20,13 @@ def test_roundtrip_keeps_zero_terms_and_order():
     assert back.terms == t.terms  # zero terms preserved in place
 
 
+def test_entries_written_as_canonical_rationals():
+    t = mm.Tensor(1, [mm.term([[Fraction(-3, 4)]], [[Fraction(6, 3)]],
+                              [[1]])])
+    text = write_tensor_file(t, lam=Fraction(6, 3))
+    assert text == "dim 1\nlambda 2\nterms 1\nterm\n-3/4\n2\n1\n"
+
+
 def test_lambda_metadata_line():
     text = write_tensor_file(mm.winograd(2), lam=2)
     assert "lambda 2" in text.splitlines()[1]

@@ -79,7 +79,7 @@ def test_syntax_error_carries_position():
 def test_print_roundtrip_builtins():
     builtins = [mm.classical(1), mm.classical(2), mm.classical(3),
                 mm.strassen(), mm.winograd(2), mm.laderman(),
-                mm.laderman_variant(1)]
+                mm.laderman_variant(1), mm.laderman_variant(Fraction(-3, 7))]
     for t in builtins:
         back = parse_trilinear(print_trilinear(t))
         assert back.dim == t.dim
@@ -92,6 +92,17 @@ def test_print_roundtrip_fractional_coefficients():
     assert canonical_terms(back) == canonical_terms(t)
     assert mm.form_equal(back, t)
 
+
+def test_print_spacing_and_bare_factors():
+    t = parse_trilinear("(-1/2*a11+3*a12)*(b11-b12)*(-c21) + a22*(2*b22)*c22")
+    assert print_trilinear(t) == ("(-1/2*a11 + 3*a12)*(b11 - b12)*(-c21)\n"
+                                  "+ a22*(2*b22)*c22")
+
+
+def test_print_refuses_two_digit_indices():
+    # a110 would read back as a11 followed by junk
+    with pytest.raises(ValueError, match="n <= 9"):
+        print_trilinear(mm.classical(10))
 
 def test_laderman_fixture_text_parses():
     from importlib import resources
