@@ -159,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stabilizer-search",
                        help="search for monomial stabilizers")
     _add_tensor_arg(p)
-    p.add_argument("--family", choices=["signed-perm"], default="signed-perm")
 
     p = sub.add_parser("census", help="report all n^3 projections")
     _add_tensor_arg(p)
@@ -295,7 +294,7 @@ def _cmd_mul(args) -> int:
 
 def _cmd_stabilizer_search(args) -> int:
     t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    group = monomial_stabilizer_search(t, family=args.family)
+    group = monomial_stabilizer_search(t)
     print(f"stabilizers {len(group)}")
     return 0
 

@@ -11,15 +11,14 @@ each factor matters only up to a nonzero scalar.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
-import numpy as np
-
 from .matrix import Matrix
-from .tensor import (CoefficientForm, RankOneTerm, Tensor, monomial_term,
-                     to_coefficient_form)
+from .tensor import RankOneTerm, Tensor, monomial_term, to_coefficient_form
 
 Monomial = tuple[int, int, int]
 
@@ -148,7 +147,6 @@ def is_form_stabilized(g: Isotropy, t: Tensor) -> bool:
 
 
 def _canonical_term_multiset(t: Tensor):
-    from collections import Counter
     return Counter(tm.canonical() for tm in t.nonzero_terms())
 
 
@@ -309,54 +307,51 @@ def signed_permutations(n: int) -> list[SignedPerm]:
     return out
 
 
-def monomial_stabilizer_search(t: Tensor, family: str = "signed-perm"
-                               ) -> list[SignedPermTriple]:
+def monomial_stabilizer_search(t: Tensor) -> list[SignedPermTriple]:
     """All signed-permutation triples that stabilize t's trilinear form.
 
-    Exhaustive over the (n! 2^n)^3 candidates, n <= 3.  Signed permutation
-    matrices are orthogonal, so the acted coefficient form is a signed
-    re-indexing of the original one; each candidate is checked by comparing
-    the re-indexed table against the original, vectorized over candidates.
+    Exhaustive over the (n! 2^n)^3 candidates, n <= 3, in lexicographic
+    order of signed_permutations(n) indices.  Signed permutation matrices
+    are orthogonal, so the acted coefficient form is a signed relabeling of
+    the original one.  For each (f1, f2) an entry's a-pair, b-row and c-col
+    images are fixed, which leaves a bit mask of the admissible f3 (memoized
+    per image); the masks of all entries are ANDed.
     """
-    if family != "signed-perm":
-        raise ValueError(f"unknown candidate family: {family}")
     n = t.dim
     if n > 3:
         raise ValueError("signed-perm search supports n <= 3")
     form = to_coefficient_form(t)
     sps = signed_permutations(n)
-    g = len(sps)
+    # Per signed perm, x -> (perm^-1(x), sign at that slot), 1-based.
+    invs = [{p: (j, s) for j, (p, s) in enumerate(zip(sp.perm, sp.signs), 1)}
+            for sp in sps]
+    # Code the form's values as small ints with code(-v) == -code(v).
+    rank = {a: r for r, a in enumerate(sorted({abs(v) for v in form.values()}),
+                                       start=1)}
+    coded = {key: rank[v] if v > 0 else -rank[-v] for key, v in form.items()}
 
-    # Per signed perm: qi[x] = perm^-1(x) and sq[x] = sign at that slot, 0-based.
-    qi = np.zeros((g, n), dtype=np.int64)
-    sq = np.zeros((g, n), dtype=np.int64)
-    for a, sp in enumerate(sps):
-        for j, (p, s) in enumerate(zip(sp.perm, sp.signs)):
-            qi[a, p - 1] = j
-            sq[a, p - 1] = s
+    @cache
+    def f3_mask(a_pair, b_row, c_col, l, m, want):
+        """Bits of the f3 that give the image entry the coded value want."""
+        mask = 0
+        for bit, inv in enumerate(invs):
+            (y, sy), (z, sz) = inv[l], inv[m]
+            value = coded.get((a_pair, (b_row, y), (z, c_col)), 0)
+            if value * sy * sz == want:
+                mask |= 1 << bit
+        return mask
 
-    # Code the form's values as small ints; 0 means "entry absent".
-    values = sorted(set(form.values()) | {-v for v in form.values()})
-    code = {v: c for c, v in enumerate(values, start=1)}
-    vtab = np.zeros((n,) * 6, dtype=np.int64)
-    for ((i, j), (k, l), (m, nn)), v in form.items():
-        vtab[i - 1, j - 1, k - 1, l - 1, m - 1, nn - 1] = code[v]
-
-    ok = np.ones((g, g, g), dtype=bool)
-    ax1 = (slice(None), None, None)
-    ax2 = (None, slice(None), None)
-    ax3 = (None, None, slice(None))
-    for ((i, j), (k, l), (m, nn)), v in form.items():
-        i, j, k, l, m, nn = i - 1, j - 1, k - 1, l - 1, m - 1, nn - 1
-        mapped = vtab[qi[:, i][ax1], qi[:, j][ax2], qi[:, k][ax2],
-                      qi[:, l][ax3], qi[:, m][ax3], qi[:, nn][ax1]]
-        sign = (sq[:, i][ax1] * sq[:, nn][ax1] * sq[:, j][ax2]
-                * sq[:, k][ax2] * sq[:, l][ax3] * sq[:, m][ax3])
-        want_pos = code[v]
-        want_neg = code.get(-v, 0) or -1
-        ok &= np.where(sign > 0, mapped == want_pos, mapped == want_neg)
-
+    full = (1 << len(sps)) - 1
     found = []
-    for a, b, c in zip(*np.nonzero(ok)):
-        found.append(SignedPermTriple(sps[int(a)], sps[int(b)], sps[int(c)]))
+    for inv1, f1 in zip(invs, sps):
+        for inv2, f2 in zip(invs, sps):
+            mask = full
+            for ((i, j), (k, l), (m, nn)), c in coded.items():
+                (x, si), (y, sj) = inv1[i], inv2[j]
+                (z, sk), (w, sn) = inv2[k], inv1[nn]
+                mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
+                if not mask:
+                    break
+            found.extend(SignedPermTriple(f1, f2, f3)
+                         for bit, f3 in enumerate(sps) if mask >> bit & 1)
     return found

@@ -192,8 +192,9 @@ class _Parser:
 def parse_trilinear(text: str, lam=1) -> Tensor:
     """Parse trilinear text into a tensor, one rank-one term per product.
 
-    The dimension is inferred from the largest index seen.  lam instantiates
-    the L symbol and must be nonzero when L occurs.
+    The dimension is inferred from the largest index seen, so a tensor
+    whose last rows and columns are unused reads back at a smaller n.  lam
+    instantiates the L symbol and must be nonzero when L occurs.
     """
     lam = as_fraction(lam)
     parser = _Parser(text, lam)
@@ -244,8 +245,10 @@ def format_form(letter: str, entries) -> str:
 def print_trilinear(t: Tensor) -> str:
     """Inverse presentation; parse(print(t)) reproduces t's nonzero terms.
 
-    A factor is written bare only when it is a single atom with coefficient
-    1.  Atoms carry one digit per index, so t.dim must be at most 9.
+    The text carries no dimension, so the parse has dim equal to the largest
+    index used: 2 for tensor_zero(classical(3), (3, 3, 3)).  A factor is
+    written bare only when it is a single atom with coefficient 1.  Atoms
+    carry one digit per index, so t.dim must be at most 9.
     """
     if t.dim >= 10:
         raise ValueError("trilinear text has one digit per index: n <= 9")

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
@@ -209,8 +214,6 @@ def test_stabilizer_search_discriminates_non_matmul():
     # agreement with the direct definition on a sample
     for tri in found[:10]:
         assert mm.is_form_stabilized(tri.to_isotropy(), t)
-    with pytest.raises(ValueError):
-        mm.monomial_stabilizer_search(t, family="orthogonal")
 
 
 def test_stabilizer_search_agrees_with_direct_check():
@@ -227,3 +230,92 @@ def test_stabilizer_search_agrees_with_direct_check():
                 if mm.is_form_stabilized(g, t):
                     direct.add((f1, f2, f3))
     assert found == direct
+
+
+def _scaled_monomials(*pairs):
+    return Tensor(3, [mm.monomial_term(3, *m).scaled(c) for m, c in pairs])
+
+
+# Search result sizes at n = 3.  In the last tensor a relabeling can swap
+# the values 1/2 and -1/2, so the signs of the match decide.
+PINNED_COUNTS = [
+    (mm.lifted_winograd, 4096),
+    (mm.klein_orbit_sum_winograd, 2048),
+    (lambda: mm.tensor_zero(mm.laderman(), (1, 2, 3)), 4096),
+    (lambda: _scaled_monomials(((1, 2, 3), Fraction(1, 2)),
+                               ((2, 3, 1), Fraction(-1, 2)),
+                               ((3, 3, 3), 2)), 512),
+    (lambda: _scaled_monomials(((1, 1, 1), Fraction(1, 2)),
+                               ((2, 2, 2), Fraction(-1, 2)),
+                               ((3, 3, 3), 2)), 512),
+]
+
+
+@pytest.mark.parametrize("make, count", PINNED_COUNTS,
+                         ids=["lifted-winograd", "klein-orbit-sum",
+                              "laderman-zero-123", "halves-cycled",
+                              "halves-diagonal"])
+def test_stabilizer_search_pinned_n3(make, count):
+    t = make()
+    found = mm.monomial_stabilizer_search(t)
+    assert len(found) == count
+    sps = signed_permutations(3)
+    index = {sp: i for i, sp in enumerate(sps)}
+    keys = [(index[tri.f1], index[tri.f2], index[tri.f3]) for tri in found]
+    assert keys == sorted(set(keys))
+    for tri in found[::count // 5]:
+        assert mm.is_form_stabilized(tri.to_isotropy(), t)
+    # candidates next to the found ones that the search rejected
+    found_keys = set(keys)
+    for a, b, c in keys[::count // 5]:
+        c2 = (c + 1) % len(sps)
+        if (a, b, c2) not in found_keys:
+            tri = mm.SignedPermTriple(sps[a], sps[b], sps[c2])
+            assert not mm.is_form_stabilized(tri.to_isotropy(), t)
+
+
+def test_stabilizer_search_refuses_n4():
+    with pytest.raises(ValueError, match="n <= 3"):
+        mm.monomial_stabilizer_search(mm.classical(4))
+
+
+_COEFFS = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+           Fraction(2)]
+_ISOTROPIES_N2 = {}
+
+
+def _term_n2():
+    monomial = st.builds(lambda m, c: mm.monomial_term(2, *m).scaled(c),
+                         st.tuples(*[st.integers(1, 2)] * 3),
+                         st.sampled_from(_COEFFS))
+    entry = st.sampled_from([Fraction(0)] + _COEFFS)
+    matrix = st.builds(Matrix, st.lists(st.lists(entry, min_size=2,
+                                                 max_size=2),
+                                        min_size=2, max_size=2))
+    return monomial | st.builds(mm.RankOneTerm, matrix, matrix, matrix)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.lists(_term_n2(), min_size=1, max_size=3))
+def test_stabilizer_search_equals_exhaustive_check_n2(terms):
+    t = Tensor(2, terms)
+    sps = signed_permutations(2)
+    if not _ISOTROPIES_N2:
+        for tri in product(sps, repeat=3):
+            _ISOTROPIES_N2[tri] = mm.SignedPermTriple(*tri).to_isotropy()
+    direct = [tri for tri, g in _ISOTROPIES_N2.items()
+              if mm.is_form_stabilized(g, t)]
+    found = mm.monomial_stabilizer_search(t)
+    assert [(tri.f1, tri.f2, tri.f3) for tri in found] == direct
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(mm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, mmtensor, mmtensor.cli; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
