@@ -17,10 +17,10 @@ from .transforms import (matrix_lift, matrix_project, matrix_zero,
                          tensor_lift, tensor_project, tensor_zero,
                          zeroing_family_sum)
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
-                       SignedPerm, SignedPermTriple, act, compose, inverse,
-                       is_form_stabilized, is_term_stabilizer, monomial_orbit,
-                       monomial_partition, monomial_stabilizer_search,
-                       orbit_partition_sum, orbit_sum, projectively_equal)
+                       SignedPerm, act, compose, inverse, is_form_stabilized,
+                       is_term_stabilizer, monomial_orbit, monomial_partition,
+                       monomial_stabilizer_search, orbit_partition_sum,
+                       orbit_sum, projectively_equal)
 from .constructions import (CorrectionResult, CYCLIC_CORRECTION_SHAPE,
                             KLEIN_CORRECTION_SHAPE, builtin, classical,
                             correction_term, cyclic_partition, klein_group,

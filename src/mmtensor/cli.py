@@ -22,10 +22,9 @@ from .isotropy import act, orbit_sum, monomial_stabilizer_search
 from .matrix import Matrix
 from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
-from .tensorfile import (TensorFileError, read_group_file, read_isotropy_file,
-                         read_tensor_file, write_tensor_file)
+from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
+                         write_tensor_file)
 from .transforms import tensor_lift, tensor_project, tensor_zero
-from .trilinear import TrilinearSyntaxError
 
 
 # Largest --size that mul accepts: 3**5, five levels of a 3x3 base.
@@ -46,6 +45,17 @@ def _parse_lambda(text: str) -> Fraction:
     return lam
 
 
+def _read_file(kind: str, path: str, parse):
+    """parse(text of path); read and parse errors become CliErrors."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file {path}: {exc}")
+    except ValueError as exc:  # TensorFileError and validation errors
+        raise CliError(f"bad {kind} file {path}: {exc}")
+
+
 def _load_tensor(spec: str, lam: Fraction) -> Tensor:
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
@@ -53,13 +63,7 @@ def _load_tensor(spec: str, lam: Fraction) -> Tensor:
             return builtin(name, lam)
         except KeyError:
             raise CliError(f"unknown builtin tensor: {name}")
-    try:
-        with open(spec) as fh:
-            return read_tensor_file(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read tensor file {spec}: {exc}")
-    except TensorFileError as exc:
-        raise CliError(f"bad tensor file {spec}: {exc}")
+    return _read_file("tensor", spec, read_tensor_file)
 
 
 def _load_group(spec: str):
@@ -67,13 +71,7 @@ def _load_group(spec: str):
         return klein_group()
     if spec.startswith("builtin:"):
         raise CliError(f"unknown builtin group: {spec[len('builtin:'):]}")
-    try:
-        with open(spec) as fh:
-            return read_group_file(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read group file {spec}: {exc}")
-    except (TensorFileError, ValueError) as exc:
-        raise CliError(f"bad group file {spec}: {exc}")
+    return _read_file("group", spec, read_group_file)
 
 
 def _output_tensor(t: Tensor, out: str | None, lam: Fraction | None = None):
@@ -219,13 +217,7 @@ def _cmd_zero(args) -> int:
 
 def _cmd_act(args) -> int:
     t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    try:
-        with open(args.iso) as fh:
-            isos = read_isotropy_file(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read isotropy file {args.iso}: {exc}")
-    except (TensorFileError, ValueError) as exc:
-        raise CliError(f"bad isotropy file {args.iso}: {exc}")
+    isos = _read_file("isotropy", args.iso, read_isotropy_file)
     if not isos:
         raise CliError(f"isotropy file {args.iso} is empty")
     _output_tensor(act(isos[0], t), args.out)
@@ -358,10 +350,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TrilinearSyntaxError, TensorFileError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,9 +18,9 @@ from itertools import product
 from .isotropy import (Isotropy, IsotropyGroup, Monomial,
                        MonomialOrbitPartition, act, orbit_sum)
 from .matrix import Matrix, as_fraction, proportionality
-from .tensor import (RankOneTerm, Tensor, add_forms, combine, monomial_term,
-                     scale_form, to_coefficient_form)
-from .transforms import tensor_lift, tensor_zero
+from .tensor import (RankOneTerm, Tensor, combine, monomial_term, scale_form,
+                     to_coefficient_form)
+from .transforms import tensor_lift
 from .trilinear import parse_trilinear
 
 
@@ -185,24 +185,18 @@ def _group_sum(source, m: Monomial) -> Tensor:
                         for mono in sorted(orbit)))
 
 
-def _group_sum_zeroed_classical(source) -> Tensor:
-    """Group sum of the classical tensor zeroed at (1,1,1)."""
-    n = source.dim
-    if isinstance(source, IsotropyGroup):
-        return orbit_sum(source, tensor_zero(classical(n), (1, 1, 1)))
-    rest = range(2, n + 1)
-    return Tensor(n, (tm for m in product(rest, rest, rest)
-                      for tm in _group_sum(source, m).terms))
-
-
 def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
     """Solve for the correction tensor R of the orbit decomposition identity
 
-        classical = GroupSum(e11 term) + GroupSum(zeroed classical) - R
+        classical(n) = GroupSum(1,1,1) + sum over m in {2..n}^3 of GroupSum(m)
+                       - R
 
-    where R is constrained to the given shape: fixed weights on all base
-    monomials except the corner (n,n,n), n = source.dim, whose coefficient
-    is derived from the identity and verified against it in full.
+    where n = source.dim and GroupSum(m) is the sum of g(monomial_term(m))
+    over the group.  The monomials over 2..n are the classical tensor zeroed
+    at (1,1,1), so the sum over them is that tensor's group sum.  R is
+    constrained to the given shape: fixed weights on all base monomials
+    except the corner (n,n,n), whose coefficient is derived from the
+    identity and verified against it in full.
 
     source is an IsotropyGroup acting monomially, or a
     MonomialOrbitPartition standing in for a group given by orbit data only.
@@ -214,18 +208,19 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
                          "open")
     corner = ((n, n), (n, n), (n, n))
 
-    required = add_forms(
-        add_forms(to_coefficient_form(_group_sum(source, (1, 1, 1))),
-                  to_coefficient_form(_group_sum_zeroed_classical(source))),
-        scale_form(to_coefficient_form(classical(n)), -1))
-
     known_terms = []
     for m, c in shape:
         if c is not None:
             known_terms.extend(tm.scaled(c) for tm in _group_sum(source, m).terms)
-    known = Tensor(n, known_terms)
 
-    residual = add_forms(required, scale_form(to_coefficient_form(known), -1))
+    # What the corner group sum must supply: both group sums of the
+    # identity, minus classical(n) and the known part of R.
+    rest = range(2, n + 1)
+    residual_terms = [tm for m in [(1, 1, 1), *product(rest, rest, rest)]
+                      for tm in _group_sum(source, m).terms]
+    residual_terms.extend(tm.scaled(-1)
+                          for tm in [*classical(n).terms, *known_terms])
+    residual = to_coefficient_form(Tensor(n, residual_terms))
     corner_gsum = _group_sum(source, (n, n, n))
     corner_form = to_coefficient_form(corner_gsum)
     if corner not in corner_form:
@@ -235,8 +230,8 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
         raise ValueError("no coefficient assignment of this shape satisfies "
                          "the decomposition identity")
 
-    tensor = Tensor(n, known.terms + tuple(tm.scaled(c_fix)
-                                           for tm in corner_gsum.terms))
+    tensor = Tensor(n, known_terms + [tm.scaled(c_fix)
+                                      for tm in corner_gsum.terms])
     return CorrectionResult(tensor=tensor, corner_coefficient=c_fix,
                             corner_total_weight=c_fix * corner_form[corner],
                             shape=tuple(shape))
@@ -268,7 +263,7 @@ def laderman_variant(lam=1) -> Tensor:
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     group = klein_group()
-    base = orbit_sum(group, Tensor(3, [monomial_term(3, 1, 1, 1)]))
+    base = _group_sum(group, (1, 1, 1))
     bulk = orbit_sum(group, lifted_winograd(lam))
     corr = correction_term(group).tensor
     total = combine(combine(base, 1, bulk, 1), 1, corr, -1)

@@ -282,22 +282,6 @@ class SignedPerm:
         return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class SignedPermTriple:
-    f1: SignedPerm
-    f2: SignedPerm
-    f3: SignedPerm
-
-    def to_isotropy(self) -> Isotropy:
-        return Isotropy(self.f1.to_matrix(), self.f2.to_matrix(),
-                        self.f3.to_matrix())
-
-    def is_identity(self) -> bool:
-        return all(f.perm == tuple(range(1, len(f.perm) + 1))
-                   and all(s == 1 for s in f.signs)
-                   for f in (self.f1, self.f2, self.f3))
-
-
 def signed_permutations(n: int) -> list[SignedPerm]:
     """All n! * 2^n signed permutations, in a fixed deterministic order."""
     out = []
@@ -307,8 +291,9 @@ def signed_permutations(n: int) -> list[SignedPerm]:
     return out
 
 
-def monomial_stabilizer_search(t: Tensor) -> list[SignedPermTriple]:
-    """All signed-permutation triples that stabilize t's trilinear form.
+def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
+    """All signed-permutation triples (f1, f2, f3) that stabilize t's
+    trilinear form, as tuples of the signed_permutations(n) objects.
 
     Exhaustive over the (n! 2^n)^3 candidates, n <= 3, in lexicographic
     order of signed_permutations(n) indices.  Signed permutation matrices
@@ -352,6 +337,6 @@ def monomial_stabilizer_search(t: Tensor) -> list[SignedPermTriple]:
                 mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
                 if not mask:
                     break
-            found.extend(SignedPermTriple(f1, f2, f3)
-                         for bit, f3 in enumerate(sps) if mask >> bit & 1)
+            found.extend((f1, f2, f3) for bit, f3 in enumerate(sps)
+                         if mask >> bit & 1)
     return found

@@ -26,9 +26,11 @@ def matrix_zero(m: Matrix, i: int, j: int) -> Matrix:
     """Zero out row i and column j, leaving the rest unchanged."""
     _check_index(m.rows, i)
     _check_index(m.cols, j)
-    return Matrix([[0 if (r == i or c == j) else m[r, c]
-                    for c in range(1, m.cols + 1)]
-                   for r in range(1, m.rows + 1)])
+    rows = m.row_list()
+    rows[i - 1] = [0] * m.cols
+    for row in rows:
+        row[j - 1] = 0
+    return Matrix(rows)
 
 
 def matrix_project(m: Matrix, i: int, j: int) -> Matrix:
@@ -37,33 +39,25 @@ def matrix_project(m: Matrix, i: int, j: int) -> Matrix:
         raise ValueError("cannot project a 1x1 matrix")
     _check_index(m.rows, i)
     _check_index(m.cols, j)
-    return Matrix([[m[r, c] for c in range(1, m.cols + 1) if c != j]
-                   for r in range(1, m.rows + 1) if r != i])
+    rows = m.row_list()
+    del rows[i - 1]
+    return Matrix([row[:j - 1] + row[j:] for row in rows])
 
 
 def matrix_lift(m: Matrix, i: int, j: int) -> Matrix:
     """Insert a zero row at i and zero column at j; projecting back recovers m."""
     n = m.rows + 1
     _check_index(n, i, j)
-    rows = []
-    for r in range(1, n + 1):
-        if r == i:
-            rows.append([0] * n)
-            continue
-        src_r = r if r < i else r - 1
-        row = []
-        for c in range(1, n + 1):
-            if c == j:
-                row.append(0)
-            else:
-                src_c = c if c < j else c - 1
-                row.append(m[src_r, src_c])
-        rows.append(row)
+    rows = [row[:j - 1] + [0] + row[j - 1:] for row in m.row_list()]
+    rows.insert(i - 1, [0] * n)
     return Matrix(rows)
 
 
-def _termwise(t: Tensor, fa, fb, fc, dim: int) -> Tensor:
-    return Tensor(dim, (RankOneTerm(fa(tm.a), fb(tm.b), fc(tm.c))
+def _cyclic(t: Tensor, op, idx: IndexTriple, dim: int) -> Tensor:
+    """Apply op(factor, x, y) to each term with (i,j), (j,k), (k,i)."""
+    i, j, k = idx
+    return Tensor(dim, (RankOneTerm(op(tm.a, i, j), op(tm.b, j, k),
+                                    op(tm.c, k, i))
                         for tm in t.terms))
 
 
@@ -73,37 +67,22 @@ def tensor_zero(t: Tensor, idx: IndexTriple) -> Tensor:
     Terms killed by the zeroing are kept in the collection as zero terms so
     the output stays aligned with the source decomposition.
     """
-    i, j, k = idx
-    _check_index(t.dim, i, j, k)
-    return _termwise(t,
-                     lambda m: matrix_zero(m, i, j),
-                     lambda m: matrix_zero(m, j, k),
-                     lambda m: matrix_zero(m, k, i),
-                     t.dim)
+    _check_index(t.dim, *idx)
+    return _cyclic(t, matrix_zero, idx, t.dim)
 
 
 def tensor_project(t: Tensor, idx: IndexTriple) -> Tensor:
     """Project every term to dimension n-1 with the pattern (i,j), (j,k), (k,i)."""
     if t.dim < 2:
         raise ValueError("cannot project a dimension-1 tensor")
-    i, j, k = idx
-    _check_index(t.dim, i, j, k)
-    return _termwise(t,
-                     lambda m: matrix_project(m, i, j),
-                     lambda m: matrix_project(m, j, k),
-                     lambda m: matrix_project(m, k, i),
-                     t.dim - 1)
+    _check_index(t.dim, *idx)
+    return _cyclic(t, matrix_project, idx, t.dim - 1)
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:
     """Lift every term to dimension n+1; tensor_project(result, idx) == t."""
-    i, j, k = idx
-    _check_index(t.dim + 1, i, j, k)
-    return _termwise(t,
-                     lambda m: matrix_lift(m, i, j),
-                     lambda m: matrix_lift(m, j, k),
-                     lambda m: matrix_lift(m, k, i),
-                     t.dim + 1)
+    _check_index(t.dim + 1, *idx)
+    return _cyclic(t, matrix_lift, idx, t.dim + 1)
 
 
 def zeroing_family_sum(t: Tensor) -> Tensor:

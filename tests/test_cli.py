@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mmtensor as mm
 from mmtensor import read_tensor_file, write_group_file
 from mmtensor.cli import run
@@ -163,6 +165,40 @@ def test_bad_tensor_file_counts(tmp_path, capsys):
     path.write_text("dim 2\nterms -1\n")
     code, _, err = invoke(capsys, "verify", "--tensor", str(path))
     assert code == 2 and "line 2" in err
+
+
+_E3 = mm.Matrix.identity(3)
+_SWAP12 = mm.Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+_ACT = ["act", "--tensor", "builtin:laderman", "--iso"]
+
+# (id, file text or None for a missing file, argv before the path, message)
+BAD_INPUT_FILES = [
+    ("missing-group", None,
+     ["orbit", "--tensor", "builtin:laderman", "--group"],
+     "cannot read group file"),
+    ("group-without-identity-first",
+     mm.write_tensor_file(mm.Tensor(3, [mm.term(_SWAP12, _SWAP12, _E3),
+                                        mm.term(_E3, _E3, _E3)])),
+     ["correction", "--group"], "first group element must be the identity"),
+    ("singular-iso",
+     mm.write_tensor_file(mm.Tensor(3, [mm.term(_E3, _E3,
+                                                mm.Matrix.unit(3, 1, 1))])),
+     _ACT, "singular isotropy factor"),
+    ("iso-without-elements", "dim 3\nterms 0\n", _ACT, "is empty"),
+    ("blank-iso", "", _ACT, "bad isotropy file"),
+]
+
+
+@pytest.mark.parametrize("text, argv, message",
+                         [case[1:] for case in BAD_INPUT_FILES],
+                         ids=[case[0] for case in BAD_INPUT_FILES])
+def test_bad_group_and_isotropy_files(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
 
 
 def test_negative_lambda(tmp_path, capsys):

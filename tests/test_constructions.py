@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -122,15 +123,24 @@ def test_correction_term_cyclic_partition():
     assert res.corner_total_weight == 3
 
 
-def test_correction_term_dimension_two():
-    # Trivial group at n = 2: base + bulk = m111 + m222, so R is minus the
-    # six off-diagonal monomials and the open corner (2,2,2) solves to 0.
-    off = [m for m in product((1, 2), repeat=3) if len(set(m)) > 1]
-    shape = tuple((m, Fraction(-1)) for m in off) + (((2, 2, 2), None),)
+# Trivial group at n = 2, given as a group and as a partition: base + bulk
+# = m111 + m222, so R is minus the six off-diagonal monomials and the open
+# corner (2,2,2) solves to 0.
+TRIVIAL_N2_SHAPE = tuple(
+    (m, Fraction(-1)) for m in product((1, 2), repeat=3) if len(set(m)) > 1
+) + (((2, 2, 2), None),)
+
+
+def _trivial_n2_sources():
     group = mm.IsotropyGroup([mm.Isotropy.identity(2)])
     partition = mm.MonomialOrbitPartition(
         1, tuple((frozenset([m]), 1) for m in product((1, 2), repeat=3)))
-    results = [mm.correction_term(src, shape) for src in (group, partition)]
+    return group, partition
+
+
+def test_correction_term_dimension_two():
+    results = [mm.correction_term(src, TRIVIAL_N2_SHAPE)
+               for src in _trivial_n2_sources()]
     assert mm.form_equal(results[0].tensor, results[1].tensor)
     for res in results:
         assert res.tensor.dim == 2
@@ -139,6 +149,27 @@ def test_correction_term_dimension_two():
         bulk = mm.tensor_zero(mm.classical(2), (1, 1, 1))
         total = mm.combine(mm.combine(base, 1, bulk, 1), 1, res.tensor, -1)
         assert mm.is_matmul_tensor(total)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("solve, golden", [
+    (lambda: mm.correction_term(mm.klein_group()), "correction_klein"),
+    (lambda: mm.correction_term(mm.cyclic_partition(),
+                                mm.CYCLIC_CORRECTION_SHAPE),
+     "correction_cyclic"),
+    (lambda: mm.correction_term(_trivial_n2_sources()[0], TRIVIAL_N2_SHAPE),
+     "correction_trivial_n2"),
+    (lambda: mm.correction_term(_trivial_n2_sources()[1], TRIVIAL_N2_SHAPE),
+     "correction_trivial_n2"),
+], ids=["klein", "cyclic", "trivial-n2-group", "trivial-n2-partition"])
+def test_correction_term_golden(solve, golden):
+    # Term order and the split of each weight over the factors are pinned,
+    # not just the trilinear form.
+    text = (GOLDEN / f"{golden}.tensor").read_text()
+    assert mm.write_tensor_file(solve().tensor) == text
+
 
 def test_correction_term_rejects_unsatisfiable_shape():
     bad_shape = (((2, 3, 3), Fraction(1)), ((3, 3, 2), Fraction(1, 2)),

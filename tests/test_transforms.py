@@ -22,6 +22,10 @@ def test_matrix_project_and_lift_roundtrip():
     assert p.row_list() == [[1, 2], [7, 8]]
     # lift inserts zero row/column; projecting back recovers the input
     small = Matrix([[1, 2], [3, 4]])
+    assert mm.matrix_lift(small, 2, 1).row_list() == \
+        [[0, 1, 2], [0, 0, 0], [0, 3, 4]]
+    with pytest.raises(IndexError):
+        mm.matrix_lift(small, 1, 4)
     for i in range(1, 4):
         for j in range(1, 4):
             assert mm.matrix_project(mm.matrix_lift(small, i, j), i, j) == small
