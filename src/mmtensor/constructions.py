@@ -9,15 +9,17 @@ multiplication with 23 rank-one terms after merging shared factors.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, Monomial,
                        MonomialOrbitPartition, act, orbit_sum)
-from .matrix import Matrix, as_fraction, proportionality
+from .matrix import Matrix, as_fraction, projective_normal
 from .tensor import (RankOneTerm, Tensor, combine, monomial_term, scale_form,
                      to_coefficient_form)
 from .transforms import tensor_lift
@@ -89,6 +91,10 @@ def klein_group() -> IsotropyGroup:
     ])
 
 
+# Factor pairs (a,b), (a,c), (b,c), in the order a merge tries them.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def merge_shared_factors(t: Tensor) -> Tensor:
     """Greedily merge terms sharing two factors up to scale.
 
@@ -96,42 +102,65 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     with v (and likewise for the other two factor pairs), the pair collapses
     to a single rank-one term with the third factors combined linearly.  The
     coefficient form is unchanged; zero terms (including full cancellations)
-    are dropped.  Runs to a fixed point in deterministic order.
+    are dropped.  Runs to a fixed point in deterministic order: each step
+    merges the lexicographically first mergeable pair of positions i < j
+    into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
+
+    Each term is filed under the projective classes of its three factor
+    pairs.  Two terms merge iff they share a class, so the first mergeable
+    pair is the least (first, second) slot pair over all classes.
     """
     terms = list(t.nonzero_terms())
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                new = _merge_pair(terms[i], terms[j])
-                if new is not None:
-                    terms[i] = new
-                    del terms[j]
-                    if terms[i].is_zero():
-                        del terms[i]
-                    merged = True
-                    break
-            if merged:
-                break
-    return Tensor(t.dim, terms)
+    units = {}  # normalized factor -> its number
+    normal = [None] * len(terms)  # per slot: (lead, unit number) per factor
+    classes = defaultdict(list)  # (pair, unit number, unit number) -> slots
+
+    def keys(i):
+        n = normal[i]
+        return [(p, n[x][1], n[y][1]) for p, (x, y) in enumerate(_PAIRS)]
+
+    def file(i):
+        tm = terms[i]
+        normal[i] = [(lead, units.setdefault(unit, len(units)))
+                     for lead, unit in map(projective_normal,
+                                           (tm.a, tm.b, tm.c))]
+        for key in keys(i):
+            insort(classes[key], i)
+
+    def unfile(i):
+        for key in keys(i):
+            classes[key].remove(i)
+
+    for i in range(len(terms)):
+        file(i)
+    while True:
+        first = min(((s[0], s[1]) for s in classes.values() if len(s) > 1),
+                    default=None)
+        if first is None:
+            break
+        i, j = first
+        new = _merge_pair(terms[i], normal[i], terms[j], normal[j])
+        unfile(i)
+        unfile(j)
+        terms[j] = None
+        if new.is_zero():
+            terms[i] = None
+        else:
+            terms[i] = new
+            file(i)
+    return Tensor(t.dim, [tm for tm in terms if tm is not None])
 
 
-def _merge_pair(u: RankOneTerm, v: RankOneTerm) -> RankOneTerm | None:
-    # a,b shared: fold scales into c; similarly for the other pairs.
-    alpha = proportionality(u.a, v.a)
-    beta = proportionality(u.b, v.b) if alpha is not None else None
-    if alpha is not None and beta is not None:
-        return RankOneTerm(v.a, v.b, u.c.scale(alpha * beta) + v.c)
-    gamma = proportionality(u.c, v.c)
-    if alpha is not None and gamma is not None:
-        return RankOneTerm(v.a, u.b.scale(alpha * gamma) + v.b, v.c)
-    if gamma is None:
-        return None
-    beta = proportionality(u.b, v.b)
-    if beta is not None:
-        return RankOneTerm(u.a.scale(beta * gamma) + v.a, v.b, v.c)
-    return None
+def _merge_pair(u: RankOneTerm, nu, v: RankOneTerm, nv) -> RankOneTerm:
+    """Fold u into v along the first factor pair on which the unit numbers
+    of nu and nv agree; u's scales go into its third factor."""
+    x, y = next((x, y) for x, y in _PAIRS
+                if nu[x][1] == nv[x][1] and nu[y][1] == nv[y][1])
+    z = 3 - x - y
+    scale = nu[x][0] / nv[x][0] * (nu[y][0] / nv[y][0])
+    factors = [v.a, v.b, v.c]
+    factors[z] = (u.a, u.b, u.c)[z].scale(scale) + factors[z]
+    return RankOneTerm(*factors)
 
 
 def klein_orbit_sum_winograd(lam=1) -> Tensor:
@@ -207,21 +236,22 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
         raise ValueError(f"shape must leave exactly the corner ({n},{n},{n}) "
                          "open")
     corner = ((n, n), (n, n), (n, n))
+    group_sum = cache(lambda m: _group_sum(source, m))
 
     known_terms = []
     for m, c in shape:
         if c is not None:
-            known_terms.extend(tm.scaled(c) for tm in _group_sum(source, m).terms)
+            known_terms.extend(tm.scaled(c) for tm in group_sum(m).terms)
 
     # What the corner group sum must supply: both group sums of the
     # identity, minus classical(n) and the known part of R.
     rest = range(2, n + 1)
     residual_terms = [tm for m in [(1, 1, 1), *product(rest, rest, rest)]
-                      for tm in _group_sum(source, m).terms]
+                      for tm in group_sum(m).terms]
     residual_terms.extend(tm.scaled(-1)
                           for tm in [*classical(n).terms, *known_terms])
     residual = to_coefficient_form(Tensor(n, residual_terms))
-    corner_gsum = _group_sum(source, (n, n, n))
+    corner_gsum = group_sum((n, n, n))
     corner_form = to_coefficient_form(corner_gsum)
     if corner not in corner_form:
         raise ValueError("corner group sum vanishes; cannot solve")

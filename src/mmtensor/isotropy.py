@@ -7,6 +7,11 @@ rank-one term as
 
 extended over a decomposition term by term.  Element equality is projective:
 each factor matters only up to a nonzero scalar.
+
+A signed permutation matrix G is orthogonal, so G^-T = G and each factor maps
+to P T Q^T: a relabeling of its entries with signs.  Triples of such matrices
+(every Klein element and every stabilizer-search result) act that way,
+without rational products or inverses.
 """
 
 from __future__ import annotations
@@ -17,16 +22,18 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .matrix import Matrix
+from .matrix import Matrix, projective_normal
 from .tensor import RankOneTerm, Tensor, monomial_term, to_coefficient_form
 
 Monomial = tuple[int, int, int]
+
+_ZERO = Fraction(0)
 
 
 class Isotropy:
     """A sandwiching triple of invertible n x n matrices."""
 
-    __slots__ = ("g1", "g2", "g3", "_inv_t")
+    __slots__ = ("g1", "g2", "g3", "_inv_t", "_perms")
 
     def __init__(self, g1: Matrix, g2: Matrix, g3: Matrix):
         for g in (g1, g2, g3):
@@ -38,6 +45,8 @@ class Isotropy:
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "g3", g3)
         object.__setattr__(self, "_inv_t", None)
+        perms = tuple(_signed_permutation(g) for g in (g1, g2, g3))
+        object.__setattr__(self, "_perms", None if None in perms else perms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Isotropy is immutable")
@@ -71,14 +80,29 @@ class Isotropy:
         return f"Isotropy(dim={self.dim})"
 
 
-def _normalize_projective(m: Matrix) -> Matrix:
-    lead = next((v for _, _, v in m.entries()), None)
-    return m if lead in (None, 1) else m.scale(1 / lead)
+def _signed_permutation(g: Matrix):
+    """Per column, the (row, sign) of its one +-1 entry, 0-based; None
+    unless the invertible matrix g is a signed permutation matrix."""
+    entries = list(g.entries())
+    if len(entries) != g.rows or any(v not in (1, -1) for *_, v in entries):
+        return None
+    col = {j: (i - 1, int(v)) for i, j, v in entries}
+    return tuple(col[j] for j in range(1, g.rows + 1))
+
+
+def _relabel(m: Matrix, p, q) -> Matrix:
+    """P m Q^T for signed permutations p, q given as (row, sign) per column."""
+    n = m.rows
+    rows = [[_ZERO] * n for _ in range(n)]
+    for i, j, v in m.entries():
+        (r, s), (c, u) = p[i - 1], q[j - 1]
+        rows[r][c] = v if s == u else -v
+    return Matrix(rows)
 
 
 def projectively_equal(g: Isotropy, h: Isotropy) -> bool:
     """Equality up to independent scaling of each of the three factors."""
-    return all(_normalize_projective(a) == _normalize_projective(b)
+    return all(projective_normal(a)[1] == projective_normal(b)[1]
                for a, b in zip(g.factors(), h.factors()))
 
 
@@ -86,6 +110,12 @@ def act(g: Isotropy, t: Tensor) -> Tensor:
     """Apply the sandwiching action term by term; term count is preserved."""
     if g.dim != t.dim:
         raise ValueError("isotropy/tensor dimension mismatch")
+    if g._perms is not None:
+        p1, p2, p3 = g._perms
+        return Tensor(t.dim, (RankOneTerm(_relabel(tm.a, p1, p2),
+                                          _relabel(tm.b, p2, p3),
+                                          _relabel(tm.c, p3, p1))
+                              for tm in t.terms))
     i1, i2, i3 = g._inverse_transposes()
     t1, t2, t3 = g.g1.transpose(), g.g2.transpose(), g.g3.transpose()
     return Tensor(t.dim, (RankOneTerm(i1 @ tm.a @ t2,
@@ -162,42 +192,23 @@ def is_term_stabilizer(group: IsotropyGroup, t: Tensor) -> bool:
 
 # -- monomial orbits -------------------------------------------------------------
 
-def _as_signed_monomial(tm: RankOneTerm) -> tuple[Monomial, Fraction] | None:
-    """Decode a term as s * (e^i_j (x) e^j_k (x) e^k_i), or None."""
-    es = []
-    for m in (tm.a, tm.b, tm.c):
-        nz = list(m.entries())
-        if len(nz) != 1:
-            return None
-        es.append(nz[0])
-    (i, j, va), (j2, k, vb), (k2, i2, vc) = es
-    if j2 != j or k2 != k or i2 != i:
-        return None
-    s = va * vb * vc
-    if s not in (1, -1):
-        return None
-    return (i, j, k), s
-
-
 def monomial_orbit(group: IsotropyGroup, m: Monomial) -> tuple[frozenset, int]:
-    """Orbit set and stabilizer order of a monomial under a monomial action.
+    """Orbit set and stabilizer order of a monomial under signed permutations.
 
-    Raises ValueError when some group element does not map the monomial's
-    rank-one term to +/- another monomial term.
+    A triple of signed permutations (f1, f2, f3) sends the term of (i, j, k)
+    to +-(the term of (f1(i), f2(j), f3(k))), so the orbit is read off the
+    index maps.  Raises ValueError when some group element is not a signed
+    permutation triple.
     """
-    n = group.dim
-    base = Tensor(n, [monomial_term(n, *m)])
     orbit = set()
     stab = 0
     for g in group:
-        image = act(g, base).terms[0]
-        decoded = _as_signed_monomial(image)
-        if decoded is None:
-            raise ValueError(f"group does not act monomially on {m}")
-        mono, _sign = decoded
+        if g._perms is None:
+            raise ValueError(f"group does not act monomially on {m}: not a "
+                             "signed permutation triple")
+        mono = tuple(p[x - 1][0] + 1 for p, x in zip(g._perms, m))
         orbit.add(mono)
-        if mono == m:
-            stab += 1
+        stab += mono == m
     return frozenset(orbit), stab
 
 

@@ -189,22 +189,15 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def projective_normal(m: Matrix) -> tuple[Fraction, Matrix]:
+    """Split m into (lead, m / lead), lead being its first nonzero entry in
+    row-major order; a zero matrix gives (0, m).  Two nonzero matrices are
+    proportional iff their normalized parts are equal."""
+    lead = next((v for _, _, v in m.entries()), Fraction(0))
+    return lead, (m if lead in (0, 1) else m.scale(1 / lead))
+
+
 def proportionality(m1: Matrix, m2: Matrix) -> Fraction | None:
     """Return alpha with m1 == alpha * m2 (both nonzero), else None."""
-    if (m1.rows, m1.cols) != (m2.rows, m2.cols):
-        return None
-    alpha = None
-    for r1, r2 in zip(m1._e, m2._e):
-        for a, b in zip(r1, r2):
-            if b == 0:
-                if a != 0:
-                    return None
-            else:
-                ratio = a / b
-                if alpha is None:
-                    alpha = ratio
-                elif ratio != alpha:
-                    return None
-    if alpha is None or alpha == 0:
-        return None
-    return alpha
+    (l1, n1), (l2, n2) = projective_normal(m1), projective_normal(m2)
+    return l1 / l2 if l1 and l2 and n1 == n2 else None

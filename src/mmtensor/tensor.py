@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Matrix, Rational, as_fraction
+from .matrix import Matrix, Rational, as_fraction, projective_normal
 
 # Canonical form: {((i,j),(k,l),(m,n)): Fraction}, zero entries absent.
 CoefficientForm = dict[tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
@@ -55,10 +55,8 @@ class RankOneTerm:
         """
         if self.is_zero():
             return (self.a, self.b, self.c)
-        la = next(v for _, _, v in self.a.entries())
-        lb = next(v for _, _, v in self.b.entries())
-        return (self.a.scale(1 / la), self.b.scale(1 / lb),
-                self.c.scale(la * lb))
+        (la, a), (lb, b) = projective_normal(self.a), projective_normal(self.b)
+        return (a, b, self.c.scale(la * lb))
 
 
 class Tensor:

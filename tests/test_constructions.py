@@ -4,9 +4,10 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import Tensor
+from mmtensor import Matrix, Tensor
 
 from conftest import canonical_terms
 
@@ -93,6 +94,80 @@ def test_merge_all_three_positions():
     assert mm.form_equal(merged, t)
 
 
+def _ratio(m1, m2):
+    """alpha with m1 == alpha * m2, both nonzero, else None."""
+    pairs = [(x, y) for r1, r2 in zip(m1.row_list(), m2.row_list())
+             for x, y in zip(r1, r2) if x or y]
+    if not pairs or any(x == 0 or y == 0 for x, y in pairs):
+        return None
+    alpha = pairs[0][0] / pairs[0][1]
+    return alpha if all(x == alpha * y for x, y in pairs) else None
+
+
+def _restart_scan_merge(t):
+    """Reference merge: after every merge, scan all pairs i < j again from
+    the start; the first pair sharing (a,b), else (a,c), else (b,c) up to
+    scale is folded into position i."""
+    def merge_pair(u, v):
+        alpha, beta, gamma = (_ratio(x, y) for x, y in
+                              ((u.a, v.a), (u.b, v.b), (u.c, v.c)))
+        if alpha is not None and beta is not None:
+            return mm.RankOneTerm(v.a, v.b, u.c.scale(alpha * beta) + v.c)
+        if alpha is not None and gamma is not None:
+            return mm.RankOneTerm(v.a, u.b.scale(alpha * gamma) + v.b, v.c)
+        if beta is not None and gamma is not None:
+            return mm.RankOneTerm(u.a.scale(beta * gamma) + v.a, v.b, v.c)
+        return None
+
+    terms = list(t.nonzero_terms())
+    while True:
+        hit = next(((i, j, new) for i in range(len(terms))
+                    for j in range(i + 1, len(terms))
+                    if (new := merge_pair(terms[i], terms[j])) is not None),
+                   None)
+        if hit is None:
+            return Tensor(t.dim, terms)
+        i, j, new = hit
+        terms[i] = new
+        del terms[j]
+        if new.is_zero():
+            del terms[i]
+
+
+@st.composite
+def _shared_factor_tensors(draw):
+    """Terms over a small pool of factors with random scales, so that many
+    pairs share factors; negated copies cancel exactly, and a zero pool
+    entry makes zero terms."""
+    n = draw(st.sampled_from([2, 3]))
+    row = st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n)
+    matrix = st.lists(row, min_size=n, max_size=n).map(Matrix)
+    pool = draw(st.lists(matrix.filter(lambda m: not m.is_zero()),
+                         min_size=2, max_size=4))
+    if draw(st.booleans()):
+        pool.append(Matrix.zeros(n))
+    scale = st.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(1, 3)])
+    factor = st.builds(Matrix.scale, st.sampled_from(pool), scale)
+    terms = draw(st.lists(st.builds(mm.RankOneTerm, factor, factor, factor),
+                          min_size=1, max_size=12))
+    for tm in draw(st.lists(st.sampled_from(terms), max_size=3)):
+        terms.insert(draw(st.integers(0, len(terms))), tm.scaled(-1))
+    return Tensor(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_factor_tensors())
+def test_merge_equals_restart_scan(t):
+    assert mm.merge_shared_factors(t).terms == _restart_scan_merge(t).terms
+
+
+def test_merge_equals_restart_scan_on_constructions():
+    raw = [mm.orbit_sum(mm.klein_group(), mm.lifted_winograd(Fraction(3, 4))),
+           mm.tensor_project(mm.laderman(), (2, 1, 3))]
+    for t in raw:
+        assert mm.merge_shared_factors(t).terms == _restart_scan_merge(t).terms
+
+
 def test_klein_orbit_sum_winograd():
     for lam in (1, 2):
         s = mm.klein_orbit_sum_winograd(lam)
@@ -169,6 +244,15 @@ def test_correction_term_golden(solve, golden):
     # not just the trilinear form.
     text = (GOLDEN / f"{golden}.tensor").read_text()
     assert mm.write_tensor_file(solve().tensor) == text
+
+
+@pytest.mark.parametrize("lam, golden", [
+    (1, "1"), (-2, "m2"), (Fraction(3, 4), "3_4"), (Fraction(-5, 3), "m5_3"),
+])
+def test_laderman_variant_golden(lam, golden):
+    # Pins the merge order and every factor's scaling, not just the form.
+    text = (GOLDEN / f"laderman_variant_{golden}.tensor").read_text()
+    assert mm.write_tensor_file(mm.laderman_variant(lam)) == text
 
 
 def test_correction_term_rejects_unsatisfiable_shape():

@@ -136,6 +136,48 @@ def test_form_vs_term_stabilizer():
     assert mm.is_term_stabilizer(mm.klein_group(), mm.classical(3))
 
 
+def _sandwich(g, t):
+    """The defining action G1^-T a G2^T, ... with rational Matrix ops."""
+    (i1, i2, i3), (t1, t2, t3) = zip(*((f.inverse().transpose(), f.transpose())
+                                       for f in g.factors()))
+    return Tensor(t.dim, [mm.RankOneTerm(i1 @ tm.a @ t2, i2 @ tm.b @ t3,
+                                         i3 @ tm.c @ t1) for tm in t.terms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabeling_act_equals_rational_formula(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    sps = signed_permutations(n)
+    g = Isotropy(*(data.draw(st.sampled_from(sps)).to_matrix()
+                   for _ in range(3)))
+    entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2),
+                             Fraction(3, 5)])
+    row = st.lists(entry, min_size=n, max_size=n)
+    matrix = st.lists(row, min_size=n, max_size=n).map(Matrix)
+    t = Tensor(n, data.draw(st.lists(st.builds(mm.RankOneTerm, matrix,
+                                               matrix, matrix), max_size=3)))
+    assert act(g, t) == _sandwich(g, t)
+
+
+def test_non_monomial_act_equals_rational_formula():
+    p = Matrix([[0, 1, 0], [0, 0, -1], [1, 0, 0]])
+    for g, t in [(mm.winograd_isotropy(Fraction(3, 4)), mm.strassen()),
+                 (Isotropy(p.scale(2), p, -p), mm.laderman())]:
+        assert act(g, t) == _sandwich(g, t)
+
+
+@pytest.mark.parametrize("make, stabilized", [
+    (lambda: mm.laderman_variant(1), True),
+    (lambda: mm.laderman_variant(-2), True),
+    (lambda: mm.laderman_variant(Fraction(3, 4)), True),
+    (lambda: mm.laderman_variant(Fraction(-5, 3)), True),
+    (mm.laderman, False),
+], ids=["variant-1", "variant-m2", "variant-3_4", "variant-m5_3", "laderman"])
+def test_klein_term_stabilizer_pinned(make, stabilized):
+    assert mm.is_term_stabilizer(mm.klein_group(), make()) is stabilized
+
+
 def test_monomial_orbit_examples():
     K = mm.klein_group()
     orbit, stab = mm.monomial_orbit(K, (3, 3, 3))
