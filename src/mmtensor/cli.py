@@ -18,7 +18,7 @@ from fractions import Fraction
 from .codegen import emit_code, extract_schedule, op_count, recursive_multiply
 from .constructions import (builtin, correction_term, klein_group,
                             merge_shared_factors)
-from .isotropy import act, orbit_sum, monomial_stabilizer_search
+from .isotropy import act, monomial_stabilizer_count, orbit_sum
 from .matrix import Matrix
 from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
@@ -76,101 +76,23 @@ def _load_group(spec: str):
 
 def _output_tensor(t: Tensor, out: str | None, lam: Fraction | None = None):
     text = write_tensor_file(t, lam)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_tensor_arg(p):
-    p.add_argument("--tensor", required=True,
-                   help="tensor file or builtin:<name>")
-    p.add_argument("--lambda", dest="lam", default="1",
-                   help="rational p/q parameter for builtins")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mmtensor",
-                                 description="exact matrix-multiplication "
-                                             "tensor workbench")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("show", help="print a tensor in the file format")
-    _add_tensor_arg(p)
-
-    p = sub.add_parser("verify", help="check the multiplication-tensor law")
-    _add_tensor_arg(p)
-
-    p = sub.add_parser("type", help="report the type multiset")
-    _add_tensor_arg(p)
-    p.add_argument("--compare", help="second tensor to compare types with")
-
-    p = sub.add_parser("project", help="project out the (i,j,k) slices")
-    _add_tensor_arg(p)
-    for f in "ijk":
-        p.add_argument(f"--{f}", type=int, required=True)
-    p.add_argument("--lift", action="store_true",
-                   help="lift the projection back at the same position")
-    p.add_argument("--out")
-
-    p = sub.add_parser("zero", help="zero the (i,j,k) slices")
-    _add_tensor_arg(p)
-    for f in "ijk":
-        p.add_argument(f"--{f}", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("act", help="apply a sandwiching isotropy")
-    _add_tensor_arg(p)
-    p.add_argument("--iso", required=True, help="isotropy file (first element)")
-    p.add_argument("--out")
-
-    p = sub.add_parser("orbit", help="sum the orbit under a group")
-    _add_tensor_arg(p)
-    p.add_argument("--group", required=True, help="builtin:klein or file")
-    p.add_argument("--out")
-
-    p = sub.add_parser("merge", help="merge terms sharing two factors")
-    _add_tensor_arg(p)
-    p.add_argument("--out")
-
-    p = sub.add_parser("construct", help="build a named construction")
-    p.add_argument("name", choices=["laderman-variant", "winograd"])
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--out")
-
-    p = sub.add_parser("correction", help="solve the correction term")
-    p.add_argument("--group", required=True, help="builtin:klein or file")
-    p.add_argument("--out")
-
-    p = sub.add_parser("codegen", help="emit a bilinear schedule as code")
-    _add_tensor_arg(p)
-    p.add_argument("--style", choices=["flat", "annotated"], default="flat")
-
-    p = sub.add_parser("mul", help="multiply random matrices recursively")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", required=True, help="base tensor spec")
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", default="1")
-
-    p = sub.add_parser("stabilizer-search",
-                       help="search for monomial stabilizers")
-    _add_tensor_arg(p)
-
-    p = sub.add_parser("census", help="report all n^3 projections")
-    _add_tensor_arg(p)
-    return ap
+    except OSError as exc:
+        raise CliError(f"cannot write tensor file {out}: {exc}")
 
 
 def _cmd_show(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    sys.stdout.write(write_tensor_file(t))
+    sys.stdout.write(write_tensor_file(args.tensor))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
+    t = args.tensor
     if is_matmul_tensor(t):
         print(f"VERIFIED n={t.dim} terms={decomposition_length(t)}")
         return 0
@@ -179,17 +101,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_type(args) -> int:
-    lam = _parse_lambda(args.lam)
-    t = _load_tensor(args.tensor, lam)
-    print(format_type(tensor_type(t)))
-    if args.compare:
-        other = _load_tensor(args.compare, lam)
-        if tensor_type(t) == tensor_type(other):
-            print("TYPE MATCH")
-            return 0
-        print("TYPE MISMATCH")
-        return 1
-    return 0
+    ty = tensor_type(args.tensor)
+    print(format_type(ty))
+    if not args.compare:
+        return 0
+    match = ty == tensor_type(_load_tensor(args.compare, args.lam))
+    print("TYPE MATCH" if match else "TYPE MISMATCH")
+    return 0 if match else 1
 
 
 def _triple(args, dim: int):
@@ -200,9 +118,8 @@ def _triple(args, dim: int):
 
 
 def _cmd_project(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    idx = _triple(args, t.dim)
-    p = tensor_project(t, idx)
+    idx = _triple(args, args.tensor.dim)
+    p = tensor_project(args.tensor, idx)
     if args.lift:
         p = tensor_lift(p, idx)
     _output_tensor(p, args.out)
@@ -210,55 +127,48 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_zero(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
+    t = args.tensor
     _output_tensor(tensor_zero(t, _triple(args, t.dim)), args.out)
     return 0
 
 
 def _cmd_act(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
     isos = _read_file("isotropy", args.iso, read_isotropy_file)
     if not isos:
         raise CliError(f"isotropy file {args.iso} is empty")
-    _output_tensor(act(isos[0], t), args.out)
+    _output_tensor(act(isos[0], args.tensor), args.out)
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    group = _load_group(args.group)
-    _output_tensor(orbit_sum(group, t), args.out)
+    _output_tensor(orbit_sum(_load_group(args.group), args.tensor), args.out)
     return 0
 
 
 def _cmd_merge(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    merged = merge_shared_factors(t)
-    print(f"merged {decomposition_length(t)} -> "
-          f"{decomposition_length(merged)} terms", file=sys.stderr)
+    merged = merge_shared_factors(args.tensor)
     _output_tensor(merged, args.out)
+    print(f"merged {decomposition_length(args.tensor)} -> "
+          f"{decomposition_length(merged)} terms", file=sys.stderr)
     return 0
 
 
 def _cmd_construct(args) -> int:
-    lam = _parse_lambda(args.lam)
-    t = builtin(args.name, lam)
-    _output_tensor(t, args.out, lam=lam)
+    _output_tensor(builtin(args.name, args.lam), args.out, lam=args.lam)
     return 0
 
 
 def _cmd_correction(args) -> int:
     res = correction_term(_load_group(args.group))
+    _output_tensor(res.tensor, args.out)
     print(f"corner coefficient {res.corner_coefficient} "
           f"(total weight {res.corner_total_weight})",
           file=sys.stderr)
-    _output_tensor(res.tensor, args.out)
     return 0
 
 
 def _cmd_codegen(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    sched = extract_schedule(t)
+    sched = extract_schedule(args.tensor)
     sys.stdout.write(emit_code(sched, style=args.style))
     counts = op_count(sched)
     print(f"multiplications {counts.multiplications} "
@@ -271,7 +181,7 @@ def _cmd_codegen(args) -> int:
 def _cmd_mul(args) -> int:
     if not 1 <= args.size <= MAX_MUL_SIZE:
         raise CliError(f"--size must lie in 1..{MAX_MUL_SIZE}")
-    base = _load_tensor(args.base, _parse_lambda(args.lam))
+    base = _load_tensor(args.base, args.lam)
     rng = random.Random(args.seed)
     def rnd():
         return Matrix([[Fraction(rng.randint(-99, 99), rng.randint(1, 9))
@@ -285,14 +195,12 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_stabilizer_search(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
-    group = monomial_stabilizer_search(t)
-    print(f"stabilizers {len(group)}")
+    print(f"stabilizers {monomial_stabilizer_count(args.tensor)}")
     return 0
 
 
 def _cmd_census(args) -> int:
-    t = _load_tensor(args.tensor, _parse_lambda(args.lam))
+    t = args.tensor
     if t.dim < 2:
         raise CliError("census needs dimension >= 2")
     n = t.dim
@@ -308,22 +216,81 @@ def _cmd_census(args) -> int:
     return 0 if all_ok else 1
 
 
-_DISPATCH = {
-    "show": _cmd_show,
-    "verify": _cmd_verify,
-    "type": _cmd_type,
-    "project": _cmd_project,
-    "zero": _cmd_zero,
-    "act": _cmd_act,
-    "orbit": _cmd_orbit,
-    "merge": _cmd_merge,
-    "construct": _cmd_construct,
-    "correction": _cmd_correction,
-    "codegen": _cmd_codegen,
-    "mul": _cmd_mul,
-    "stabilizer-search": _cmd_stabilizer_search,
-    "census": _cmd_census,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="mmtensor",
+                                 description="exact matrix-multiplication "
+                                             "tensor workbench")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help, tensor=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if tensor:
+            p.add_argument("--tensor", required=True,
+                           help="tensor file or builtin:<name>")
+            p.add_argument("--lambda", dest="lam", default="1",
+                           help="rational p/q parameter for builtins")
+        return p
+
+    command("show", _cmd_show, "print a tensor in the file format")
+    command("verify", _cmd_verify, "check the multiplication-tensor law")
+
+    p = command("type", _cmd_type, "report the type multiset")
+    p.add_argument("--compare", help="second tensor to compare types with")
+
+    p = command("project", _cmd_project, "project out the (i,j,k) slices")
+    for f in "ijk":
+        p.add_argument(f"--{f}", type=int, required=True)
+    p.add_argument("--lift", action="store_true",
+                   help="lift the projection back at the same position")
+    p.add_argument("--out")
+
+    p = command("zero", _cmd_zero, "zero the (i,j,k) slices")
+    for f in "ijk":
+        p.add_argument(f"--{f}", type=int, required=True)
+    p.add_argument("--out")
+
+    p = command("act", _cmd_act, "apply a sandwiching isotropy")
+    p.add_argument("--iso", required=True, help="isotropy file (first element)")
+    p.add_argument("--out")
+
+    p = command("orbit", _cmd_orbit, "sum the orbit under a group")
+    p.add_argument("--group", required=True, help="builtin:klein or file")
+    p.add_argument("--out")
+
+    p = command("merge", _cmd_merge, "merge terms sharing two factors")
+    p.add_argument("--out")
+
+    p = command("construct", _cmd_construct, "build a named construction",
+                tensor=False)
+    p.add_argument("name", choices=["laderman-variant", "winograd"])
+    p.add_argument("--lambda", dest="lam", default="1")
+    p.add_argument("--out")
+
+    p = command("correction", _cmd_correction, "solve the correction term",
+                tensor=False)
+    p.add_argument("--group", required=True, help="builtin:klein or file")
+    p.add_argument("--out")
+
+    p = command("codegen", _cmd_codegen, "emit a bilinear schedule as code")
+    p.add_argument("--style", choices=["flat", "annotated"], default="flat")
+
+    p = command("mul", _cmd_mul, "multiply random matrices recursively",
+                tensor=False)
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--base", required=True, help="base tensor spec")
+    p.add_argument("--threshold", type=int, default=1)
+    p.add_argument("--lambda", dest="lam", default="1")
+
+    command("stabilizer-search", _cmd_stabilizer_search,
+            "search for monomial stabilizers")
+    command("census", _cmd_census, "report all n^3 projections")
+    return ap
+
+
+# Built once per process; parse_args keeps no state between calls.
+_PARSER = _build_parser()
 
 
 def _join_negative_lambda(argv: list[str]) -> list[str]:
@@ -342,14 +309,17 @@ def _join_negative_lambda(argv: list[str]) -> list[str]:
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(_join_negative_lambda(argv))
+        args = _PARSER.parse_args(_join_negative_lambda(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.command](args)
+        if "lam" in args:
+            args.lam = _parse_lambda(args.lam)
+        if "tensor" in args:
+            args.tensor = _load_tensor(args.tensor, args.lam)
+        return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

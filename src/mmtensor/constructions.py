@@ -303,7 +303,11 @@ def laderman_variant(lam=1) -> Tensor:
 def builtin(name: str, lam=1) -> Tensor:
     """Look up a builtin tensor by CLI-style name, e.g. 'classical-3'."""
     if name.startswith("classical-"):
-        return classical(int(name.split("-", 1)[1]))
+        try:
+            n = int(name.split("-", 1)[1])
+        except ValueError:
+            raise KeyError(f"unknown builtin tensor: {name}") from None
+        return classical(n)
     table = {
         "strassen": strassen,
         "winograd": lambda: winograd(lam),

@@ -302,16 +302,16 @@ def signed_permutations(n: int) -> list[SignedPerm]:
     return out
 
 
-def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
-    """All signed-permutation triples (f1, f2, f3) that stabilize t's
-    trilinear form, as tuples of the signed_permutations(n) objects.
+def _stabilizer_masks(t: Tensor):
+    """signed_permutations(n) and an iterator, in index order, over
+    (f1, f2, mask): bit b of mask is set when (f1, f2, sps[b]) stabilizes
+    t's trilinear form.
 
-    Exhaustive over the (n! 2^n)^3 candidates, n <= 3, in lexicographic
-    order of signed_permutations(n) indices.  Signed permutation matrices
-    are orthogonal, so the acted coefficient form is a signed relabeling of
-    the original one.  For each (f1, f2) an entry's a-pair, b-row and c-col
-    images are fixed, which leaves a bit mask of the admissible f3 (memoized
-    per image); the masks of all entries are ANDed.
+    Signed permutation matrices are orthogonal, so the acted coefficient
+    form is a signed relabeling of the original one.  For each (f1, f2) an
+    entry's a-pair, b-row and c-col images are fixed, which leaves a bit
+    mask of the admissible f3 (memoized per image); the masks of all
+    entries are ANDed.
     """
     n = t.dim
     if n > 3:
@@ -337,17 +337,34 @@ def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
                 mask |= 1 << bit
         return mask
 
-    full = (1 << len(sps)) - 1
-    found = []
-    for inv1, f1 in zip(invs, sps):
-        for inv2, f2 in zip(invs, sps):
-            mask = full
-            for ((i, j), (k, l), (m, nn)), c in coded.items():
-                (x, si), (y, sj) = inv1[i], inv2[j]
-                (z, sk), (w, sn) = inv2[k], inv1[nn]
-                mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
-                if not mask:
-                    break
-            found.extend((f1, f2, f3) for bit, f3 in enumerate(sps)
-                         if mask >> bit & 1)
-    return found
+    def masks():
+        full = (1 << len(sps)) - 1
+        for inv1, f1 in zip(invs, sps):
+            for inv2, f2 in zip(invs, sps):
+                mask = full
+                for ((i, j), (k, l), (m, nn)), c in coded.items():
+                    (x, si), (y, sj) = inv1[i], inv2[j]
+                    (z, sk), (w, sn) = inv2[k], inv1[nn]
+                    mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
+                    if not mask:
+                        break
+                yield f1, f2, mask
+
+    return sps, masks()
+
+
+def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
+    """All signed-permutation triples (f1, f2, f3) that stabilize t's
+    trilinear form, as tuples of the signed_permutations(n) objects.
+
+    Exhaustive over the (n! 2^n)^3 candidates, n <= 3, in lexicographic
+    order of signed_permutations(n) indices.
+    """
+    sps, masks = _stabilizer_masks(t)
+    return [(f1, f2, f3) for f1, f2, mask in masks
+            for bit, f3 in enumerate(sps) if mask >> bit & 1]
+
+
+def monomial_stabilizer_count(t: Tensor) -> int:
+    """len(monomial_stabilizer_search(t)), without building the triples."""
+    return sum(mask.bit_count() for _, _, mask in _stabilizer_masks(t)[1])

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -144,6 +145,8 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "verify")[0] == 2
     code, _, err = invoke(capsys, "verify", "--tensor", "builtin:nonesuch")
     assert code == 2 and "unknown builtin" in err
+    code, _, err = invoke(capsys, "verify", "--tensor", "builtin:classical-x")
+    assert code == 2 and err == "error: unknown builtin tensor: classical-x\n"
     code, _, err = invoke(capsys, "verify", "--tensor", "/no/such/file")
     assert code == 2 and "cannot read" in err
     code, _, err = invoke(capsys, "construct", "winograd", "--lambda", "0")
@@ -151,6 +154,23 @@ def test_usage_errors(capsys):
     code, _, err = invoke(capsys, "project", "--tensor", "builtin:laderman",
                           "--i", "4", "--j", "1", "--k", "1")
     assert code == 2 and "indices" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "winograd"],
+    ["merge", "--tensor", "builtin:strassen"],
+    ["correction", "--group", "builtin:klein"],
+    ["project", "--tensor", "builtin:laderman", "--i", "1", "--j", "1",
+     "--k", "1"],
+], ids=["construct", "merge", "correction", "project"])
+@pytest.mark.parametrize("missing_dir", [True, False],
+                         ids=["missing-dir", "directory"])
+def test_unwritable_out(tmp_path, capsys, argv, missing_dir):
+    out = tmp_path / "no" / "x.tensor" if missing_dir else tmp_path
+    code, stdout, err = invoke(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write tensor file {out}: ")
 
 
 def test_bad_tensor_file(tmp_path, capsys):
@@ -243,3 +263,38 @@ def test_python_dash_m():
                           timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "VERIFIED n=2 terms=7"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Exit code, stdout, stderr (and the --out file, where written) of each argv.
+TRANSCRIPT = json.loads((GOLDEN / "cli_transcript.json").read_text())
+
+
+def invoke_case(capsys, tmp_path, argv):
+    out = tmp_path / "out.tensor"
+    code, stdout, err = invoke(capsys, *(
+        a.replace("{golden}", str(GOLDEN)).replace("{out}", str(out))
+        for a in argv))
+    return code, stdout, err, out
+
+
+@pytest.mark.parametrize("case", TRANSCRIPT, ids=[c["id"] for c in TRANSCRIPT])
+def test_golden_transcript(tmp_path, capsys, case):
+    code, stdout, err, out = invoke_case(capsys, tmp_path, case["argv"])
+    assert (code, stdout, err) == (case["code"], case["stdout"],
+                                   case["stderr"])
+    if "out" in case:
+        assert out.read_text() == case["out"]
+
+
+def test_parser_keeps_no_state(tmp_path, capsys):
+    golden = {c["id"]: c for c in TRANSCRIPT}
+    for first, second in [("type-mismatch", "type"),
+                          ("project-lift", "project")]:
+        invoke_case(capsys, tmp_path, golden[first]["argv"])
+        code, stdout, err, _ = invoke_case(capsys, tmp_path,
+                                           golden[second]["argv"])
+        assert (code, stdout, err) == (golden[second]["code"],
+                                       golden[second]["stdout"],
+                                       golden[second]["stderr"])
+    assert len(golden["type"]["stdout"].splitlines()) == 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import mmtensor as mm
 from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
                       Tensor, act, compose, inverse, projectively_equal)
-from mmtensor.isotropy import signed_permutations
+from mmtensor.isotropy import monomial_stabilizer_count, signed_permutations
 
 from conftest import canonical_terms, rand_matrix
 
@@ -305,7 +305,7 @@ PINNED_COUNTS = [
 def test_stabilizer_search_pinned_n3(make, count):
     t = make()
     found = mm.monomial_stabilizer_search(t)
-    assert len(found) == count
+    assert len(found) == count == monomial_stabilizer_count(t)
     sps = signed_permutations(3)
     index = {sp: i for i, sp in enumerate(sps)}
     keys = [tuple(index[f] for f in tri) for tri in found]
@@ -353,6 +353,7 @@ def test_stabilizer_search_equals_exhaustive_check_n2(terms):
     direct = [tri for tri, g in _ISOTROPIES_N2.items()
               if mm.is_form_stabilized(g, t)]
     assert mm.monomial_stabilizer_search(t) == direct
+    assert monomial_stabilizer_count(t) == len(direct)
 
 
 def test_import_leaves_numpy_out():
