@@ -101,11 +101,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_type(args) -> int:
+    other = _load_tensor(args.compare, args.lam) if args.compare else None
     ty = tensor_type(args.tensor)
     print(format_type(ty))
-    if not args.compare:
+    if other is None:
         return 0
-    match = ty == tensor_type(_load_tensor(args.compare, args.lam))
+    match = ty == tensor_type(other)
     print("TYPE MATCH" if match else "TYPE MISMATCH")
     return 0 if match else 1
 

@@ -60,7 +60,7 @@ class Schedule:
         return len(self.a_forms)
 
     def evaluate(self, a: Matrix, b: Matrix) -> Matrix:
-        """Run the schedule; returns A.B for multiplication tensors."""
+        """Run the schedule: A.B."""
         n = self.dim
         if not (a.rows == a.cols == b.rows == b.cols == n):
             raise ValueError("evaluate expects square matrices of the "
@@ -76,7 +76,10 @@ class OpCount:
 
 
 def extract_schedule(t: Tensor) -> Schedule:
-    """One product per nonzero term; c coefficients are transpose-folded."""
+    """One product per nonzero term; c coefficients are transpose-folded.
+    Raises ValueError when t is not a multiplication tensor."""
+    if not is_matmul_tensor(t):
+        raise ValueError("base tensor is not a multiplication tensor")
     a_forms, b_forms = [], []
     c_entries: dict[tuple[int, int], list] = {}
     for p, tm in enumerate(t.nonzero_terms()):
@@ -279,8 +282,6 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
                          "equal size")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if not is_matmul_tensor(t):
-        raise ValueError("base tensor is not a multiplication tensor")
     n = t.dim
     padded, levels = a.rows, 0
     if n > 1:

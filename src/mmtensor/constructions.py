@@ -17,8 +17,8 @@ from functools import cache, lru_cache
 from importlib import resources
 from itertools import product
 
-from .isotropy import (Isotropy, IsotropyGroup, Monomial,
-                       MonomialOrbitPartition, act, orbit_sum)
+from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
+                       orbit_sum)
 from .matrix import Matrix, as_fraction, projective_normal
 from .tensor import (RankOneTerm, Tensor, combine, monomial_term, scale_form,
                      to_coefficient_form)
@@ -203,17 +203,6 @@ class CorrectionResult:
     shape: tuple
 
 
-def _group_sum(source, m: Monomial) -> Tensor:
-    """Sum of g(term of m) over the group, from explicit elements or from
-    orbit-partition data (stabilizer_order copies of each orbit member)."""
-    if isinstance(source, IsotropyGroup):
-        return orbit_sum(source, Tensor(source.dim, [monomial_term(source.dim, *m)]))
-    orbit, stab = source.orbit_of(m)
-    dim = source.dim
-    return Tensor(dim, (monomial_term(dim, *mono).scaled(stab)
-                        for mono in sorted(orbit)))
-
-
 def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
     """Solve for the correction tensor R of the orbit decomposition identity
 
@@ -236,7 +225,7 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
         raise ValueError(f"shape must leave exactly the corner ({n},{n},{n}) "
                          "open")
     corner = ((n, n), (n, n), (n, n))
-    group_sum = cache(lambda m: _group_sum(source, m))
+    group_sum = cache(source.group_sum)
 
     known_terms = []
     for m, c in shape:
@@ -287,13 +276,10 @@ def laderman_variant(lam=1) -> Tensor:
     """A 23-term 3x3 multiplication tensor of Laderman's type.
 
     Assembled as KleinSum(e11 term) + KleinSum(lifted Winograd(lambda))
-    - correction term, then merged.
+    - correction term, then merged.  lambda = 0 raises ValueError.
     """
-    lam = as_fraction(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
     group = klein_group()
-    base = _group_sum(group, (1, 1, 1))
+    base = group.group_sum((1, 1, 1))
     bulk = orbit_sum(group, lifted_winograd(lam))
     corr = correction_term(group).tensor
     total = combine(combine(base, 1, bulk, 1), 1, corr, -1)

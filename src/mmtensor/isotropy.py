@@ -8,10 +8,12 @@ rank-one term as
 extended over a decomposition term by term.  Element equality is projective:
 each factor matters only up to a nonzero scalar.
 
-A signed permutation matrix G is orthogonal, so G^-T = G and each factor maps
-to P T Q^T: a relabeling of its entries with signs.  Triples of such matrices
-(every Klein element and every stabilizer-search result) act that way,
-without rational products or inverses.
+SignedPerm is the one signed-permutation type.  A signed permutation matrix G
+is orthogonal, so G^-T = G and each factor maps to P T Q^T: a relabeling of
+its entries with signs.  Triples of them (every Klein element and every
+stabilizer-search result) act that way, and monomial orbits read the same
+index maps.  Every other triple gets its inverse transposes, and a singular
+factor is refused, when the Isotropy is built.
 """
 
 from __future__ import annotations
@@ -23,30 +25,63 @@ from functools import cache
 from itertools import permutations, product
 
 from .matrix import Matrix, projective_normal
-from .tensor import RankOneTerm, Tensor, monomial_term, to_coefficient_form
+from .tensor import Tensor, map_factors, monomial_term, to_coefficient_form
 
 Monomial = tuple[int, int, int]
 
 _ZERO = Fraction(0)
 
 
-class Isotropy:
-    """A sandwiching triple of invertible n x n matrices."""
+@dataclass(frozen=True)
+class SignedPerm:
+    """A signed permutation matrix: images[j - 1] = (row, sign) of the one
+    nonzero entry of column j, 1-based."""
 
-    __slots__ = ("g1", "g2", "g3", "_inv_t", "_perms")
+    images: tuple[tuple[int, int], ...]
+
+    @staticmethod
+    def from_matrix(g: Matrix) -> "SignedPerm | None":
+        """The signed permutation with matrix g; None unless g is square
+        with exactly one +-1 in each column, in rows that all differ."""
+        images = [None] * g.cols
+        for i, j, v in g.entries():
+            if v not in (1, -1) or images[j - 1] is not None:
+                return None
+            images[j - 1] = (i, int(v))
+        if (g.rows != g.cols or None in images
+                or len({r for r, _ in images}) != g.cols):
+            return None
+        return SignedPerm(tuple(images))
+
+    def to_matrix(self) -> Matrix:
+        n = len(self.images)
+        rows = [[0] * n for _ in range(n)]
+        for j, (r, s) in enumerate(self.images):
+            rows[r - 1][j] = s
+        return Matrix(rows)
+
+
+class Isotropy:
+    """A sandwiching triple of invertible n x n matrices: _perms holds its
+    SignedPerms, or else _pairs holds (G^-T, G^T) per factor."""
+
+    __slots__ = ("g1", "g2", "g3", "_perms", "_pairs")
 
     def __init__(self, g1: Matrix, g2: Matrix, g3: Matrix):
-        for g in (g1, g2, g3):
-            if not g.is_square() or g.rows != g1.rows:
-                raise ValueError("isotropy factors must be square, same size")
-            if not g.is_invertible():
-                raise ValueError("singular isotropy factor")
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "g3", g3)
-        object.__setattr__(self, "_inv_t", None)
-        perms = tuple(_signed_permutation(g) for g in (g1, g2, g3))
-        object.__setattr__(self, "_perms", None if None in perms else perms)
+        factors = (g1, g2, g3)
+        if any(not g.is_square() or g.rows != g1.rows for g in factors):
+            raise ValueError("isotropy factors must be square, same size")
+        perms = tuple(map(SignedPerm.from_matrix, factors))
+        pairs = None
+        if None in perms:
+            perms = None
+            try:
+                pairs = tuple((g.inverse().transpose(), g.transpose())
+                              for g in factors)
+            except ValueError:
+                raise ValueError("singular isotropy factor") from None
+        for name, value in zip(self.__slots__, (*factors, perms, pairs)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Isotropy is immutable")
@@ -57,13 +92,6 @@ class Isotropy:
 
     def factors(self) -> tuple[Matrix, Matrix, Matrix]:
         return (self.g1, self.g2, self.g3)
-
-    def _inverse_transposes(self):
-        cached = self._inv_t
-        if cached is None:
-            cached = tuple(g.inverse().transpose() for g in self.factors())
-            object.__setattr__(self, "_inv_t", cached)
-        return cached
 
     @staticmethod
     def identity(n: int) -> "Isotropy":
@@ -80,23 +108,14 @@ class Isotropy:
         return f"Isotropy(dim={self.dim})"
 
 
-def _signed_permutation(g: Matrix):
-    """Per column, the (row, sign) of its one +-1 entry, 0-based; None
-    unless the invertible matrix g is a signed permutation matrix."""
-    entries = list(g.entries())
-    if len(entries) != g.rows or any(v not in (1, -1) for *_, v in entries):
-        return None
-    col = {j: (i - 1, int(v)) for i, j, v in entries}
-    return tuple(col[j] for j in range(1, g.rows + 1))
-
-
-def _relabel(m: Matrix, p, q) -> Matrix:
-    """P m Q^T for signed permutations p, q given as (row, sign) per column."""
+def _relabel(m: Matrix, p: SignedPerm, q: SignedPerm) -> Matrix:
+    """P m Q^T."""
     n = m.rows
     rows = [[_ZERO] * n for _ in range(n)]
+    p, q = p.images, q.images
     for i, j, v in m.entries():
         (r, s), (c, u) = p[i - 1], q[j - 1]
-        rows[r][c] = v if s == u else -v
+        rows[r - 1][c - 1] = v if s == u else -v
     return Matrix(rows)
 
 
@@ -111,17 +130,8 @@ def act(g: Isotropy, t: Tensor) -> Tensor:
     if g.dim != t.dim:
         raise ValueError("isotropy/tensor dimension mismatch")
     if g._perms is not None:
-        p1, p2, p3 = g._perms
-        return Tensor(t.dim, (RankOneTerm(_relabel(tm.a, p1, p2),
-                                          _relabel(tm.b, p2, p3),
-                                          _relabel(tm.c, p3, p1))
-                              for tm in t.terms))
-    i1, i2, i3 = g._inverse_transposes()
-    t1, t2, t3 = g.g1.transpose(), g.g2.transpose(), g.g3.transpose()
-    return Tensor(t.dim, (RankOneTerm(i1 @ tm.a @ t2,
-                                      i2 @ tm.b @ t3,
-                                      i3 @ tm.c @ t1)
-                          for tm in t.terms))
+        return map_factors(t, _relabel, g._perms, t.dim)
+    return map_factors(t, lambda m, x, y: x[0] @ m @ y[1], g._pairs, t.dim)
 
 
 def compose(g: Isotropy, h: Isotropy) -> Isotropy:
@@ -161,6 +171,10 @@ class IsotropyGroup:
         return (all(member(compose(g, h)) for g in self.elements
                     for h in self.elements)
                 and all(member(inverse(g)) for g in self.elements))
+
+    def group_sum(self, m: Monomial) -> Tensor:
+        """Sum of g(term of m) over the elements."""
+        return orbit_sum(self, Tensor(self.dim, [monomial_term(self.dim, *m)]))
 
 
 def orbit_sum(group: IsotropyGroup, t: Tensor) -> Tensor:
@@ -206,7 +220,7 @@ def monomial_orbit(group: IsotropyGroup, m: Monomial) -> tuple[frozenset, int]:
         if g._perms is None:
             raise ValueError(f"group does not act monomially on {m}: not a "
                              "signed permutation triple")
-        mono = tuple(p[x - 1][0] + 1 for p, x in zip(g._perms, m))
+        mono = tuple(p.images[x - 1][0] for p, x in zip(g._perms, m))
         orbit.add(mono)
         stab += mono == m
     return frozenset(orbit), stab
@@ -240,6 +254,14 @@ class MonomialOrbitPartition:
                 return orbit, stab
         raise KeyError(f"monomial {m} not covered by the partition")
 
+    def group_sum(self, m: Monomial) -> Tensor:
+        """Sum of g(term of m) over the group the partition stands for:
+        stabilizer-order copies of each member of m's orbit."""
+        orbit, stab = self.orbit_of(m)
+        dim = self.dim
+        return Tensor(dim, (monomial_term(dim, *mono).scaled(stab)
+                            for mono in sorted(orbit)))
+
 
 def monomial_partition(group: IsotropyGroup) -> MonomialOrbitPartition:
     """Partition of all n^3 monomials into orbits under a monomial action."""
@@ -265,40 +287,23 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
     coeffs = list(coeffs)
     if len(coeffs) != len(partition.orbits):
         raise ValueError("need exactly one coefficient per orbit")
-    dim = partition.dim
     terms = []
-    for (orbit, stab), coeff in zip(partition.orbits, coeffs):
-        weight = Fraction(coeff) * stab
-        if weight == 0:
-            continue
-        for m in sorted(orbit):
-            terms.append(monomial_term(dim, *m).scaled(weight))
-    return Tensor(dim, terms)
+    for (orbit, _), coeff in zip(partition.orbits, coeffs):
+        coeff = Fraction(coeff)
+        if coeff and orbit:
+            terms.extend(tm.scaled(coeff)
+                         for tm in partition.group_sum(min(orbit)).terms)
+    return Tensor(partition.dim, terms)
 
 
 # -- brute-force stabilizer search over signed permutation triples ---------------
-
-@dataclass(frozen=True)
-class SignedPerm:
-    """perm maps column j to row perm[j] with entry signs[j] (1-based perm)."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def to_matrix(self) -> Matrix:
-        n = len(self.perm)
-        rows = [[0] * n for _ in range(n)]
-        for j, (p, s) in enumerate(zip(self.perm, self.signs)):
-            rows[p - 1][j] = s
-        return Matrix(rows)
-
 
 def signed_permutations(n: int) -> list[SignedPerm]:
     """All n! * 2^n signed permutations, in a fixed deterministic order."""
     out = []
     for perm in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
-            out.append(SignedPerm(perm, signs))
+            out.append(SignedPerm(tuple(zip(perm, signs))))
     return out
 
 
@@ -318,13 +323,17 @@ def _stabilizer_masks(t: Tensor):
         raise ValueError("signed-perm search supports n <= 3")
     form = to_coefficient_form(t)
     sps = signed_permutations(n)
-    # Per signed perm, x -> (perm^-1(x), sign at that slot), 1-based.
-    invs = [{p: (j, s) for j, (p, s) in enumerate(zip(sp.perm, sp.signs), 1)}
+    # Images of each inverse f^-1 = f^T: position x - 1 holds the column
+    # that f sends to row x, with its sign.
+    invs = [SignedPerm.from_matrix(sp.to_matrix().transpose()).images
             for sp in sps]
     # Code the form's values as small ints with code(-v) == -code(v).
     rank = {a: r for r, a in enumerate(sorted({abs(v) for v in form.values()}),
                                        start=1)}
     coded = {key: rank[v] if v > 0 else -rank[-v] for key, v in form.items()}
+    # Each entry's indices less one, for the positions into invs.
+    entries = [((i - 1, j - 1, k - 1, l - 1, m - 1, nn - 1), c)
+               for ((i, j), (k, l), (m, nn)), c in coded.items()]
 
     @cache
     def f3_mask(a_pair, b_row, c_col, l, m, want):
@@ -342,7 +351,7 @@ def _stabilizer_masks(t: Tensor):
         for inv1, f1 in zip(invs, sps):
             for inv2, f2 in zip(invs, sps):
                 mask = full
-                for ((i, j), (k, l), (m, nn)), c in coded.items():
+                for (i, j, k, l, m, nn), c in entries:
                     (x, si), (y, sj) = inv1[i], inv2[j]
                     (z, sk), (w, sn) = inv2[k], inv1[nn]
                     mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)

@@ -102,6 +102,15 @@ def monomial_term(n: int, i: int, j: int, k: int) -> RankOneTerm:
                        Matrix.unit(n, k, i))
 
 
+def map_factors(t: Tensor, op, idx, dim: int) -> Tensor:
+    """The tensor of op(a, i, j) (x) op(b, j, k) (x) op(c, k, i) over the
+    terms of t, for idx = (i, j, k): the cyclic pattern of a monomial."""
+    i, j, k = idx
+    return Tensor(dim, (RankOneTerm(op(tm.a, i, j), op(tm.b, j, k),
+                                    op(tm.c, k, i))
+                        for tm in t.terms))
+
+
 # -- operations ----------------------------------------------------------------
 
 def to_coefficient_form(t: Tensor) -> CoefficientForm:

@@ -95,7 +95,7 @@ def read_tensor_file(text: str) -> Tensor:
     dim = _parse_count(*next_line(), "dim", minimum=1)
     lineno, line = next_line()
     if line.startswith("lambda "):
-        _parse_rational(line.split()[1], lineno)
+        _parse_rational(line.split(None, 1)[1], lineno)
         lineno, line = next_line()
     nterms = _parse_count(lineno, line, "terms", minimum=0)
 

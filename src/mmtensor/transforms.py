@@ -11,7 +11,7 @@ import warnings
 from itertools import product
 
 from .matrix import Matrix
-from .tensor import RankOneTerm, Tensor, is_matmul_tensor
+from .tensor import Tensor, is_matmul_tensor, map_factors
 
 IndexTriple = tuple[int, int, int]
 
@@ -53,14 +53,6 @@ def matrix_lift(m: Matrix, i: int, j: int) -> Matrix:
     return Matrix(rows)
 
 
-def _cyclic(t: Tensor, op, idx: IndexTriple, dim: int) -> Tensor:
-    """Apply op(factor, x, y) to each term with (i,j), (j,k), (k,i)."""
-    i, j, k = idx
-    return Tensor(dim, (RankOneTerm(op(tm.a, i, j), op(tm.b, j, k),
-                                    op(tm.c, k, i))
-                        for tm in t.terms))
-
-
 def tensor_zero(t: Tensor, idx: IndexTriple) -> Tensor:
     """Zero each term's factors with the pattern (i,j), (j,k), (k,i).
 
@@ -68,7 +60,7 @@ def tensor_zero(t: Tensor, idx: IndexTriple) -> Tensor:
     the output stays aligned with the source decomposition.
     """
     _check_index(t.dim, *idx)
-    return _cyclic(t, matrix_zero, idx, t.dim)
+    return map_factors(t, matrix_zero, idx, t.dim)
 
 
 def tensor_project(t: Tensor, idx: IndexTriple) -> Tensor:
@@ -76,13 +68,13 @@ def tensor_project(t: Tensor, idx: IndexTriple) -> Tensor:
     if t.dim < 2:
         raise ValueError("cannot project a dimension-1 tensor")
     _check_index(t.dim, *idx)
-    return _cyclic(t, matrix_project, idx, t.dim - 1)
+    return map_factors(t, matrix_project, idx, t.dim - 1)
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:
     """Lift every term to dimension n+1; tensor_project(result, idx) == t."""
     _check_index(t.dim + 1, *idx)
-    return _cyclic(t, matrix_lift, idx, t.dim + 1)
+    return map_factors(t, matrix_lift, idx, t.dim + 1)
 
 
 def zeroing_family_sum(t: Tensor) -> Tensor:

@@ -235,9 +235,12 @@ def test_negative_lambda(tmp_path, capsys):
     assert code == 0 and out.strip().endswith("OK")
 
 
-def test_mul_refuses_non_multiplication_base(capsys):
-    code, out, err = invoke(capsys, "mul", "--size", "3", "--base",
-                            "builtin:lifted-winograd")
+@pytest.mark.parametrize("argv", [
+    ("mul", "--size", "3", "--base", "builtin:lifted-winograd"),
+    ("codegen", "--tensor", "builtin:klein-orbit-sum"),
+], ids=["mul", "codegen"])
+def test_mul_refuses_non_multiplication_base(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert "not a multiplication tensor" in err

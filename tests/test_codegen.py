@@ -46,7 +46,8 @@ def test_schedule_agrees_with_contract12(rng):
 
 
 def test_schedule_skips_zero_terms():
-    t = mm.tensor_zero(mm.classical(2), (1, 1, 1))
+    zero = mm.term(Matrix.zeros(2), Matrix.identity(2), Matrix.identity(2))
+    t = mm.Tensor(2, mm.strassen().terms + (zero,))
     assert extract_schedule(t).num_products == mm.decomposition_length(t)
 
 
@@ -192,6 +193,11 @@ def test_recursive_multiply_refuses_non_multiplication_tensors():
         mm.recursive_multiply(mm.lifted_winograd(), eye, eye)
     with pytest.raises(ValueError, match="not a multiplication tensor"):
         mm.recursive_multiply(mm.klein_orbit_sum_winograd(), eye, eye)
+
+
+def test_extract_schedule_refuses_non_multiplication_tensors():
+    with pytest.raises(ValueError, match="not a multiplication tensor"):
+        extract_schedule(mm.klein_orbit_sum_winograd())
 
 
 def test_evaluate_validation(rng):

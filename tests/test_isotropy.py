@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import mmtensor as mm
 from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
                       Tensor, act, compose, inverse, projectively_equal)
-from mmtensor.isotropy import monomial_stabilizer_count, signed_permutations
+from mmtensor.isotropy import (SignedPerm, monomial_stabilizer_count,
+                               signed_permutations)
 
 from conftest import canonical_terms, rand_matrix
 
@@ -33,7 +34,7 @@ KLEIN_ORBITS = [
 
 
 def test_isotropy_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular isotropy factor"):
         Isotropy(Matrix([[1, 2], [2, 4]]), Matrix.identity(2),
                  Matrix.identity(2))
     with pytest.raises(ValueError):
@@ -234,10 +235,31 @@ def test_orbit_partition_sum_matches_group_sum():
         mm.orbit_sum(K, mm.classical(3)))
     with pytest.raises(ValueError):
         mm.orbit_partition_sum(part, [1])
+    for m in product(range(1, 4), repeat=3):
+        assert mm.form_equal(K.group_sum(m), part.group_sum(m))
 
 
 def _isotropy(tri):
     return Isotropy(*(f.to_matrix() for f in tri))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_perm_from_matrix_roundtrip(n):
+    for sp in signed_permutations(n):
+        assert SignedPerm.from_matrix(sp.to_matrix()) == sp
+
+
+def test_signed_perm_from_matrix_refuses_others():
+    p = signed_permutations(3)[5].to_matrix()
+    assert SignedPerm.from_matrix(p.scale(2)) is None
+    # one 1 in each column, but row 1 holds two of them
+    assert SignedPerm.from_matrix(Matrix([[1, 1, 0], [0, 0, 1],
+                                          [0, 0, 0]])) is None
+    # winograd_isotropy(1) is a signed permutation only in its first factor
+    g1, g2, g3 = mm.winograd_isotropy(1).factors()
+    assert SignedPerm.from_matrix(g1) is not None
+    assert SignedPerm.from_matrix(g2) is None
+    assert SignedPerm.from_matrix(g3) is None
 
 
 def test_signed_permutations_count():

@@ -53,6 +53,9 @@ def test_malformed_inputs():
         read_tensor_file("terms 0\n")
     with pytest.raises(TensorFileError, match="malformed rational"):
         read_tensor_file("dim 1\nterms 1\nterm\n1/0\n1\n1\n")
+    with pytest.raises(TensorFileError,
+                       match="line 2: malformed rational '1/2 junk'"):
+        read_tensor_file("dim 1\nlambda 1/2 junk\nterms 0\n")
 
 
 @pytest.mark.parametrize("text, message", [
