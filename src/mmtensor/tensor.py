@@ -4,7 +4,8 @@ A tensor is an ordered sum of rank-one terms T_a (x) T_b (x) T_c of square
 matrices of a common dimension.  The canonical form is the sparse 6-index
 coefficient table of the associated trilinear form, obtained by pairing each
 factor against unit matrices; two tensors are equal as trilinear forms iff
-their tables are identical.
+their tables are identical.  The table is summed exactly in ints over the
+common denominator of the terms and divided once per entry.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .matrix import Matrix, Rational, as_fraction, projective_normal
 
@@ -114,20 +116,41 @@ def map_factors(t: Tensor, op, idx, dim: int) -> Tensor:
 # -- operations ----------------------------------------------------------------
 
 def to_coefficient_form(t: Tensor) -> CoefficientForm:
-    """Expand the decomposition into the sparse 6-index coefficient table."""
-    form: CoefficientForm = {}
+    """Expand the decomposition into the sparse 6-index coefficient table.
+
+    Each factor is cleared to (d, its entries times d) with d the lcm of
+    its denominators; terms with a zero factor are skipped.  A term's
+    integer products are weighted by D // (da db dc), D being the lcm of
+    da db dc over the terms, and summed as ints; every entry is its sum
+    over D.
+    """
+    cleared, big_d = [], 1
     for tm in t.terms:
-        for i, j, va in tm.a.entries():
-            for k, l, vb in tm.b.entries():
-                vab = va * vb
-                for m, n, vc in tm.c.entries():
-                    key = ((i, j), (k, l), (m, n))
-                    s = form.get(key, 0) + vab * vc
-                    if s:
-                        form[key] = s
-                    else:
-                        form.pop(key, None)
-    return form
+        (da, a), (db, b), (dc, c) = map(_int_entries, (tm.a, tm.b, tm.c))
+        if a and b and c:
+            d = da * db * dc
+            big_d = lcm(big_d, d)
+            cleared.append((d, a, b, c))
+    sums = {}
+    for d, a, b, c in cleared:
+        w = big_d // d
+        for ka, va in a:
+            wa = w * va
+            for kb, vb in b:
+                wab = wa * vb
+                for kc, vc in c:
+                    key = (ka, kb, kc)
+                    sums[key] = sums.get(key, 0) + wab * vc
+    return {key: Fraction(v, big_d) for key, v in sums.items() if v}
+
+
+def _int_entries(m: Matrix) -> tuple[int, list]:
+    """(d, [((i, j), v d) for the nonzero entries v]), d the lcm of the
+    entries' denominators."""
+    entries = list(m.entries())
+    d = lcm(*(v.denominator for _, _, v in entries))
+    return d, [((i, j), v.numerator * (d // v.denominator))
+               for i, j, v in entries]
 
 
 def matmul_form(n: int) -> CoefficientForm:

@@ -94,8 +94,11 @@ def read_tensor_file(text: str) -> Tensor:
 
     dim = _parse_count(*next_line(), "dim", minimum=1)
     lineno, line = next_line()
-    if line.startswith("lambda "):
-        _parse_rational(line.split(None, 1)[1], lineno)
+    key, *value = line.split(None, 1)
+    if key == "lambda":
+        if not value:
+            raise TensorFileError(f"line {lineno}: 'lambda' needs a value")
+        _parse_rational(value[0], lineno)
         lineno, line = next_line()
     nterms = _parse_count(lineno, line, "terms", minimum=0)
 

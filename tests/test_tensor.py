@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import Matrix, RankOneTerm, Tensor
+from mmtensor.isotropy import monomial_stabilizer_count
 
 from conftest import rand_matrix
 
@@ -144,3 +146,116 @@ def test_term_scaling_invariance(tm, alpha, beta):
 def test_type_excludes_zero_terms(terms):
     tt = mm.tensor_type(Tensor(2, terms))
     assert all(all(1 <= r <= 2 for r in triple) for triple in tt)
+
+
+# -- the integer kernel against plain Fraction sums ------------------------
+
+def reference_form(t):
+    """The coefficient form summed one Fraction product at a time."""
+    form = {}
+    for tm in t.terms:
+        for i, j, va in tm.a.entries():
+            for k, l, vb in tm.b.entries():
+                for m, n, vc in tm.c.entries():
+                    key = ((i, j), (k, l), (m, n))
+                    form[key] = form.get(key, 0) + va * vb * vc
+    return {key: v for key, v in form.items() if v}
+
+
+def _exact_form(t):
+    form = mm.to_coefficient_form(t)
+    assert form == reference_form(t)
+    assert all(type(v) is Fraction and v for v in form.values())
+    return form
+
+
+wide_fraction = st.builds(Fraction, st.integers(-7, 7),
+                          st.integers(1, 10 ** 6))
+
+
+@st.composite
+def _wide_term(draw, n):
+    """A term of wide fractions; one in five has a zero factor."""
+    entry = st.one_of(st.just(0), st.integers(-3, 3), wide_fraction)
+    mat = st.lists(st.lists(entry, min_size=n, max_size=n),
+                   min_size=n, max_size=n).map(Matrix)
+    factors = [draw(mat) for _ in range(3)]
+    if draw(st.integers(0, 4)) == 0:
+        factors[draw(st.integers(0, 2))] = Matrix.zeros(n)
+    return RankOneTerm(*factors)
+
+
+@st.composite
+def wide_tensors(draw):
+    n = draw(st.integers(1, 3))
+    return Tensor(n, draw(st.lists(_wide_term(n), max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_tensors())
+def test_coefficient_form_equals_fraction_reference(t):
+    _exact_form(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_tensors(), st.data())
+def test_coefficient_form_drops_cancelled_entries(t, data):
+    """Three copies of a term with scales x, y, -(x + y) of different
+    denominators cancel to exactly zero and leave no entry behind."""
+    form = _exact_form(t)
+    tm = data.draw(_wide_term(t.dim).filter(lambda tm: not tm.is_zero()))
+    x, y = data.draw(wide_fraction), data.draw(wide_fraction)
+    cancel = [tm.scaled(x), tm.scaled(y), tm.scaled(-(x + y))]
+    assert _exact_form(Tensor(t.dim, [*t.terms, *cancel])) == form
+
+
+def test_coefficient_form_cancels_across_denominators():
+    one = [[1]]
+    t = Tensor(1, [mm.term([[Fraction(1, 3)]], one, one),
+                   mm.term([[Fraction(1, 6)]], one, one),
+                   mm.term(one, [[Fraction(-1, 2)]], one)])
+    assert _exact_form(t) == {}
+    kept = mm.term([[0, 0], [0, Fraction(2, 7)]], [[1, 0], [0, 0]],
+                   [[0, Fraction(1, 5)], [0, 0]])
+    lift = [[Fraction(1, 3), 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]
+    t = Tensor(2, [mm.term(*lift), kept, mm.term(*lift).scaled(Fraction(-1))])
+    assert _exact_form(t) == {((2, 2), (1, 1), (1, 2)): Fraction(2, 35)}
+
+
+def _dense(low, up):
+    return Matrix(low) @ Matrix(up)
+
+
+# Rational L.U factors: unit lower L, upper U with diagonal in {+-2, +-1/2}.
+DENSE_ISOTROPY = mm.Isotropy(
+    _dense([[1, 0, 0], [2, 1, 0], [-1, 1, 1]],
+           [[2, -1, 1], [0, Fraction(-1, 2), 2], [0, 0, Fraction(1, 2)]]),
+    _dense([[1, 0, 0], [-1, 1, 0], [2, 2, 1]],
+           [[Fraction(1, 2), 1, -1], [0, -2, 1], [0, 0, 2]]),
+    _dense([[1, 0, 0], [1, 1, 0], [2, -1, 1]],
+           [[-2, 2, 1], [0, Fraction(1, 2), -1], [0, 0, Fraction(-1, 2)]]))
+
+
+def _denominator(m):
+    return lcm(*(v.denominator for _, _, v in m.entries()))
+
+
+def test_dense_laderman_image_pinned():
+    t = mm.act(DENSE_ISOTROPY, mm.laderman())
+    entries = [v for tm in t.terms for m in (tm.a, tm.b, tm.c)
+               for _, _, v in m.entries()]
+    assert len(entries) == 573 and max(v.denominator for v in entries) == 8
+    assert mm.is_matmul_tensor(t)
+    assert monomial_stabilizer_count(t) == 110592
+    # Near miss: one entry moved by 1/D, D the lcm over the terms of the
+    # product of the three factors' denominators.
+    big_d = lcm(*(_denominator(tm.a) * _denominator(tm.b) * _denominator(tm.c)
+                  for tm in t.terms))
+    assert big_d == 128
+    first = t.terms[0]
+    rows = first.a.row_list()
+    rows[0][0] += Fraction(1, big_d)
+    near = Tensor(3, [RankOneTerm(Matrix(rows), first.b, first.c),
+                      *t.terms[1:]])
+    assert not mm.is_matmul_tensor(near)
+    assert _exact_form(near) != mm.matmul_form(3)

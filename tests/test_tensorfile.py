@@ -56,6 +56,11 @@ def test_malformed_inputs():
     with pytest.raises(TensorFileError,
                        match="line 2: malformed rational '1/2 junk'"):
         read_tensor_file("dim 1\nlambda 1/2 junk\nterms 0\n")
+    for text in ("dim 1\nlambda\nterms 0\n",
+                 "dim 1\nlambda  # no value\nterms 0\n"):
+        with pytest.raises(TensorFileError,
+                           match="line 2: 'lambda' needs a value"):
+            read_tensor_file(text)
 
 
 @pytest.mark.parametrize("text, message", [
