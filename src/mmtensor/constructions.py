@@ -19,7 +19,7 @@ from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
                        orbit_sum)
-from .matrix import Matrix, as_fraction, projective_normal
+from .matrix import Matrix, as_fraction, projective_key
 from .tensor import (RankOneTerm, Tensor, combine, monomial_term, scale_form,
                      to_coefficient_form)
 from .transforms import tensor_lift
@@ -111,7 +111,7 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     pair is the least (first, second) slot pair over all classes.
     """
     terms = list(t.nonzero_terms())
-    units = {}  # normalized factor -> its number
+    units = {}  # projective key of a factor -> its number
     normal = [None] * len(terms)  # per slot: (lead, unit number) per factor
     classes = defaultdict(list)  # (pair, unit number, unit number) -> slots
 
@@ -121,9 +121,8 @@ def merge_shared_factors(t: Tensor) -> Tensor:
 
     def file(i):
         tm = terms[i]
-        normal[i] = [(lead, units.setdefault(unit, len(units)))
-                     for lead, unit in map(projective_normal,
-                                           (tm.a, tm.b, tm.c))]
+        normal[i] = [(lead, units.setdefault(key, len(units)))
+                     for lead, key in map(projective_key, (tm.a, tm.b, tm.c))]
         for key in keys(i):
             insort(classes[key], i)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .matrix import Matrix, projective_normal
+from .matrix import Matrix, projective_key
 from .tensor import Tensor, map_factors, monomial_term, to_coefficient_form
 
 Monomial = tuple[int, int, int]
@@ -121,7 +121,7 @@ def _relabel(m: Matrix, p: SignedPerm, q: SignedPerm) -> Matrix:
 
 def projectively_equal(g: Isotropy, h: Isotropy) -> bool:
     """Equality up to independent scaling of each of the three factors."""
-    return all(projective_normal(a)[1] == projective_normal(b)[1]
+    return all(projective_key(a)[1] == projective_key(b)[1]
                for a, b in zip(g.factors(), h.factors()))
 
 
@@ -299,7 +299,8 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
 # -- brute-force stabilizer search over signed permutation triples ---------------
 
 def signed_permutations(n: int) -> list[SignedPerm]:
-    """All n! * 2^n signed permutations, in a fixed deterministic order."""
+    """All n! * 2^n signed permutations, in a fixed deterministic order
+    that starts with the identity."""
     out = []
     for perm in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
@@ -308,9 +309,11 @@ def signed_permutations(n: int) -> list[SignedPerm]:
 
 
 def _stabilizer_masks(t: Tensor):
-    """signed_permutations(n) and an iterator, in index order, over
-    (f1, f2, mask): bit b of mask is set when (f1, f2, sps[b]) stabilizes
-    t's trilinear form.
+    """signed_permutations(n), the images of their inverses, and
+    pair_mask(inv1, inv2): bit b of its result is set when
+    (f1, f2, sps[b]) stabilizes t's trilinear form.  These triples are the
+    stabilizer S of the form under a group action, so S is a subgroup of
+    G^3, G being the signed permutations.
 
     Signed permutation matrices are orthogonal, so the acted coefficient
     form is a signed relabeling of the original one.  For each (f1, f2) an
@@ -334,6 +337,7 @@ def _stabilizer_masks(t: Tensor):
     # Each entry's indices less one, for the positions into invs.
     entries = [((i - 1, j - 1, k - 1, l - 1, m - 1, nn - 1), c)
                for ((i, j), (k, l), (m, nn)), c in coded.items()]
+    full = (1 << len(sps)) - 1
 
     @cache
     def f3_mask(a_pair, b_row, c_col, l, m, want):
@@ -346,20 +350,17 @@ def _stabilizer_masks(t: Tensor):
                 mask |= 1 << bit
         return mask
 
-    def masks():
-        full = (1 << len(sps)) - 1
-        for inv1, f1 in zip(invs, sps):
-            for inv2, f2 in zip(invs, sps):
-                mask = full
-                for (i, j, k, l, m, nn), c in entries:
-                    (x, si), (y, sj) = inv1[i], inv2[j]
-                    (z, sk), (w, sn) = inv2[k], inv1[nn]
-                    mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
-                    if not mask:
-                        break
-                yield f1, f2, mask
+    def pair_mask(inv1, inv2):
+        mask = full
+        for (i, j, k, l, m, nn), c in entries:
+            (x, si), (y, sj) = inv1[i], inv2[j]
+            (z, sk), (w, sn) = inv2[k], inv1[nn]
+            mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
+            if not mask:
+                break
+        return mask
 
-    return sps, masks()
+    return sps, invs, pair_mask
 
 
 def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
@@ -369,11 +370,28 @@ def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
     Exhaustive over the (n! 2^n)^3 candidates, n <= 3, in lexicographic
     order of signed_permutations(n) indices.
     """
-    sps, masks = _stabilizer_masks(t)
-    return [(f1, f2, f3) for f1, f2, mask in masks
-            for bit, f3 in enumerate(sps) if mask >> bit & 1]
+    sps, invs, pair_mask = _stabilizer_masks(t)
+    found = []
+    for inv1, f1 in zip(invs, sps):
+        for inv2, f2 in zip(invs, sps):
+            mask = pair_mask(inv1, inv2)
+            found.extend((f1, f2, f3) for bit, f3 in enumerate(sps)
+                         if mask >> bit & 1)
+    return found
 
 
 def monomial_stabilizer_count(t: Tensor) -> int:
-    """len(monomial_stabilizer_search(t)), without building the triples."""
-    return sum(mask.bit_count() for _, _, mask in _stabilizer_masks(t)[1])
+    """len(monomial_stabilizer_search(t)), as |pi1(S)| * |K2| * |K3|.
+
+    S is a subgroup, so each nonempty fibre of its projection to (f1, f2)
+    is a coset of K3 = {f3 : (e, e, f3) in S}; one level down, each fibre
+    over f1 is a coset of K2 = {f2 : (e, f2, f3) in S for some f3}.  The
+    scan for pi1(S), the f1 with some partner f2, stops at the first one.
+    """
+    _, invs, pair_mask = _stabilizer_masks(t)
+    e = invs[0]
+    k3 = pair_mask(e, e).bit_count()
+    k2 = sum(1 for inv2 in invs if pair_mask(e, inv2))
+    pi1 = sum(1 for inv1 in invs
+              if any(pair_mask(inv1, inv2) for inv2 in invs))
+    return pi1 * k2 * k3

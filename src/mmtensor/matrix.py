@@ -7,7 +7,7 @@ Entries are ``fractions.Fraction``; every operation is exact.  Indexing is
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Rational = Fraction | int
 
@@ -189,15 +189,32 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def projective_normal(m: Matrix) -> tuple[Fraction, Matrix]:
-    """Split m into (lead, m / lead), lead being its first nonzero entry in
-    row-major order; a zero matrix gives (0, m).  Two nonzero matrices are
-    proportional iff their normalized parts are equal."""
-    lead = next((v for _, _, v in m.entries()), Fraction(0))
-    return lead, (m if lead in (0, 1) else m.scale(1 / lead))
+def int_entries(m: Matrix) -> tuple[int, list]:
+    """(d, [((i, j), v d) for the nonzero entries v]), d the lcm of the
+    entries' denominators."""
+    entries = list(m.entries())
+    d = lcm(*(v.denominator for _, _, v in entries))
+    return d, [((i, j), v.numerator * (d // v.denominator))
+               for i, j, v in entries]
+
+
+def projective_key(m: Matrix) -> tuple[Fraction, tuple]:
+    """Split m into (lead, key): lead is its first nonzero entry in row-major
+    order (0 for a zero matrix), key its shape and the int_entries of the
+    primitive integer multiple of m with a positive lead.  Two nonzero
+    matrices are proportional iff their keys are equal."""
+    d, ints = int_entries(m)
+    if not ints:
+        return Fraction(0), (m.rows, m.cols)
+    lead = ints[0][1]
+    g = gcd(*(v for _, v in ints))
+    if lead < 0:
+        g = -g
+    return Fraction(lead, d), ((m.rows, m.cols),
+                               *((k, v // g) for k, v in ints))
 
 
 def proportionality(m1: Matrix, m2: Matrix) -> Fraction | None:
     """Return alpha with m1 == alpha * m2 (both nonzero), else None."""
-    (l1, n1), (l2, n2) = projective_normal(m1), projective_normal(m2)
-    return l1 / l2 if l1 and l2 and n1 == n2 else None
+    (l1, k1), (l2, k2) = projective_key(m1), projective_key(m2)
+    return l1 / l2 if l1 and l2 and k1 == k2 else None

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .matrix import Matrix, Rational, as_fraction, projective_normal
+from .matrix import (Matrix, Rational, as_fraction, int_entries,
+                     projective_key)
 
 # Canonical form: {((i,j),(k,l),(m,n)): Fraction}, zero entries absent.
 CoefficientForm = dict[tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
@@ -57,8 +58,9 @@ class RankOneTerm:
         """
         if self.is_zero():
             return (self.a, self.b, self.c)
-        (la, a), (lb, b) = projective_normal(self.a), projective_normal(self.b)
-        return (a, b, self.c.scale(la * lb))
+        la, lb = projective_key(self.a)[0], projective_key(self.b)[0]
+        return (self.a.scale(1 / la), self.b.scale(1 / lb),
+                self.c.scale(la * lb))
 
 
 class Tensor:
@@ -126,7 +128,7 @@ def to_coefficient_form(t: Tensor) -> CoefficientForm:
     """
     cleared, big_d = [], 1
     for tm in t.terms:
-        (da, a), (db, b), (dc, c) = map(_int_entries, (tm.a, tm.b, tm.c))
+        (da, a), (db, b), (dc, c) = map(int_entries, (tm.a, tm.b, tm.c))
         if a and b and c:
             d = da * db * dc
             big_d = lcm(big_d, d)
@@ -142,15 +144,6 @@ def to_coefficient_form(t: Tensor) -> CoefficientForm:
                     key = (ka, kb, kc)
                     sums[key] = sums.get(key, 0) + wab * vc
     return {key: Fraction(v, big_d) for key, v in sums.items() if v}
-
-
-def _int_entries(m: Matrix) -> tuple[int, list]:
-    """(d, [((i, j), v d) for the nonzero entries v]), d the lcm of the
-    entries' denominators."""
-    entries = list(m.entries())
-    d = lcm(*(v.denominator for _, _, v in entries))
-    return d, [((i, j), v.numerator * (d // v.denominator))
-               for i, j, v in entries]
 
 
 def matmul_form(n: int) -> CoefficientForm:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import mmtensor as mm
 from mmtensor import Matrix, Tensor
 
-from conftest import canonical_terms
+from conftest import DENSE_ISOTROPY, canonical_terms
 
 
 LADERMAN_TYPE = Counter({(2, 2, 2): 4, (1, 3, 1): 2, (3, 1, 1): 2,
@@ -166,6 +166,48 @@ def test_merge_equals_restart_scan_on_constructions():
            mm.tensor_project(mm.laderman(), (2, 1, 3))]
     for t in raw:
         assert mm.merge_shared_factors(t).terms == _restart_scan_merge(t).terms
+
+
+def _normal(m):
+    """The merge key before integer keys: m over its first nonzero entry,
+    with that entry."""
+    lead = next(v for _, _, v in m.entries())
+    return lead, m.scale(1 / lead)
+
+
+def _normal_key_merge(t):
+    """Reference merge keyed by normalized Matrix factors: fold the first
+    pair i < j whose normalized factors agree on (a,b), else (a,c), else
+    (b,c) into position i, and scan again."""
+    terms = list(t.nonzero_terms())
+    while True:
+        normal = [[_normal(m) for m in (tm.a, tm.b, tm.c)] for tm in terms]
+        hit = next(((i, j, x, y) for i in range(len(terms))
+                    for j in range(i + 1, len(terms))
+                    for x, y in ((0, 1), (0, 2), (1, 2))
+                    if normal[i][x][1] == normal[j][x][1]
+                    and normal[i][y][1] == normal[j][y][1]), None)
+        if hit is None:
+            return Tensor(t.dim, terms)
+        i, j, x, y = hit
+        (u, nu), (v, nv) = (terms[i], normal[i]), (terms[j], normal[j])
+        z = 3 - x - y
+        scale = nu[x][0] / nv[x][0] * (nu[y][0] / nv[y][0])
+        factors = [v.a, v.b, v.c]
+        factors[z] = (u.a, u.b, u.c)[z].scale(scale) + factors[z]
+        terms[i] = mm.RankOneTerm(*factors)
+        del terms[j]
+        if terms[i].is_zero():
+            del terms[i]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["laderman", "dense"])
+def test_merge_equals_normal_key_merge_on_projections(dense):
+    lad = mm.laderman()
+    t = mm.act(DENSE_ISOTROPY, lad) if dense else lad
+    for idx in product((1, 2, 3), repeat=3):
+        p = mm.tensor_project(t, idx)
+        assert mm.merge_shared_factors(p).terms == _normal_key_merge(p).terms
 
 
 def test_klein_orbit_sum_winograd():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -341,6 +342,47 @@ def test_stabilizer_search_pinned_n3(make, count):
         if (a, b, c2) not in found_keys:
             tri = (sps[a], sps[b], sps[c2])
             assert not mm.is_form_stabilized(_isotropy(tri), t)
+
+
+def _signed_monomial_sum(n, seed):
+    rng = random.Random(seed)
+    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
+    return Tensor(n, [mm.monomial_term(n, *(rng.randint(1, n)
+                                            for _ in range(3)))
+                      .scaled(rng.choice(coeffs))
+                      for _ in range(rng.randint(1, 2 * n))])
+
+
+# name: (tensor, (|pi1(S)|, |K2|, |K3|) or None).  In klein-orbit-sum pi1(S)
+# is a proper subgroup and |K2| != |K3|; in diagonal-pair an f1 swapping 1
+# and 2 needs an f2 that swaps them too, so S over pi1(S) is not a product.
+COSET_CASES = {
+    "empty": (lambda: Tensor(3, []), None),
+    "classical-1": (lambda: mm.classical(1), None),
+    "klein-orbit-sum": (mm.klein_orbit_sum_winograd, (16, 16, 8)),
+    "diagonal-pair": (lambda: Tensor(3, [mm.monomial_term(3, 1, 1, 1),
+                                         mm.monomial_term(3, 2, 2, 2)]),
+                      (16, 8, 8)),
+    **{f"signed-monomials-n{n}-{seed}":
+       (lambda n=n, seed=seed: _signed_monomial_sum(n, seed), None)
+       for n in (2, 3) for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("make, factors", COSET_CASES.values(),
+                         ids=COSET_CASES.keys())
+def test_stabilizer_count_is_coset_product(make, factors):
+    t = make()
+    found = mm.monomial_stabilizer_search(t)
+    e = signed_permutations(t.dim)[0]
+    assert e.to_matrix() == Matrix.identity(t.dim)
+    pi1 = {f1 for f1, _, _ in found}
+    k2 = {f2 for f1, f2, _ in found if f1 == e}
+    k3 = {f3 for f1, f2, f3 in found if f1 == f2 == e}
+    assert monomial_stabilizer_count(t) == len(found) == \
+        len(pi1) * len(k2) * len(k3)
+    if factors is not None:
+        assert (len(pi1), len(k2), len(k3)) == factors
 
 
 def test_stabilizer_search_refuses_n4():

@@ -10,7 +10,7 @@ import mmtensor as mm
 from mmtensor import Matrix, RankOneTerm, Tensor
 from mmtensor.isotropy import monomial_stabilizer_count
 
-from conftest import rand_matrix
+from conftest import DENSE_ISOTROPY, rand_matrix
 
 
 def test_rank_one_term_basics():
@@ -220,20 +220,6 @@ def test_coefficient_form_cancels_across_denominators():
     lift = [[Fraction(1, 3), 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]
     t = Tensor(2, [mm.term(*lift), kept, mm.term(*lift).scaled(Fraction(-1))])
     assert _exact_form(t) == {((2, 2), (1, 1), (1, 2)): Fraction(2, 35)}
-
-
-def _dense(low, up):
-    return Matrix(low) @ Matrix(up)
-
-
-# Rational L.U factors: unit lower L, upper U with diagonal in {+-2, +-1/2}.
-DENSE_ISOTROPY = mm.Isotropy(
-    _dense([[1, 0, 0], [2, 1, 0], [-1, 1, 1]],
-           [[2, -1, 1], [0, Fraction(-1, 2), 2], [0, 0, Fraction(1, 2)]]),
-    _dense([[1, 0, 0], [-1, 1, 0], [2, 2, 1]],
-           [[Fraction(1, 2), 1, -1], [0, -2, 1], [0, 0, 2]]),
-    _dense([[1, 0, 0], [1, 1, 0], [2, -1, 1]],
-           [[-2, 2, 1], [0, Fraction(1, 2), -1], [0, 0, Fraction(-1, 2)]]))
 
 
 def _denominator(m):
