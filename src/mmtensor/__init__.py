@@ -7,7 +7,7 @@ Strassen, and compiles verified tensors into executable multiplication
 schedules.
 """
 
-from .matrix import Matrix, as_fraction, proportionality
+from .matrix import Matrix, as_fraction
 from .tensor import (RankOneTerm, Tensor, add_forms, combine,
                      decomposition_length, form_equal, full_contraction,
                      is_matmul_tensor, matmul_form, monomial_term,

@@ -19,7 +19,7 @@ from .codegen import emit_code, extract_schedule, op_count, recursive_multiply
 from .constructions import (builtin, correction_term, klein_group,
                             merge_shared_factors)
 from .isotropy import act, monomial_stabilizer_count, orbit_sum
-from .matrix import Matrix
+from .matrix import Matrix, parse_rational
 from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
 from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
@@ -37,7 +37,7 @@ class CliError(Exception):
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        lam = Fraction(text)
+        lam = parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"malformed rational for --lambda: {text!r}")
     if lam == 0:

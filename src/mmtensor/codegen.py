@@ -1,5 +1,9 @@
 """Turn a tensor into an executable bilinear schedule.
 
+A Schedule holds a verified multiplication tensor's nonzero terms and
+nothing else: product p is read off term p's a and b factors, and the
+outputs off the c factors.  Execution lowers those factors' int rows once.
+
 Convention note: with the trace pairing used throughout, the (1,2)
 contraction of a multiplication tensor yields the transposed product, i.e.
 contract12(t, A, B) == (A.B)^T.  Schedules and recursive_multiply fold the
@@ -16,11 +20,8 @@ from math import lcm
 from operator import add, mul, sub
 
 from .matrix import Matrix
-from .tensor import Tensor, is_matmul_tensor
+from .tensor import RankOneTerm, Tensor, is_matmul_tensor
 from .trilinear import format_form, format_sum
-
-# A linear form over matrix entries: {(i, j): coefficient}.
-LinearForm = dict[tuple[int, int], Fraction]
 
 
 def contract12(t: Tensor, a: Matrix, b: Matrix) -> Matrix:
@@ -31,33 +32,36 @@ def contract12(t: Tensor, a: Matrix, b: Matrix) -> Matrix:
     if not (a.rows == a.cols == b.rows == b.cols == t.dim):
         raise ValueError("contract12 expects square matrices of the tensor "
                          "dimension")
-    n = t.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for tm in t.terms:
-        w = tm.a.trace_pair(a) * tm.b.trace_pair(b)
-        if w:
-            for i, j, v in tm.c.entries():
-                rows[i - 1][j - 1] += w * v
-    return Matrix(rows)
+    return sum((tm.c.scale(tm.a.trace_pair(a) * tm.b.trace_pair(b))
+                for tm in t.terms), Matrix.zeros(t.dim))
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Straight-line bilinear program extracted from a tensor.
+    """Straight-line bilinear program of a verified multiplication tensor.
 
-    r products; product p multiplies the a_forms[p] combination of A entries
-    with the b_forms[p] combination of B entries; output entry (s,u) is the
-    linear combination c_entries[(s,u)] of products.
+    terms are the tensor's nonzero terms, one product each: product p
+    multiplies the combination of A entries given by terms[p].a with the
+    combination of B entries given by terms[p].b.  Output entry (s,u) sums
+    the products p weighted by the (u,s) entries of terms[p].c.
     """
 
     dim: int
-    a_forms: tuple[LinearForm, ...]
-    b_forms: tuple[LinearForm, ...]
-    c_entries: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+    terms: tuple[RankOneTerm, ...]
 
     @property
     def num_products(self) -> int:
-        return len(self.a_forms)
+        return len(self.terms)
+
+    def outputs(self) -> list[list[tuple[int, Fraction]]]:
+        """The (p, coefficient) pairs of each output entry (s,u), row-major
+        over (s,u) and in product order within one entry."""
+        n = self.dim
+        outs = [[] for _ in range(n * n)]
+        for p, tm in enumerate(self.terms):
+            for u, s, v in tm.c.entries():
+                outs[(s - 1) * n + u - 1].append((p, v))
+        return outs
 
     def evaluate(self, a: Matrix, b: Matrix) -> Matrix:
         """Run the schedule: A.B."""
@@ -76,35 +80,23 @@ class OpCount:
 
 
 def extract_schedule(t: Tensor) -> Schedule:
-    """One product per nonzero term; c coefficients are transpose-folded.
-    Raises ValueError when t is not a multiplication tensor."""
+    """The schedule of t's nonzero terms.  Raises ValueError when t is not
+    a multiplication tensor."""
     if not is_matmul_tensor(t):
         raise ValueError("base tensor is not a multiplication tensor")
-    a_forms, b_forms = [], []
-    c_entries: dict[tuple[int, int], list] = {}
-    for p, tm in enumerate(t.nonzero_terms()):
-        a_forms.append({(i, j): v for i, j, v in tm.a.entries()})
-        b_forms.append({(i, j): v for i, j, v in tm.b.entries()})
-        for u, s, v in tm.c.entries():
-            c_entries.setdefault((s, u), []).append((p, v))
-    return Schedule(dim=t.dim,
-                    a_forms=tuple(a_forms),
-                    b_forms=tuple(b_forms),
-                    c_entries={k: tuple(v) for k, v in c_entries.items()})
+    return Schedule(dim=t.dim, terms=t.nonzero_terms())
 
 
 def op_count(s: Schedule) -> OpCount:
     """Naive counts: no common-subexpression elimination."""
-    adds = 0
-    scalar = 0
-    for form in list(s.a_forms) + list(s.b_forms):
-        adds += max(len(form) - 1, 0)
-        scalar += sum(1 for c in form.values() if c not in (1, -1))
-    for accum in s.c_entries.values():
-        adds += max(len(accum) - 1, 0)
-        scalar += sum(1 for _, c in accum if c not in (1, -1))
-    return OpCount(multiplications=s.num_products, additions=adds,
-                   scalar_multiplications=scalar)
+    forms = [[v for _, _, v in m.entries()]
+             for tm in s.terms for m in (tm.a, tm.b)]
+    forms += [[c for _, c in accum] for accum in s.outputs()]
+    return OpCount(
+        multiplications=s.num_products,
+        additions=sum(max(len(cs) - 1, 0) for cs in forms),
+        scalar_multiplications=sum(c not in (1, -1)
+                                   for cs in forms for c in cs))
 
 
 def emit_code(s: Schedule, style: str = "flat") -> str:
@@ -119,32 +111,27 @@ def emit_code(s: Schedule, style: str = "flat") -> str:
         raise ValueError(f"unknown style: {style}")
     annotate = style == "annotated"
 
-    def single_unit(form: LinearForm) -> bool:
-        return len(form) == 1 and next(iter(form.values())) == 1
+    def single_unit(m: Matrix) -> bool:
+        return [v for _, _, v in m.entries()] == [1]
 
-    uses: dict[int, list[Fraction]] = {}
-    for accum in s.c_entries.values():
-        for p, c in accum:
-            uses.setdefault(p, []).append(c)
-    inline = {p for p, cs in uses.items() if cs == [1]
-              and single_unit(s.a_forms[p]) and single_unit(s.b_forms[p])}
-    ab = [(format_form("a", af.items()), format_form("b", bf.items()))
-          for af, bf in zip(s.a_forms, s.b_forms)]
+    # A product feeds exactly the outputs named by its c factor's entries.
+    inline = {p for p, tm in enumerate(s.terms)
+              if all(map(single_unit, (tm.a, tm.b, tm.c)))}
+    ab = [(format_form("a", tm.a.entries()), format_form("b", tm.b.entries()))
+          for tm in s.terms]
 
     lines = []
     for p, (a, b) in enumerate(ab):
         if p not in inline:
             note = f"  # term {p + 1}" if annotate else ""
             lines.append(f"p{p + 1} = ({a}) * ({b}){note}")
-    for si in range(1, s.dim + 1):
-        for ui in range(1, s.dim + 1):
-            accum = s.c_entries.get((si, ui), ())
-            rhs = format_sum((" * ".join(ab[p]) if p in inline
-                              else f"p{p + 1}", c) for p, c in accum)
-            line = f"c{si}{ui} = {rhs}"
-            if annotate and accum:
-                line += "  # terms " + ",".join(str(p + 1) for p, _ in accum)
-            lines.append(line)
+    for k, accum in enumerate(s.outputs()):
+        rhs = format_sum((" * ".join(ab[p]) if p in inline
+                          else f"p{p + 1}", c) for p, c in accum)
+        line = f"c{k // s.dim + 1}{k % s.dim + 1} = {rhs}"
+        if annotate and accum:
+            line += "  # terms " + ",".join(str(p + 1) for p, _ in accum)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -156,42 +143,32 @@ class MultiplyResult:
 
 # Execution runs on plain lists of int rows.  A schedule is lowered once to
 # integer coefficients on flat block indices k = (i-1)*n + (j-1); the inputs
-# are scaled to integers once; the product is divided out once at the end.
-
-def _int_terms(terms) -> tuple[tuple[tuple[int, int], ...], int]:
-    """((key, c*d) pairs, d) for d the lcm of the denominators of the
-    coefficients c; a coefficient-1 term comes first if there is one."""
-    d = lcm(1, *(c.denominator for _, c in terms))
-    return tuple(sorted(((k, (c * d).numerator) for k, c in terms),
-                        key=lambda kc: kc[1] != 1)), d
-
+# enter as their int rows; the product is divided out once at the end.
 
 def _lower(s: Schedule):
     """Integer program for s: (a_prog, b_prog, c_prog, scale).
 
     Product p is (sum c*X_k over a_prog[p]) times (sum c*Y_k over
-    b_prog[p]); output block k is sum c*P_p over c_prog[k].  Its outputs
-    are exactly scale times those of s: each a and b form is multiplied by
-    the lcm of its denominators, each c coefficient divided by the two
-    weights of its product, and then all multiplied by the lcm of their
-    own denominators.
+    b_prog[p]), read off the int rows of its a and b factors; output block
+    k is sum c*P_p over c_prog[k], each c divided by the two denominators
+    of P_p and all cleared by scale, the lcm of their own denominators.
+    So the outputs are scale times those of s.  Coefficients 1 go first.
     """
     n = s.dim
 
-    def flat(form: LinearForm):
-        return _int_terms([((i - 1) * n + j - 1, c)
-                           for (i, j), c in form.items()])
+    def prog(pairs):
+        return tuple(sorted(pairs, key=lambda kc: kc[1] != 1))
 
-    a_prog, b_prog, weights = [], [], []
-    for af, bf in zip(s.a_forms, s.b_forms):
-        (a_terms, alpha), (b_terms, beta) = flat(af), flat(bf)
-        a_prog.append(a_terms)
-        b_prog.append(b_terms)
-        weights.append(alpha * beta)
-    c_forms = [[(p, c / weights[p]) for p, c in s.c_entries.get((si, ui), ())]
-               for si in range(1, n + 1) for ui in range(1, n + 1)]
+    def flat(m: Matrix):
+        return prog((i * n + j, v) for i, row in enumerate(m.num)
+                    for j, v in enumerate(row) if v)
+
+    a_prog = [flat(tm.a) for tm in s.terms]
+    b_prog = [flat(tm.b) for tm in s.terms]
+    c_forms = [[(p, c / (s.terms[p].a.den * s.terms[p].b.den))
+                for p, c in accum] for accum in s.outputs()]
     scale = lcm(1, *(c.denominator for form in c_forms for _, c in form))
-    c_prog = [_int_terms([(p, c * scale) for p, c in form])[0]
+    c_prog = [prog((p, (c * scale).numerator) for p, c in form)
               for form in c_forms]
     return a_prog, b_prog, c_prog, scale
 
@@ -222,18 +199,6 @@ def _combo(blocks, terms):
     return acc
 
 
-def _cleared(m: Matrix, padded: int):
-    """(int rows of d*m zero-padded to padded x padded, d) with d the lcm
-    of m's entry denominators."""
-    rows = m.row_list()
-    d = lcm(*(v.denominator for row in rows for v in row))
-    pad = [0] * (padded - m.cols)
-    out = [[v.numerator * (d // v.denominator) for v in row] + pad
-           for row in rows]
-    out += [[0] * padded for _ in range(padded - m.rows)]
-    return out, d
-
-
 def _run(s: Schedule, a: Matrix, b: Matrix, padded: int, levels: int):
     """A.B through `levels` recursion levels of s, leaves by schoolbook.
 
@@ -260,12 +225,13 @@ def _run(s: Schedule, a: Matrix, b: Matrix, padded: int, levels: int):
         return [list(chain.from_iterable(rows))
                 for i in range(0, n * n, n) for rows in zip(*out[i:i + n])]
 
-    ai, da = _cleared(a, padded)
-    bi, db = _cleared(b, padded)
-    prod = step(ai, bi, levels)
-    div = da * db * scale ** levels
-    return Matrix([[Fraction(v, div) for v in row[:a.rows]]
-                   for row in prod[:a.rows]]), count
+    def pad(m: Matrix):
+        return ([list(row) + [0] * (padded - m.cols) for row in m.num]
+                + [[0] * padded for _ in range(padded - m.rows)])
+
+    prod = step(pad(a), pad(b), levels)
+    return Matrix.from_ints(a.den * b.den * scale ** levels,
+                            [row[:a.rows] for row in prod[:a.rows]]), count
 
 
 def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,

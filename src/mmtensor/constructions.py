@@ -26,6 +26,10 @@ from .transforms import tensor_lift
 from .trilinear import parse_trilinear
 
 
+# Largest N of builtin:classical-N; its memory grows as N**5.
+MAX_CLASSICAL_SIZE = 16
+
+
 def classical(n: int) -> Tensor:
     """The n^3-term tensor of schoolbook n x n multiplication."""
     if n < 1:
@@ -286,12 +290,17 @@ def laderman_variant(lam=1) -> Tensor:
 
 
 def builtin(name: str, lam=1) -> Tensor:
-    """Look up a builtin tensor by CLI-style name, e.g. 'classical-3'."""
+    """Look up a builtin tensor by CLI-style name, e.g. 'classical-3'.
+    KeyError for an unknown name; ValueError for classical-N with N outside
+    1..MAX_CLASSICAL_SIZE."""
     if name.startswith("classical-"):
-        try:
-            n = int(name.split("-", 1)[1])
-        except ValueError:
-            raise KeyError(f"unknown builtin tensor: {name}") from None
+        digits = name[len("classical-"):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise KeyError(f"unknown builtin tensor: {name}")
+        n = int(digits)
+        if not 1 <= n <= MAX_CLASSICAL_SIZE:
+            raise ValueError(f"builtin tensor {name}: N must lie in "
+                             f"1..{MAX_CLASSICAL_SIZE}")
         return classical(n)
     table = {
         "strassen": strassen,

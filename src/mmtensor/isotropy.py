@@ -29,8 +29,6 @@ from .tensor import Tensor, map_factors, monomial_term, to_coefficient_form
 
 Monomial = tuple[int, int, int]
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class SignedPerm:
@@ -58,7 +56,7 @@ class SignedPerm:
         rows = [[0] * n for _ in range(n)]
         for j, (r, s) in enumerate(self.images):
             rows[r - 1][j] = s
-        return Matrix(rows)
+        return Matrix.from_ints(1, rows)
 
 
 class Isotropy:
@@ -111,12 +109,12 @@ class Isotropy:
 def _relabel(m: Matrix, p: SignedPerm, q: SignedPerm) -> Matrix:
     """P m Q^T."""
     n = m.rows
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     p, q = p.images, q.images
-    for i, j, v in m.entries():
-        (r, s), (c, u) = p[i - 1], q[j - 1]
-        rows[r - 1][c - 1] = v if s == u else -v
-    return Matrix(rows)
+    for (r, s), row in zip(p, m.num):
+        for (c, u), v in zip(q, row):
+            rows[r - 1][c - 1] = v if s == u else -v
+    return Matrix.from_ints(m.den, rows)
 
 
 def projectively_equal(g: Isotropy, h: Isotropy) -> bool:

@@ -1,15 +1,31 @@
 """Exact rational matrices with 1-based indexing.
 
-Entries are ``fractions.Fraction``; every operation is exact.  Indexing is
-1-based throughout the package to keep a_11..a_33 style coordinates readable.
+A Matrix is num / den: ``den`` a positive int, ``num`` a tuple of int rows,
+in lowest terms (gcd(den, *entries) == 1), so equal matrices have equal
+fields.  Arithmetic runs on the ints; m[i, j], entries() and row_list() give
+Fractions.  Indexing is 1-based to keep a_11..a_33 coordinates readable.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 Rational = Fraction | int
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The integer or p/q in text, ASCII digits with an optional sign on p;
+    ValueError for any other text, ZeroDivisionError for q = 0."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational: {text!r}")
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q or 1))
 
 
 def as_fraction(x) -> Fraction:
@@ -19,24 +35,65 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the int rows a in
+    place, pivoting in the first ncols columns; returns (rank, last pivot).
+    Entries stay int minors of the input, so each division is exact; at
+    full row rank the first ncols columns end as last pivot times I."""
+    nr = len(a)
+    r, prev = 0, 1
+    for c in range(ncols):
+        piv = next((k for k in range(r, nr) if a[k][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pr = a[r]
+        p = pr[c]
+        for k in range(nr):
+            if k != r:
+                f = a[k][c]
+                a[k] = [(p * v - f * w) // prev for v, w in zip(a[k], pr)]
+        prev = p
+        r += 1
+        if r == nr:
+            break
+    return r, prev
+
+
 class Matrix:
-    """Immutable rows x cols matrix of Fractions, addressed as m[i, j], 1-based."""
+    """Immutable rows x cols matrix num / den, addressed as m[i, j], 1-based."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "den", "num")
 
-    def __init__(self, entries):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
+    def __new__(cls, entries):
+        """The matrix with rows of ints, Fractions or 'p/q' strings."""
+        rows = [[as_fraction(x) for x in row] for row in entries]
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]))
-        object.__setattr__(self, "_e", rows)
+        den = lcm(*(v.denominator for row in rows for v in row))
+        return Matrix.from_ints(den, [[v.numerator * (den // v.denominator)
+                                       for v in row] for row in rows])
+
+    @staticmethod
+    def from_ints(den: int, num) -> "Matrix":
+        """num / den for a nonzero int den and int rows num, in lowest terms
+        with den > 0: every Matrix is built here."""
+        if den < 0:
+            den, num = -den, [[-v for v in row] for row in num]
+        if den != 1 and (g := gcd(den, *chain.from_iterable(num))) != 1:
+            den //= g
+            num = [[v // g for v in row] for row in num]
+        m = object.__new__(Matrix)
+        for name, value in zip(Matrix.__slots__, (
+                len(num), len(num[0]), den, tuple(map(tuple, num)))):
+            object.__setattr__(m, name, value)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -46,19 +103,21 @@ class Matrix:
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return Matrix([[0] * cols for _ in range(rows)])
+        return Matrix.from_ints(1, [[0] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix.from_ints(1, [[int(i == j) for j in range(n)]
+                                    for i in range(n)])
 
     @staticmethod
     def unit(n: int, i: int, j: int) -> "Matrix":
         """The matrix e^i_j: single 1 at row i, column j (1-based)."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"unit index ({i},{j}) out of range for n={n}")
-        return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(1, n + 1)]
-                       for r in range(1, n + 1)])
+        rows = [[0] * n for _ in range(n)]
+        rows[i - 1][j - 1] = 1
+        return Matrix.from_ints(1, rows)
 
     # -- access ---------------------------------------------------------------
 
@@ -67,111 +126,90 @@ class Matrix:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"index ({i},{j}) out of range "
                              f"for {self.rows}x{self.cols} matrix")
-        return self._e[i - 1][j - 1]
+        return Fraction(self.num[i - 1][j - 1], self.den)
 
     def row_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._e]
+        d = self.den
+        return [[Fraction(v, d) for v in row] for row in self.num]
 
     def entries(self):
         """Yield (i, j, value) for nonzero entries, row-major."""
-        for i, row in enumerate(self._e, start=1):
+        d = self.den
+        for i, row in enumerate(self.num, start=1):
             for j, v in enumerate(row, start=1):
                 if v:
-                    yield i, j, v
+                    yield i, j, Fraction(v, d)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self._e for v in row)
+        return not any(map(any, self.num))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other over the lcm of the two denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shape mismatch")
+        d = lcm(self.den, other.den)
+        x, y = d // self.den, sign * (d // other.den)
+        return Matrix.from_ints(d, [[x * a + y * b for a, b in zip(r1, r2)]
+                                    for r1, r2 in zip(self.num, other.num)])
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._e, other._e)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._e, other._e)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self._e])
+        return Matrix.from_ints(self.den, [[-a for a in r] for r in self.num])
 
     def scale(self, s: Rational) -> "Matrix":
         s = as_fraction(s)
-        return Matrix([[s * a for a in r] for r in self._e])
+        p = s.numerator
+        return Matrix.from_ints(self.den * s.denominator,
+                                [[p * a for a in r] for r in self.num])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matrix product dimension mismatch")
-        bt = list(zip(*other._e))
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                       for row in self._e])
+        bt = list(zip(*other.num))
+        return Matrix.from_ints(self.den * other.den,
+                                [[sum(map(mul, row, col)) for col in bt]
+                                 for row in self.num])
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._e)))
+        return Matrix.from_ints(self.den, list(zip(*self.num)))
 
     def trace_pair(self, other: "Matrix") -> Fraction:
         """trace(self^T . other), the entrywise pairing."""
-        self._check_same_shape(other)
-        return sum((a * b for r1, r2 in zip(self._e, other._e)
-                    for a, b in zip(r1, r2)), Fraction(0))
-
-    def _check_same_shape(self, other: "Matrix"):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shape mismatch")
+        return Fraction(sum(map(mul, chain.from_iterable(self.num),
+                                chain.from_iterable(other.num))),
+                        self.den * other.den)
 
     # -- exact linear algebra -------------------------------------------------
 
     def rank(self) -> int:
-        """Rank over the rationals, via fraction-free (Bareiss) elimination."""
-        # Clear denominators row by row; row scaling does not change rank.
-        m = []
-        for row in self._e:
-            mult = lcm(*(v.denominator for v in row)) if row else 1
-            m.append([int(v * mult) for v in row])
-        nr, nc = self.rows, self.cols
-        rank = 0
-        prev = 1
-        r = 0
-        for c in range(nc):
-            piv = next((k for k in range(r, nr) if m[k][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            for k in range(r + 1, nr):
-                for j in range(c + 1, nc):
-                    m[k][j] = (m[r][c] * m[k][j] - m[k][c] * m[r][j]) // prev
-                m[k][c] = 0
-            prev = m[r][c]
-            r += 1
-            rank += 1
-            if r == nr:
-                break
-        return rank
+        """Rank over the rationals, by fraction-free elimination."""
+        return _eliminate(list(map(list, self.num)), self.cols)[0]
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan; raises ValueError on singular input."""
+        """Exact inverse by fraction-free Gauss-Jordan on [num | I], which
+        ends as [p I | p num^-1]; raises ValueError on singular input."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-             for i, r in enumerate(self._e)]
-        for c in range(n):
-            piv = next((k for k in range(c, n) if a[k][c]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[c], a[piv] = a[piv], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [v * inv for v in a[c]]
-            for k in range(n):
-                if k != c and a[k][c]:
-                    f = a[k][c]
-                    a[k] = [v - f * w for v, w in zip(a[k], a[c])]
-        return Matrix([row[n:] for row in a])
+        a = [list(row) + [int(i == j) for j in range(n)]
+             for i, row in enumerate(self.num)]
+        rank, det = _eliminate(a, n)
+        if rank < n:
+            raise ValueError("singular matrix")
+        return Matrix.from_ints(det, [[self.den * v for v in row[n:]]
+                                      for row in a])
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -179,23 +217,21 @@ class Matrix:
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._e == other._e
+        return (isinstance(other, Matrix) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash(self._e)
+        return hash((self.den, self.num))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(str, row)) for row in self._e)
+        body = "; ".join(" ".join(map(str, row)) for row in self.row_list())
         return f"Matrix[{body}]"
 
 
 def int_entries(m: Matrix) -> tuple[int, list]:
-    """(d, [((i, j), v d) for the nonzero entries v]), d the lcm of the
-    entries' denominators."""
-    entries = list(m.entries())
-    d = lcm(*(v.denominator for _, _, v in entries))
-    return d, [((i, j), v.numerator * (d // v.denominator))
-               for i, j, v in entries]
+    """(m.den, [((i, j), v) for the nonzero entries v of m.num])."""
+    return m.den, [((i, j), v) for i, row in enumerate(m.num, start=1)
+                   for j, v in enumerate(row, start=1) if v]
 
 
 def projective_key(m: Matrix) -> tuple[Fraction, tuple]:
@@ -212,9 +248,3 @@ def projective_key(m: Matrix) -> tuple[Fraction, tuple]:
         g = -g
     return Fraction(lead, d), ((m.rows, m.cols),
                                *((k, v // g) for k, v in ints))
-
-
-def proportionality(m1: Matrix, m2: Matrix) -> Fraction | None:
-    """Return alpha with m1 == alpha * m2 (both nonzero), else None."""
-    (l1, k1), (l2, k2) = projective_key(m1), projective_key(m2)
-    return l1 / l2 if l1 and l2 and k1 == k2 else None

@@ -120,11 +120,11 @@ def map_factors(t: Tensor, op, idx, dim: int) -> Tensor:
 def to_coefficient_form(t: Tensor) -> CoefficientForm:
     """Expand the decomposition into the sparse 6-index coefficient table.
 
-    Each factor is cleared to (d, its entries times d) with d the lcm of
-    its denominators; terms with a zero factor are skipped.  A term's
-    integer products are weighted by D // (da db dc), D being the lcm of
-    da db dc over the terms, and summed as ints; every entry is its sum
-    over D.
+    The ints come from the factor fields: a factor is num / den, and
+    int_entries gives its den and nonzero num entries.  Terms with a zero
+    factor are skipped.  A term's integer products are weighted by
+    D // (da db dc), D being the lcm of da db dc over the terms, and
+    summed as ints; every entry is its sum over D.
     """
     cleared, big_d = [], 1
     for tm in t.terms:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import Matrix
+from .matrix import Matrix, parse_rational
 from .tensor import RankOneTerm, Tensor
 
 
@@ -38,7 +38,7 @@ class TensorFileError(ValueError):
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
     try:
-        return Fraction(tok)
+        return parse_rational(tok)
     except (ValueError, ZeroDivisionError):
         raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
 

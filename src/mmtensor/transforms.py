@@ -26,11 +26,9 @@ def matrix_zero(m: Matrix, i: int, j: int) -> Matrix:
     """Zero out row i and column j, leaving the rest unchanged."""
     _check_index(m.rows, i)
     _check_index(m.cols, j)
-    rows = m.row_list()
+    rows = [row[:j - 1] + (0,) + row[j:] for row in m.num]
     rows[i - 1] = [0] * m.cols
-    for row in rows:
-        row[j - 1] = 0
-    return Matrix(rows)
+    return Matrix.from_ints(m.den, rows)
 
 
 def matrix_project(m: Matrix, i: int, j: int) -> Matrix:
@@ -39,18 +37,17 @@ def matrix_project(m: Matrix, i: int, j: int) -> Matrix:
         raise ValueError("cannot project a 1x1 matrix")
     _check_index(m.rows, i)
     _check_index(m.cols, j)
-    rows = m.row_list()
-    del rows[i - 1]
-    return Matrix([row[:j - 1] + row[j:] for row in rows])
+    return Matrix.from_ints(m.den, [row[:j - 1] + row[j:] for r, row
+                                    in enumerate(m.num, start=1) if r != i])
 
 
 def matrix_lift(m: Matrix, i: int, j: int) -> Matrix:
     """Insert a zero row at i and zero column at j; projecting back recovers m."""
-    n = m.rows + 1
-    _check_index(n, i, j)
-    rows = [row[:j - 1] + [0] + row[j - 1:] for row in m.row_list()]
-    rows.insert(i - 1, [0] * n)
-    return Matrix(rows)
+    _check_index(m.rows + 1, i)
+    _check_index(m.cols + 1, j)
+    rows = [row[:j - 1] + (0,) + row[j - 1:] for row in m.num]
+    rows.insert(i - 1, [0] * (m.cols + 1))
+    return Matrix.from_ints(m.den, rows)
 
 
 def tensor_zero(t: Tensor, idx: IndexTriple) -> Tensor:

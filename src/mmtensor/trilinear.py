@@ -236,10 +236,9 @@ def format_sum(pairs) -> str:
 
 
 def format_form(letter: str, entries) -> str:
-    """Linear form over atoms like a11, from (i, j, c) triples such as
-    Matrix.entries() or ((i, j), c) items of a LinearForm."""
-    triples = sorted(e if len(e) == 3 else (*e[0], e[1]) for e in entries)
-    return format_sum((f"{letter}{i}{j}", c) for i, j, c in triples)
+    """Linear form over atoms like a11, from the (i, j, c) triples of
+    Matrix.entries()."""
+    return format_sum((f"{letter}{i}{j}", c) for i, j, c in entries)
 
 
 def print_trilinear(t: Tensor) -> str:

@@ -180,6 +180,18 @@ def test_bad_tensor_file(tmp_path, capsys):
     assert code == 2 and "bad tensor file" in err
 
 
+@pytest.mark.parametrize("token", ["0.5", "1e3", "1_000", "1/-2"])
+def test_rationals_are_integers_or_p_over_q(tmp_path, capsys, token):
+    code, _, err = invoke(capsys, "construct", "winograd", "--lambda", token)
+    assert (code, err) == (
+        2, f"error: malformed rational for --lambda: {token!r}\n")
+    path = tmp_path / "bad.tensor"
+    path.write_text(f"dim 1\nterms 1\nterm\n{token}\n1\n1\n")
+    code, _, err = invoke(capsys, "verify", "--tensor", str(path))
+    assert (code, err) == (2, f"error: bad tensor file {path}: line 4: "
+                              f"malformed rational {token!r}\n")
+
+
 def test_bad_tensor_file_counts(tmp_path, capsys):
     path = tmp_path / "bad.tensor"
     path.write_text("dim 2\nterms -1\n")

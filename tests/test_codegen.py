@@ -52,17 +52,16 @@ def test_schedule_skips_zero_terms():
 
 
 def test_op_counts():
-    assert op_count(extract_schedule(mm.classical(3))) == \
-        mm.OpCount(multiplications=27, additions=18,
-                   scalar_multiplications=0)
-    counts = op_count(extract_schedule(mm.strassen()))
-    assert counts.multiplications == 7
-    assert op_count(extract_schedule(mm.laderman_variant(1))).multiplications \
-        == 23
-    # multiplications always equals the decomposition length
-    for t in (mm.strassen(), mm.laderman(), mm.winograd(Fraction(5, 7))):
-        assert op_count(extract_schedule(t)).multiplications == \
-            mm.decomposition_length(t)
+    """Naive multiplications / additions / scalar multiplications; the
+    multiplications are the decomposition length."""
+    for t, counts in [(mm.classical(3), (27, 18, 0)),
+                      (mm.strassen(), (7, 18, 0)),
+                      (mm.winograd(1), (7, 24, 0)),
+                      (mm.winograd(Fraction(5, 7)), (7, 24, 24)),
+                      (mm.laderman(), (23, 98, 0)),
+                      (mm.laderman_variant(1), (23, 98, 34))]:
+        assert op_count(extract_schedule(t)) == mm.OpCount(*counts)
+        assert counts[0] == mm.decomposition_length(t)
 
 
 def test_emit_code_strassen_structure():

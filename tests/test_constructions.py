@@ -345,3 +345,14 @@ def test_builtin_lookup():
     assert mm.builtin("laderman-variant", Fraction(5, 7)).dim == 3
     with pytest.raises(KeyError):
         mm.builtin("nonesuch")
+    for name in ("classical-x", "classical-+3", "classical-1_0",
+                 "classical-\u0663"):
+        with pytest.raises(KeyError):
+            mm.builtin(name)
+
+
+def test_builtin_classical_bound():
+    from mmtensor.constructions import MAX_CLASSICAL_SIZE
+    for n in (0, MAX_CLASSICAL_SIZE + 1, 100000):
+        with pytest.raises(ValueError, match=f"1..{MAX_CLASSICAL_SIZE}"):
+            mm.builtin(f"classical-{n}")

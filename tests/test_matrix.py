@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmtensor import Matrix, as_fraction, proportionality
+from mmtensor import Matrix, as_fraction, matrix_lift, matrix_project
 
 
 def test_construction_and_indexing():
@@ -71,16 +73,144 @@ def test_inverse_random_roundtrip(rng):
             assert m @ m.inverse() == Matrix.identity(3)
 
 
-def test_proportionality():
-    a = Matrix([[2, 0], [0, 4]])
-    assert proportionality(a, a.scale(Fraction(1, 2))) == 2
-    assert proportionality(a, Matrix([[1, 0], [0, 1]])) is None
-    assert proportionality(a, Matrix.zeros(2)) is None
-    assert proportionality(Matrix.zeros(2), a) is None
-
-
 def test_fraction_helpers():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(2) == 2
     with pytest.raises(TypeError):
         as_fraction(0.5)
+    for text in ("0.5", "1e3", "1_000", "1/-2", " 1", "", "\u0661"):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+
+
+# -- differential test against Fraction rows ------------------------------------
+
+def ref_rank(rows):
+    """Rank by Gauss-Jordan over Fractions."""
+    a = [list(r) for r in rows]
+    r = 0
+    for c in range(len(a[0])):
+        piv = next((k for k in range(r, len(a)) if a[k][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c] / a[r][c]
+                a[k] = [v - f * w for v, w in zip(a[k], a[r])]
+        r += 1
+    return r
+
+
+def ref_inverse(rows):
+    """Inverse by Gauss-Jordan over Fractions; ValueError when singular."""
+    n = len(rows)
+    a = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((k for k in range(c, n) if a[k][c]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [v * inv for v in a[c]]
+        for k in range(n):
+            if k != c and a[k][c]:
+                f = a[k][c]
+                a[k] = [v - f * w for v, w in zip(a[k], a[c])]
+    return [row[n:] for row in a]
+
+
+def ref_matmul(x, y):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*y)] for row in x]
+
+
+_entry = st.one_of(st.integers(-9, 9).map(Fraction),
+                   st.builds(Fraction, st.integers(-50, 50),
+                             st.integers(1, 12)))
+
+
+def _plain(r, c):
+    return st.lists(st.lists(_entry, min_size=c, max_size=c),
+                    min_size=r, max_size=r)
+
+
+@st.composite
+def _rows(draw, r, c):
+    """r x c Fraction rows; about half of those with r, c >= 2 are products
+    through a narrower middle dimension, so rank deficient."""
+    if min(r, c) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, min(r, c) - 1))
+        return ref_matmul(draw(_plain(r, k)), draw(_plain(k, c)))
+    return draw(_plain(r, c))
+
+
+def assert_canonical(m, rows):
+    """m holds the value rows in lowest terms."""
+    assert m.row_list() == rows
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]))
+    assert m.den > 0 and gcd(m.den, *(v for r in m.num for v in r)) == 1
+    assert m.den == lcm(*(v.denominator for r in rows for v in r))
+    assert all(type(v) is int for r in m.num for v in r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       _entry)
+def test_matrix_matches_fraction_reference(data, r, c, k, s):
+    x = data.draw(_rows(r, c))
+    y = data.draw(_rows(r, c))
+    z = data.draw(_rows(c, k))
+    mx, my, mz = Matrix(x), Matrix(y), Matrix(z)
+    assert_canonical(mx, x)
+    assert_canonical(mx + my, [[a + b for a, b in zip(p, q)]
+                               for p, q in zip(x, y)])
+    assert_canonical(mx - my, [[a - b for a, b in zip(p, q)]
+                               for p, q in zip(x, y)])
+    assert_canonical(-mx, [[-a for a in p] for p in x])
+    assert_canonical(mx.scale(s), [[s * a for a in p] for p in x])
+    assert_canonical(mx.scale(0), [[Fraction(0)] * c for _ in x])
+    assert_canonical(mx @ mz, ref_matmul(x, z))
+    assert_canonical(mx.transpose(), [list(col) for col in zip(*x)])
+    assert mx.trace_pair(my) == sum((a * b for p, q in zip(x, y)
+                                     for a, b in zip(p, q)), Fraction(0))
+    assert mx.rank() == ref_rank(x)
+    assert [(i, j, v) for i, j, v in mx.entries()] == [
+        (i, j, v) for i, p in enumerate(x, 1) for j, v in enumerate(p, 1)
+        if v]
+    if r == c:
+        try:
+            inv = ref_inverse(x)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                mx.inverse()
+            assert not mx.is_invertible()
+        else:
+            assert_canonical(mx.inverse(), inv)
+            assert mx.is_invertible()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), _entry)
+def test_equal_values_have_equal_fields(data, r, c, s):
+    x = data.draw(_rows(r, c))
+    i, j = data.draw(st.integers(1, r + 1)), data.draw(st.integers(1, c + 1))
+    border = data.draw(st.lists(_entry, min_size=r + c + 1,
+                                max_size=r + c + 1))
+    bordered = [list(row) for row in x]
+    for row, v in zip(bordered, border):
+        row.insert(j - 1, v)
+    bordered.insert(i - 1, border[r:])
+    m = Matrix(x)
+    same = [Matrix([[str(v) for v in row] for row in x]),
+            Matrix.identity(r) @ m, m @ Matrix.identity(c),
+            (m + m).scale(Fraction(1, 2)),
+            matrix_project(Matrix(bordered), i, j),
+            matrix_project(matrix_lift(m, i, j), i, j)]
+    if s:
+        same.append(Matrix(x).scale(s).scale(1 / s))
+    for other in same:
+        assert (other.den, other.num, hash(other)) == \
+            (m.den, m.num, hash(m))
+        assert other == m

@@ -63,6 +63,17 @@ def test_malformed_inputs():
             read_tensor_file(text)
 
 
+@pytest.mark.parametrize("token", ["0.5", "1e3", "1_000", "1/-2"])
+def test_only_integers_and_p_over_q(token):
+    """The format has integers and p/q only, in ASCII digits."""
+    with pytest.raises(TensorFileError,
+                       match=f"line 4: malformed rational '{token}'"):
+        read_tensor_file(f"dim 1\nterms 1\nterm\n{token}\n1\n1\n")
+    with pytest.raises(TensorFileError,
+                       match=f"line 2: malformed rational '{token}'"):
+        read_tensor_file(f"dim 1\nlambda {token}\nterms 0\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("dim 2.5\nterms 0\n", "line 1: malformed count"),
     ("dim 0\nterms 0\n", "line 1: 'dim' must be at least 1"),
