@@ -14,6 +14,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .codegen import emit_code, extract_schedule, op_count, recursive_multiply
 from .constructions import (builtin, correction_term, klein_group,
@@ -100,13 +101,23 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+@lru_cache(maxsize=128)
+def _builtin_type(spec: str, lam: Fraction):
+    """tensor_type of a builtin spec; files are read afresh on every call."""
+    return tensor_type(_load_tensor(spec, lam))
+
+
 def _cmd_type(args) -> int:
-    other = _load_tensor(args.compare, args.lam) if args.compare else None
+    other = None
+    if args.compare:
+        other = (_builtin_type(args.compare, args.lam)
+                 if args.compare.startswith("builtin:")
+                 else tensor_type(_load_tensor(args.compare, args.lam)))
     ty = tensor_type(args.tensor)
     print(format_type(ty))
     if other is None:
         return 0
-    match = ty == tensor_type(other)
+    match = ty == other
     print("TYPE MATCH" if match else "TYPE MISMATCH")
     return 0 if match else 1
 

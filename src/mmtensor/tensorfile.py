@@ -25,6 +25,7 @@ term of three matrices (group files list the identity first).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .isotropy import Isotropy, IsotropyGroup
@@ -36,6 +37,9 @@ class TensorFileError(ValueError):
     pass
 
 
+_COUNT = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_rational(tok: str, lineno: int) -> Fraction:
     try:
         return parse_rational(tok)
@@ -44,14 +48,17 @@ def _parse_rational(tok: str, lineno: int) -> Fraction:
 
 
 def _parse_count(lineno: int, line: str, key: str, minimum: int) -> int:
-    """The N of a 'key N' line, an integer >= minimum."""
+    """The N of a 'key N' line, an ASCII integer >= minimum."""
     parts = line.split()
     if parts[0] != key:
         raise TensorFileError(f"line {lineno}: expected '{key} N'")
+    malformed = TensorFileError(f"line {lineno}: malformed count in {line!r}")
+    if len(parts) != 2 or not _COUNT.fullmatch(parts[1]):
+        raise malformed
     try:
-        (value,) = map(int, parts[1:])
-    except ValueError:
-        raise TensorFileError(f"line {lineno}: malformed count in {line!r}")
+        value = int(parts[1])
+    except ValueError:  # more digits than int() converts
+        raise malformed from None
     if value < minimum:
         raise TensorFileError(
             f"line {lineno}: '{key}' must be at least {minimum}, got {value}")

@@ -1,6 +1,6 @@
 """Parse and print trilinear-form text like "(a11 + a12)*b22*c21 + ...".
 
-Grammar (whitespace insignificant, indices 1..9):
+Grammar (whitespace insignificant; digits are ASCII, an index one digit 1-9):
 
     expr    := ['-'] product (('+'|'-') product)*
     product := factor '*' factor '*' factor
@@ -22,6 +22,7 @@ forms come from format_sum, which codegen uses for its lines as well.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .matrix import Matrix, as_fraction
@@ -34,159 +35,140 @@ class TrilinearSyntaxError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise TrilinearSyntaxError(f"expected '{ch}'", self.pos)
-
-    def at_end(self) -> bool:
-        return self.peek() == ""
+# Token kinds: an atom, an ASCII integer, or any other non-space character.
+_TOKEN = re.compile(r"(?P<atom>[abc][0-9][0-9])|(?P<int>[0-9]+)|\S")
 
 
 class _Parser:
-    """Parses into symbolic products; matrices are built once dim is known."""
+    """Recursive descent over the token list, in one pass.
+
+    A product becomes a dict letter -> [(i, j, value)], and dim is the
+    largest index seen, so matrices are built once the text is read.
+    """
 
     def __init__(self, text: str, lam: Fraction):
-        self.s = _Scanner(text)
+        self.tokens = [(m.lastgroup, m.group(), m.start())
+                       for m in _TOKEN.finditer(text)]
+        self.tokens.append(("end", "", len(text)))
+        self.k = 0
         self.lam = lam
-        self.lam_used = False
+        self.dim = 1
 
-    def parse(self) -> list[dict]:
-        s = self.s
-        if s.peek() == "0":
-            s.take("0")
-            if not s.at_end():
-                raise TrilinearSyntaxError("junk after '0'", s.pos)
+    def error(self, message: str, k=None):
+        """A syntax error at the start of token k, by default the next."""
+        pos = self.tokens[self.k if k is None else k][2]
+        return TrilinearSyntaxError(message, pos)
+
+    def take(self, text: str) -> bool:
+        if self.tokens[self.k][1] == text:
+            self.k += 1
+            return True
+        return False
+
+    def expect(self, text: str):
+        if not self.take(text):
+            raise self.error(f"expected '{text}'")
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.k][0] == kind
+
+    def expr(self) -> list[dict]:
+        if self.take("0"):
+            if not self.at("end"):
+                raise self.error("junk after '0'")
             return []
         products = []
-        sign = -1 if s.take("-") else 1
-        if sign == 1:
-            s.take("+")
-        products.append(self.product(sign))
-        while not s.at_end():
-            if s.take("+"):
-                sign = 1
-            elif s.take("-"):
+        while True:
+            if self.take("-"):
                 sign = -1
+            elif self.take("+") or not products:
+                sign = 1
             else:
-                raise TrilinearSyntaxError("expected '+' or '-'", s.pos)
+                raise self.error("expected '+' or '-'")
             products.append(self.product(sign))
-        return products
+            if self.at("end"):
+                return products
 
     def product(self, sign: int) -> dict:
-        forms = [self.factor()]
-        self.s.expect("*")
-        forms.append(self.factor())
-        self.s.expect("*")
-        forms.append(self.factor())
-        by_letter = {}
-        for letter, entries in forms:
-            if letter in by_letter:
-                raise TrilinearSyntaxError(
-                    f"product has two '{letter}' linear forms", self.s.pos)
-            by_letter[letter] = entries
-        if set(by_letter) != {"a", "b", "c"}:
-            missing = sorted({"a", "b", "c"} - set(by_letter))
-            raise TrilinearSyntaxError(
-                f"product lacks {'/'.join(missing)} linear form", self.s.pos)
+        """Three factors, one per letter; sign goes on the first written."""
+        forms = {}
+        for n in range(3):
+            if n:
+                self.expect("*")
+            start = self.k
+            letter, entries = self.factor()
+            if letter in forms:
+                raise self.error(f"product has two '{letter}' linear forms",
+                                 start)
+            forms[letter] = entries
         if sign == -1:
-            first = forms[0][0]
-            by_letter[first] = [(i, j, -v) for i, j, v in by_letter[first]]
-        return by_letter
+            first = next(iter(forms))
+            forms[first] = [(i, j, -v) for i, j, v in forms[first]]
+        return forms
 
     def factor(self):
-        s = self.s
-        if s.take("("):
-            letter, entries = self.linform()
-            s.expect(")")
-            return letter, entries
+        if self.take("("):
+            form = self.linform()
+            self.expect(")")
+            return form
         letter, i, j = self.atom()
         return letter, [(i, j, Fraction(1))]
 
     def linform(self):
-        s = self.s
-        letter = None
-        entries = []
-        sign = -1 if s.take("-") else 1
+        letter, entries = None, []
+        sign = -1 if self.take("-") else 1
         while True:
-            lt, i, j, coeff = self.lterm()
-            if letter is None:
-                letter = lt
-            elif lt != letter:
-                raise TrilinearSyntaxError(
-                    f"mixed letters '{letter}' and '{lt}' in one linear form",
-                    s.pos)
+            coeff = Fraction(1)
+            if not self.at("atom"):
+                coeff = self.coeff()
+                self.expect("*")
+            lt, i, j = self.atom()
+            if letter not in (None, lt):
+                raise self.error(f"mixed letters '{letter}' and '{lt}' in "
+                                 "one linear form", self.k - 1)
+            letter = lt
             entries.append((i, j, sign * coeff))
-            if s.take("+"):
+            if self.take("+"):
                 sign = 1
-            elif s.take("-"):
+            elif self.take("-"):
                 sign = -1
             else:
                 return letter, entries
 
-    def lterm(self):
-        coeff = Fraction(1)
-        if self.s.peek() not in "abc":
-            coeff = self.coeff()
-            self.s.expect("*")
-        letter, i, j = self.atom()
-        return letter, i, j, coeff
-
     def atom(self):
-        s = self.s
-        ch = s.peek()
-        if ch not in "abc":
-            raise TrilinearSyntaxError("expected an atom like a11", s.pos)
-        s.pos += 1
-        digits = s.text[s.pos:s.pos + 2]
-        if len(digits) != 2 or not digits.isdigit():
-            raise TrilinearSyntaxError("atom needs two index digits", s.pos)
-        s.pos += 2
-        i, j = int(digits[0]), int(digits[1])
-        if i == 0 or j == 0:
-            raise TrilinearSyntaxError("indices are 1-based; 0 not allowed",
-                                       s.pos)
-        return ch, i, j
+        kind, text, _ = self.tokens[self.k]
+        if kind != "atom":
+            raise self.error("expected an atom like a11")
+        i, j = int(text[1]), int(text[2])
+        if not (i and j):
+            raise self.error("indices are 1-based; 0 not allowed")
+        self.k += 1
+        self.dim = max(self.dim, i, j)
+        return text[0], i, j
 
     def number(self) -> Fraction:
-        s = self.s
-        if s.take("L"):
-            self.lam_used = True
+        if self.take("L"):
+            if not self.lam:
+                raise ValueError(
+                    "text uses the L parameter; lam must be nonzero")
             return self.lam
-        s.skip_ws()
-        start = s.pos
-        while s.pos < len(s.text) and s.text[s.pos].isdigit():
-            s.pos += 1
-        if s.pos == start:
-            raise TrilinearSyntaxError("expected a number or L", s.pos)
-        return Fraction(int(s.text[start:s.pos]))
+        if not self.at("int"):
+            raise self.error("expected a number or L")
+        try:
+            value = int(self.tokens[self.k][1])
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long") from None
+        self.k += 1
+        return Fraction(value)
 
     def coeff(self) -> Fraction:
         num = self.number()
-        if self.s.take("/"):
-            den = self.number()
-            if den == 0:
-                raise TrilinearSyntaxError("zero denominator", self.s.pos)
-            return num / den
-        return num
+        if not self.take("/"):
+            return num
+        den = self.number()
+        if not den:
+            raise self.error("zero denominator", self.k - 1)
+        return num / den
 
 
 def parse_trilinear(text: str, lam=1) -> Tensor:
@@ -196,16 +178,9 @@ def parse_trilinear(text: str, lam=1) -> Tensor:
     whose last rows and columns are unused reads back at a smaller n.  lam
     instantiates the L symbol and must be nonzero when L occurs.
     """
-    lam = as_fraction(lam)
-    parser = _Parser(text, lam)
-    products = parser.parse()
-    if parser.lam_used and lam == 0:
-        raise ValueError("text uses the L parameter; lam must be nonzero")
-    dim = 1
-    for prod in products:
-        for entries in prod.values():
-            for i, j, _ in entries:
-                dim = max(dim, i, j)
+    parser = _Parser(text, as_fraction(lam))
+    products = parser.expr()
+    dim = parser.dim
     terms = []
     for prod in products:
         mats = {}

@@ -49,6 +49,25 @@ def test_type_compare(tmp_path, capsys):
     assert code == 1 and "TYPE MISMATCH" in out
 
 
+def test_type_compare_builtin_is_cached(monkeypatch, capsys):
+    """The type of a builtin --compare tensor is computed once per
+    (spec, lambda), and the output does not change."""
+    import mmtensor.cli as cli
+    lad, seen = mm.laderman(), []
+
+    def counting(t):
+        seen.append(t == lad)
+        return mm.tensor_type(t)
+
+    monkeypatch.setattr(cli, "tensor_type", counting)
+    cli._builtin_type.cache_clear()
+    argv = ["type", "--tensor", "builtin:laderman-variant",
+            "--compare", "builtin:laderman"]
+    first, second = invoke(capsys, *argv), invoke(capsys, *argv)
+    assert first == second and first[1].endswith("TYPE MATCH\n")
+    assert seen.count(True) == 1
+
+
 def test_show_and_project(tmp_path, capsys):
     code, out, _ = invoke(capsys, "show", "--tensor", "builtin:classical-1")
     assert code == 0 and out.startswith("dim 1")

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import TrilinearSyntaxError, parse_trilinear, print_trilinear
+from mmtensor import (Matrix, RankOneTerm, Tensor, TrilinearSyntaxError,
+                      parse_trilinear, print_trilinear)
 
 from conftest import canonical_terms
 
@@ -69,6 +71,31 @@ def test_parse_errors():
             parse_trilinear(text)
 
 
+@pytest.mark.parametrize("text", [
+    "a\u0661\u0661*b11*c11",          # Arabic-Indic digits
+    "a1\u00b2*b11*c11",               # superscript two
+    "(\u0661*a11)*b11*c11",            # Arabic-Indic coefficient
+    "(" + "7" * 5000 + "*a11)*b11*c11",  # more digits than int() converts
+], ids=["arabic-indic-index", "superscript-index", "arabic-indic-coefficient",
+        "5000-digit-coefficient"])
+def test_only_ascii_numbers(text):
+    """Indices and coefficients are ASCII digits; anything else is a
+    syntax error, never a silent reading or a bare ValueError."""
+    with pytest.raises(TrilinearSyntaxError):
+        parse_trilinear(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("abcL0123456789+-*/() \n\u0661\u00b2\uff10x"),
+               max_size=40))
+def test_parse_closed_error_surface(text):
+    """Any text gives a tensor or a TrilinearSyntaxError, nothing else."""
+    try:
+        assert isinstance(parse_trilinear(text), Tensor)
+    except TrilinearSyntaxError:
+        pass
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(TrilinearSyntaxError) as err:
         parse_trilinear("a11*b11*x11")
@@ -91,6 +118,35 @@ def test_print_roundtrip_fractional_coefficients():
     back = parse_trilinear(print_trilinear(t))
     assert canonical_terms(back) == canonical_terms(t)
     assert mm.form_equal(back, t)
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_tensors(draw):
+    n = draw(st.integers(1, 3))
+    mat = st.lists(st.lists(small_fraction, min_size=n, max_size=n),
+                   min_size=n, max_size=n).map(Matrix)
+    terms = draw(st.lists(st.tuples(mat, mat, mat), max_size=4))
+    return Tensor(n, [RankOneTerm(*ms) for ms in terms])
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_tensors())
+def test_print_parse_roundtrip(t):
+    """Parsing the printed text gives back the nonzero terms, entry for
+    entry; the dimension is the largest index they use."""
+    back = parse_trilinear(print_trilinear(t))
+
+    def entries(terms):
+        return [[list(m.entries()) for m in (tm.a, tm.b, tm.c)]
+                for tm in terms]
+
+    assert entries(back.terms) == entries(t.nonzero_terms())
+    used = [max(i, j) for row in entries(back.terms) for form in row
+            for i, j, _ in form]
+    assert back.dim == max(used, default=1) <= t.dim
 
 
 def test_print_spacing_and_bare_factors():
