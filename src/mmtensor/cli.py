@@ -101,7 +101,7 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)  # repeated runs compare against one builtin spec
 def _builtin_type(spec: str, lam: Fraction):
     """tensor_type of a builtin spec; files are read afresh on every call."""
     return tensor_type(_load_tensor(spec, lam))

@@ -37,7 +37,9 @@ class TensorFileError(ValueError):
     pass
 
 
-_COUNT = re.compile(r"[+-]?[0-9]+")
+# An ASCII integer of at most 640 digits, which int() converts under any
+# digit limit.
+_COUNT = re.compile(r"[+-]?[0-9]{1,640}")
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
@@ -52,13 +54,13 @@ def _parse_count(lineno: int, line: str, key: str, minimum: int) -> int:
     parts = line.split()
     if parts[0] != key:
         raise TensorFileError(f"line {lineno}: expected '{key} N'")
-    malformed = TensorFileError(f"line {lineno}: malformed count in {line!r}")
-    if len(parts) != 2 or not _COUNT.fullmatch(parts[1]):
-        raise malformed
     try:
-        value = int(parts[1])
-    except ValueError:  # more digits than int() converts
-        raise malformed from None
+        (tok,) = parts[1:]
+        if not _COUNT.fullmatch(tok):
+            raise ValueError(tok)
+        value = int(tok)
+    except ValueError:
+        raise TensorFileError(f"line {lineno}: malformed count in {line!r}")
     if value < minimum:
         raise TensorFileError(
             f"line {lineno}: '{key}' must be at least {minimum}, got {value}")

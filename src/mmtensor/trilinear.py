@@ -37,6 +37,9 @@ class TrilinearSyntaxError(ValueError):
 
 # Token kinds: an atom, an ASCII integer, or any other non-space character.
 _TOKEN = re.compile(r"(?P<atom>[abc][0-9][0-9])|(?P<int>[0-9]+)|\S")
+# Longer integers are refused before int(), so the error does not depend
+# on the interpreter's digit limit, which never applies at 640 or fewer.
+_MAX_DIGITS = 640
 
 
 class _Parser:
@@ -152,14 +155,13 @@ class _Parser:
                 raise ValueError(
                     "text uses the L parameter; lam must be nonzero")
             return self.lam
-        if not self.at("int"):
+        kind, text, _ = self.tokens[self.k]
+        if kind != "int":
             raise self.error("expected a number or L")
-        try:
-            value = int(self.tokens[self.k][1])
-        except ValueError:  # more digits than int() converts
-            raise self.error("number too long") from None
+        if len(text) > _MAX_DIGITS:
+            raise self.error(f"number longer than {_MAX_DIGITS} digits")
         self.k += 1
-        return Fraction(value)
+        return Fraction(int(text))
 
     def coeff(self) -> Fraction:
         num = self.number()

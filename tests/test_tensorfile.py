@@ -82,9 +82,10 @@ def test_only_integers_and_p_over_q(token):
     ("dim \u0662\nterms 0\n", "line 1: malformed count"),
     ("dim 1_0\nterms 0\n", "line 1: malformed count"),
     ("dim 2\nterms \uff10\n", "line 2: malformed count"),
+    ("dim 2\nterms " + "1" * 641 + "\n", "line 2: malformed count"),
 ], ids=["non-integer-dim", "non-positive-dim", "non-integer-terms",
         "negative-terms", "arabic-indic-dim", "underscore-dim",
-        "fullwidth-terms"])
+        "fullwidth-terms", "641-digit-terms"])
 def test_malformed_counts(text, message):
     with pytest.raises(TensorFileError, match=message):
         read_tensor_file(text)

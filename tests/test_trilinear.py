@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,27 @@ def test_only_ascii_numbers(text):
     syntax error, never a silent reading or a bare ValueError."""
     with pytest.raises(TrilinearSyntaxError):
         parse_trilinear(text)
+
+
+def test_number_length_bound_ignores_int_digit_limit():
+    """Numbers of up to 640 digits parse and longer ones are syntax errors,
+    with int()'s digit limit switched off as well as on."""
+    def coeff(digits):
+        text = f"({'7' * digits}*a11)*b11*c11"
+        return parse_trilinear(text).terms[0].a[1, 1]
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        for off in (False, True):
+            if off and limit is not None:
+                sys.set_int_max_str_digits(0)
+            assert coeff(640) == int("7" * 640)
+            for digits in (641, 5000):
+                with pytest.raises(TrilinearSyntaxError, match="longer than"):
+                    coeff(digits)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=300, deadline=None)
