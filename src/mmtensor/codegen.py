@@ -2,7 +2,10 @@
 
 A Schedule holds a verified multiplication tensor's nonzero terms and
 nothing else: product p is read off term p's a and b factors, and the
-outputs off the c factors.  Execution lowers those factors' int rows once.
+outputs off the c factors.  Execution compiles each verified base tensor
+once, from those factors' int rows, into a generated Python function for
+one recursion level, and runs it on flat int lists in block-recursive
+order, with a generated schoolbook kernel at the leaves.
 
 Convention note: with the trace pairing used throughout, the (1,2)
 contraction of a multiplication tensor yields the transposed product, i.e.
@@ -15,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache, partial
 from math import lcm
-from operator import add, mul, sub
 
 from .matrix import Matrix
 from .tensor import RankOneTerm, Tensor, is_matmul_tensor
@@ -69,7 +71,7 @@ class Schedule:
         if not (a.rows == a.cols == b.rows == b.cols == n):
             raise ValueError("evaluate expects square matrices of the "
                              "schedule dimension")
-        return _run(self, a, b, padded=n, levels=1)[0]
+        return recursive_multiply(Tensor(n, self.terms), a, b).product
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,11 @@ class MultiplyResult:
     scalar_multiplications: int
 
 
-# Execution runs on plain lists of int rows.  A schedule is lowered once to
-# integer coefficients on flat block indices k = (i-1)*n + (j-1); the inputs
-# enter as their int rows; the product is divided out once at the end.
+# Execution runs on flat lists of ints in block-recursive order, where every
+# block at every level is one contiguous slice.  Each base tensor is verified,
+# lowered and compiled once; the product is divided out once at the end.
+# The benchmark's multiply workload uses 3 bases, 2 leaf sizes and 2
+# layouts, so each cache below holds 4 entries.
 
 def _lower(s: Schedule):
     """Integer program for s: (a_prog, b_prog, c_prog, scale).
@@ -173,65 +177,75 @@ def _lower(s: Schedule):
     return a_prog, b_prog, c_prog, scale
 
 
-def _blocks(x, bs: int):
-    """The bs x bs blocks of the row list x, by flat block index."""
-    starts = range(0, len(x), bs)
-    return [[row[j:j + bs] for row in x[i:i + bs]]
-            for i in starts for j in starts]
+def _form(terms, blocks: str, var: str) -> str:
+    """Source of the list sum c*blocks[k] over (k, c) in terms, built in one
+    comprehension; a lone unit term is the block itself."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return f"{blocks}[{terms[0][0]}]"
+    names = [f"{var}{k}" for k, _ in terms]
+    rhs = format_sum(zip(names, (c for _, c in terms)))
+    if len(terms) == 1:
+        return f"[{rhs} for {names[0]} in {blocks}[{terms[0][0]}]]"
+    return (f"[{rhs} for {', '.join(names)} in "
+            f"zip({', '.join(f'{blocks}[{k}]' for k, _ in terms)})]")
 
 
-def _combo(blocks, terms):
-    """sum of c*blocks[k] over (k, c) in terms; builds new rows only."""
-    (k, c), *rest = terms
-    acc = blocks[k]
-    if c == -1:
-        acc = [[-v for v in row] for row in acc]
-    elif c != 1:
-        acc = [[c * v for v in row] for row in acc]
-    for k, c in rest:
-        if c == 1:
-            acc = [list(map(add, r, s)) for r, s in zip(acc, blocks[k])]
-        elif c == -1:
-            acc = [list(map(sub, r, s)) for r, s in zip(acc, blocks[k])]
-        else:
-            acc = [[u + c * v for u, v in zip(r, s)]
-                   for r, s in zip(acc, blocks[k])]
-    return acc
+@lru_cache(maxsize=4)
+def _compile(t: Tensor):
+    """(n, products, level, scale) for t's verified schedule.
 
-
-def _run(s: Schedule, a: Matrix, b: Matrix, padded: int, levels: int):
-    """A.B through `levels` recursion levels of s, leaves by schoolbook.
-
-    a and b are zero-padded to padded x padded, where padded is
-    s.dim**levels times the leaf size.
-    Returns (product, scalar multiplications done at the leaves).
+    level(X, Y, q, rec) is one recursion level: X and Y hold n*n blocks of
+    q entries each, rec multiplies two blocks, and the result is the n*n
+    output blocks, scale times A.B.  Raises ValueError when t is not a
+    multiplication tensor (lru_cache keeps no result for that).
     """
-    n = s.dim
+    s = extract_schedule(t)
     a_prog, b_prog, c_prog, scale = _lower(s)
-    count = 0
+    products = ",\n         ".join(
+        f"rec({_form(af, 'X', 'x')}, {_form(bf, 'Y', 'y')})"
+        for af, bf in zip(a_prog, b_prog))
+    outputs = ",\n            ".join(f"*{_form(cf, 'P', 'p')}"
+                                      for cf in c_prog)
+    env = {}
+    exec("def level(X, Y, q, rec):\n"
+         "    X = [X[i:i + q] for i in range(0, len(X), q)]\n"
+         "    Y = [Y[i:i + q] for i in range(0, len(Y), q)]\n"
+         f"    P = [{products}]\n"
+         f"    return [{outputs}]\n", env)
+    return s.dim, s.num_products, env["level"], scale
 
-    def step(x, y, depth):
-        nonlocal count
-        if not depth:
-            count += len(x) ** 3
-            cols = list(zip(*y))
-            return [[sum(map(mul, row, col)) for col in cols] for row in x]
-        bs = len(x) // n
-        xb, yb = _blocks(x, bs), _blocks(y, bs)
-        prods = [step(_combo(xb, af), _combo(yb, bf), depth - 1)
-                 for af, bf in zip(a_prog, b_prog)]
-        out = [_combo(prods, cf) if cf else [[0] * bs for _ in range(bs)]
-               for cf in c_prog]
-        return [list(chain.from_iterable(rows))
-                for i in range(0, n * n, n) for rows in zip(*out[i:i + n])]
 
-    def pad(m: Matrix):
-        return ([list(row) + [0] * (padded - m.cols) for row in m.num]
-                + [[0] * padded for _ in range(padded - m.rows)])
+@lru_cache(maxsize=4)
+def _leaf(m: int):
+    """Schoolbook product of two m x m row-major int lists.
 
-    prod = step(pad(a), pad(b), levels)
-    return Matrix.from_ints(a.den * b.den * scale ** levels,
-                            [row[:a.rows] for row in prod[:a.rows]]), count
+    The inner product over k is unrolled, so the source grows as m, not
+    m**3: row (x0..) of x meets column (y0..) of y as x0*y0 + x1*y1 + ...
+    """
+    xs = ", ".join(f"x{k}" for k in range(m)) + ","
+    ys = xs.replace("x", "y")
+    body = " + ".join(f"x{k}*y{k}" for k in range(m))
+    env = {}
+    exec("def leaf(x, y):\n"
+         f"    cols = list(zip(*[y[i:i + {m}] "
+         f"for i in range(0, {m * m}, {m})]))\n"
+         f"    return [{body} for {xs} in zip(*[iter(x)] * {m})\n"
+         f"            for {ys} in cols]\n", env)
+    return env["leaf"]
+
+
+@lru_cache(maxsize=4)
+def _order(padded: int, n: int, levels: int) -> tuple[int, ...]:
+    """Row-major indices of a padded x padded matrix in block-recursive
+    order: its n*n blocks in row-major order, each in this order itself,
+    down to row-major leaves of side padded // n**levels."""
+    m = padded // n ** levels
+    order = [i * padded + j for i in range(m) for j in range(m)]
+    for _ in range(levels):
+        order = [(bi * padded + bj) * m + k for bi in range(n)
+                 for bj in range(n) for k in order]
+        m *= n
+    return tuple(order)
 
 
 def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
@@ -248,7 +262,7 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
                          "equal size")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    n = t.dim
+    n, products, level, scale = _compile(t)
     padded, levels = a.rows, 0
     if n > 1:
         padded = 1
@@ -258,5 +272,21 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
     while n > 1 and m > threshold:
         m //= n
         levels += 1
-    prod, count = _run(extract_schedule(t), a, b, padded, levels)
-    return MultiplyResult(product=prod, scalar_multiplications=count)
+    run = _leaf(m)
+    for d in range(levels):
+        run = partial(level, q=(m * n ** d) ** 2, rec=run)
+    order = _order(padded, n, levels)
+
+    def blocked(x: Matrix):
+        flat = [0] * padded ** 2
+        for i, row in enumerate(x.num):
+            flat[i * padded:i * padded + x.cols] = row
+        return [flat[k] for k in order]
+
+    flat = [0] * padded ** 2
+    for k, v in zip(order, run(blocked(a), blocked(b))):
+        flat[k] = v
+    rows = [flat[i:i + a.cols] for i in range(0, a.rows * padded, padded)]
+    return MultiplyResult(
+        product=Matrix.from_ints(a.den * b.den * scale ** levels, rows),
+        scalar_multiplications=products ** levels * m ** 3)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .constructions import MAX_CLASSICAL_SIZE
 from .isotropy import Isotropy, IsotropyGroup
 from .matrix import Matrix, parse_rational
 from .tensor import RankOneTerm, Tensor
@@ -49,8 +50,9 @@ def _parse_rational(tok: str, lineno: int) -> Fraction:
         raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
 
 
-def _parse_count(lineno: int, line: str, key: str, minimum: int) -> int:
-    """The N of a 'key N' line, an ASCII integer >= minimum."""
+def _parse_count(lineno: int, line: str, key: str, minimum: int,
+                 maximum: int | None = None) -> int:
+    """The N of a 'key N' line, an ASCII integer in minimum..maximum."""
     parts = line.split()
     if parts[0] != key:
         raise TensorFileError(f"line {lineno}: expected '{key} N'")
@@ -64,6 +66,9 @@ def _parse_count(lineno: int, line: str, key: str, minimum: int) -> int:
     if value < minimum:
         raise TensorFileError(
             f"line {lineno}: '{key}' must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise TensorFileError(
+            f"line {lineno}: '{key}' must be at most {maximum}, got {value}")
     return value
 
 
@@ -101,7 +106,10 @@ def read_tensor_file(text: str) -> Tensor:
         pos += 1
         return lineno, line
 
-    dim = _parse_count(*next_line(), "dim", minimum=1)
+    # Verification builds n**3 coefficients, so dim is bounded like
+    # builtin:classical-N.
+    dim = _parse_count(*next_line(), "dim", minimum=1,
+                       maximum=MAX_CLASSICAL_SIZE)
     lineno, line = next_line()
     key, *value = line.split(None, 1)
     if key == "lambda":

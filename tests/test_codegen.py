@@ -247,3 +247,65 @@ def test_recursive_multiply_property(data, n, name, lam, negate, threshold):
     assert res.product == a @ b
     assert all(isinstance(v, Fraction) for row in res.product.row_list()
                for v in row)
+
+
+COMPILED_BASES = [
+    ("strassen", mm.strassen), ("laderman", mm.laderman),
+    ("variant-5/3", lambda: mm.laderman_variant(Fraction(-5, 3))),
+    ("winograd-5/7", lambda: mm.winograd(Fraction(5, 7))),
+    ("classical-1", lambda: mm.classical(1)),
+    ("classical-2", lambda: mm.classical(2)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in COMPILED_BASES],
+                         ids=[name for name, _ in COMPILED_BASES])
+def test_compiled_schedule_sizes_and_thresholds(make):
+    """Every size 1-12 and threshold 1-3: the exact product, and one leaf
+    product of m**3 multiplications per product of every level."""
+    t = make()
+    n, products = t.dim, mm.decomposition_length(t)
+    rng = random.Random(f"compiled:{n}:{products}")
+    for size in range(1, 13):
+        a, b = rand_matrix(rng, size), rand_matrix(rng, size)
+        for threshold in (1, 2, 3):
+            leaf, levels = size, 0
+            if n > 1:
+                leaf = 1
+                while leaf < size:
+                    leaf *= n
+                while leaf > threshold:
+                    leaf //= n
+                    levels += 1
+            res = mm.recursive_multiply(t, a, b, threshold=threshold)
+            assert res.product == a @ b
+            assert res.scalar_multiplications == products ** levels * leaf ** 3
+
+
+def test_equal_tensors_share_one_compiled_program(rng):
+    from mmtensor.codegen import _compile
+    t1, t2 = mm.laderman_variant(Fraction(3, 4)), mm.laderman_variant(
+        Fraction(3, 4))
+    assert t1 is not t2 and t1 == t2
+    assert _compile(t1) is _compile(t2)
+    a, b = rand_matrix(rng, 9), rand_matrix(rng, 9)
+    r1, r2 = (mm.recursive_multiply(t, a, b) for t in (t1, t2))
+    assert r1 == r2 and r1.product == a @ b
+
+
+def test_non_multiplication_tensor_refused_on_every_call():
+    eye = Matrix.identity(2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not a multiplication tensor"):
+            mm.recursive_multiply(mm.lifted_winograd(), eye, eye)
+
+
+def test_classical_1_leaf_is_the_whole_operand(rng):
+    """With a dim-1 base the leaf kernel is the whole 64 x 64 product; its
+    source grows with the leaf side, not its cube."""
+    a = Matrix([[rng.randint(-99, 99) for _ in range(64)] for _ in range(64)])
+    b = Matrix([[Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                 for _ in range(64)] for _ in range(64)])
+    res = mm.recursive_multiply(mm.classical(1), a, b)
+    assert res.product == a @ b
+    assert res.scalar_multiplications == 64 ** 3

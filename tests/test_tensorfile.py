@@ -5,6 +5,7 @@ import pytest
 import mmtensor as mm
 from mmtensor import (TensorFileError, read_group_file, read_isotropy_file,
                       read_tensor_file, write_group_file, write_tensor_file)
+from mmtensor.cli import run
 
 
 def test_write_read_roundtrip_builtins():
@@ -89,6 +90,21 @@ def test_only_integers_and_p_over_q(token):
 def test_malformed_counts(text, message):
     with pytest.raises(TensorFileError, match=message):
         read_tensor_file(text)
+
+
+def test_dim_bounded_like_classical(tmp_path, capsys):
+    """Verification builds dim**3 coefficients, so a two-line file with a
+    huge dim once made `verify` run for minutes; dim stops at 16."""
+    assert read_tensor_file("dim 16\nterms 0\n") == mm.Tensor(16)
+    for n in (17, 3000):
+        with pytest.raises(TensorFileError,
+                           match=f"line 1: 'dim' must be at most 16, got {n}"):
+            read_tensor_file(f"dim {n}\nterms 0\n")
+    path = tmp_path / "huge.tensor"
+    path.write_text("dim 3000\nterms 0\n")
+    assert run(["verify", "--tensor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'dim' must be at most 16" in err
 
 
 def test_group_file_roundtrip():
