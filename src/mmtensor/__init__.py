@@ -14,8 +14,8 @@ from .tensor import (RankOneTerm, Tensor, add_forms, combine,
                      scale_form, tensor_type, format_type, term,
                      to_coefficient_form)
 from .transforms import (matrix_lift, matrix_project, matrix_zero,
-                         tensor_lift, tensor_project, tensor_zero,
-                         zeroing_family_sum)
+                         projection_census, tensor_lift, tensor_project,
+                         tensor_zero, zeroing_family_sum)
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
                        SignedPerm, act, compose, inverse, is_form_stabilized,
                        is_term_stabilizer, monomial_orbit, monomial_partition,

@@ -25,7 +25,8 @@ from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
 from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
                          write_tensor_file)
-from .transforms import tensor_lift, tensor_project, tensor_zero
+from .transforms import (projection_census, tensor_lift, tensor_project,
+                         tensor_zero)
 
 
 # Largest --size that mul accepts: 3**5, five levels of a 3x3 base.
@@ -212,19 +213,11 @@ def _cmd_stabilizer_search(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    t = args.tensor
-    if t.dim < 2:
-        raise CliError("census needs dimension >= 2")
-    n = t.dim
     all_ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                p = merge_shared_factors(tensor_project(t, (i, j, k)))
-                ok = is_matmul_tensor(p)
-                all_ok = all_ok and ok
-                print(f"({i},{j},{k}) terms {decomposition_length(p)} "
-                      f"{'VERIFIED' if ok else 'FAILED'}")
+    for (i, j, k), p, ok in projection_census(args.tensor):
+        all_ok = all_ok and ok
+        print(f"({i},{j},{k}) terms {decomposition_length(p)} "
+              f"{'VERIFIED' if ok else 'FAILED'}")
     return 0 if all_ok else 1
 
 

@@ -90,9 +90,10 @@ class Matrix:
             den //= g
             num = [[v // g for v in row] for row in num]
         m = object.__new__(Matrix)
-        for name, value in zip(Matrix.__slots__, (
-                len(num), len(num[0]), den, tuple(map(tuple, num)))):
-            object.__setattr__(m, name, value)
+        _set_rows(m, len(num))
+        _set_cols(m, len(num[0]))
+        _set_den(m, den)
+        _set_num(m, tuple(map(tuple, num)))
         return m
 
     def __setattr__(self, name, value):
@@ -228,23 +229,20 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def int_entries(m: Matrix) -> tuple[int, list]:
-    """(m.den, [((i, j), v) for the nonzero entries v of m.num])."""
-    return m.den, [((i, j), v) for i, row in enumerate(m.num, start=1)
-                   for j, v in enumerate(row, start=1) if v]
+_set_rows, _set_cols, _set_den, _set_num = (  # past Matrix.__setattr__
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 def projective_key(m: Matrix) -> tuple[Fraction, tuple]:
     """Split m into (lead, key): lead is its first nonzero entry in row-major
-    order (0 for a zero matrix), key its shape and the int_entries of the
-    primitive integer multiple of m with a positive lead.  Two nonzero
+    order (0 for a zero matrix), key its shape and the flattened int rows of
+    the primitive integer multiple of m with a positive lead.  Two nonzero
     matrices are proportional iff their keys are equal."""
-    d, ints = int_entries(m)
-    if not ints:
+    flat = tuple(chain.from_iterable(m.num))
+    g = gcd(*flat)
+    if not g:
         return Fraction(0), (m.rows, m.cols)
-    lead = ints[0][1]
-    g = gcd(*(v for _, v in ints))
+    lead = next(filter(None, flat))
     if lead < 0:
         g = -g
-    return Fraction(lead, d), ((m.rows, m.cols),
-                               *((k, v // g) for k, v in ints))
+    return Fraction(lead, m.den), (m.rows, m.cols, *(v // g for v in flat))

@@ -4,8 +4,8 @@ A tensor is an ordered sum of rank-one terms T_a (x) T_b (x) T_c of square
 matrices of a common dimension.  The canonical form is the sparse 6-index
 coefficient table of the associated trilinear form, obtained by pairing each
 factor against unit matrices; two tensors are equal as trilinear forms iff
-their tables are identical.  The table is summed exactly in ints over the
-common denominator of the terms and divided once per entry.
+their tables are identical.  The table and the Brent-equation check read
+one exact integer expansion over the common denominator of the terms.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import lcm
+from operator import countOf
 
-from .matrix import (Matrix, Rational, as_fraction, int_entries,
-                     projective_key)
+from .matrix import Matrix, Rational, as_fraction, projective_key
 
 # Canonical form: {((i,j),(k,l),(m,n)): Fraction}, zero entries absent.
 CoefficientForm = dict[tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
@@ -117,20 +118,21 @@ def map_factors(t: Tensor, op, idx, dim: int) -> Tensor:
 
 # -- operations ----------------------------------------------------------------
 
-def to_coefficient_form(t: Tensor) -> CoefficientForm:
-    """Expand the decomposition into the sparse 6-index coefficient table.
+def _expansion(t: Tensor) -> tuple[int, dict[int, int]]:
+    """(D, sums): the coefficient table of t times D, keyed by flat ints.
 
-    The ints come from the factor fields: a factor is num / den, and
-    int_entries gives its den and nonzero num entries.  Terms with a zero
-    factor are skipped.  A term's integer products are weighted by
-    D // (da db dc), D being the lcm of da db dc over the terms, and
-    summed as ints; every entry is its sum over D.
-    """
+    A factor is num / den, its entry (i, j) at flat index (i-1) n + (j-1);
+    the product of nonzero num entries of a, b, c at fa, fb, fc is keyed
+    fa n^4 + fb n^2 + fc.  Terms with a zero factor are skipped.  A term's
+    products are weighted by D // (da db dc), D the lcm of da db dc over
+    the terms, and summed; sums that cancel stay in as 0."""
+    n2 = t.dim ** 2
     cleared, big_d = [], 1
     for tm in t.terms:
-        (da, a), (db, b), (dc, c) = map(int_entries, (tm.a, tm.b, tm.c))
+        a, b, c = ([(f * w, v) for f, v in enumerate(chain.from_iterable(m.num))
+                    if v] for m, w in ((tm.a, n2 * n2), (tm.b, n2), (tm.c, 1)))
         if a and b and c:
-            d = da * db * dc
+            d = tm.a.den * tm.b.den * tm.c.den
             big_d = lcm(big_d, d)
             cleared.append((d, a, b, c))
     sums = {}
@@ -139,11 +141,22 @@ def to_coefficient_form(t: Tensor) -> CoefficientForm:
         for ka, va in a:
             wa = w * va
             for kb, vb in b:
-                wab = wa * vb
+                kab, wab = ka + kb, wa * vb
                 for kc, vc in c:
-                    key = (ka, kb, kc)
+                    key = kab + kc
                     sums[key] = sums.get(key, 0) + wab * vc
-    return {key: Fraction(v, big_d) for key, v in sums.items() if v}
+    return big_d, sums
+
+
+def to_coefficient_form(t: Tensor) -> CoefficientForm:
+    """Expand the decomposition into the sparse 6-index coefficient table:
+    the integer expansion's flat keys split back into index pairs, and
+    each nonzero sum divided by D."""
+    n2 = t.dim ** 2
+    big_d, sums = _expansion(t)
+    pos = list(product(range(1, t.dim + 1), repeat=2))
+    return {(pos[key // n2 // n2], pos[key // n2 % n2], pos[key % n2]):
+            Fraction(v, big_d) for key, v in sums.items() if v}
 
 
 def matmul_form(n: int) -> CoefficientForm:
@@ -156,8 +169,14 @@ def matmul_form(n: int) -> CoefficientForm:
 
 
 def is_matmul_tensor(t: Tensor) -> bool:
-    """True iff the tensor computes n x n matrix multiplication exactly."""
-    return to_coefficient_form(t) == matmul_form(t.dim)
+    """True iff the tensor computes n x n matrix multiplication exactly: the
+    Brent equations on the integer expansion, D on every monomial
+    a_ij b_jk c_ki and 0 elsewhere, with no Fraction and no matmul_form."""
+    n, big_d, sums = t.dim, *_expansion(t)
+    return (len(sums) - countOf(sums.values(), 0) == n ** 3
+            and all(sums.get(((i * n + j) * n * n + j * n + k) * n * n
+                             + k * n + i) == big_d
+                    for i, j, k in product(range(n), repeat=3)))
 
 
 def decomposition_length(t: Tensor) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .constructions import MAX_CLASSICAL_SIZE
 from .isotropy import Isotropy, IsotropyGroup
@@ -43,11 +44,29 @@ class TensorFileError(ValueError):
 _COUNT = re.compile(r"[+-]?[0-9]{1,640}")
 
 
-def _parse_rational(tok: str, lineno: int) -> Fraction:
-    try:
-        return parse_rational(tok)
-    except (ValueError, ZeroDivisionError):
-        raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
+# One matrix row: whitespace-separated ASCII integers p or rationals p/q.
+_ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_ROW = re.compile(rf"{_ENTRY.pattern}(?:\s+{_ENTRY.pattern})*")
+
+
+def _read_row(lineno: int, line: str, dim: int) -> list[tuple[int, int]]:
+    """The (p, q) pairs, q >= 1, of a row of dim entries p or p/q; tokens
+    are matched one by one only to name the first malformed one."""
+    row_ok = _ROW.fullmatch(line)
+    row = []
+    for tok in line.split():
+        p, _, q = tok.partition("/")
+        try:
+            p, q = int(p), int(q or 1)
+        except ValueError:  # not a number, or past int()'s digit limit
+            q = 0
+        if not q or not (row_ok or _ENTRY.fullmatch(tok)):
+            raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
+        row.append((p, q))
+    if len(row) != dim:
+        raise TensorFileError(f"line {lineno}: ragged matrix, expected {dim} "
+                              f"entries, got {len(row)}")
+    return row
 
 
 def _parse_count(lineno: int, line: str, key: str, minimum: int,
@@ -95,16 +114,12 @@ def write_tensor_file(t: Tensor, lam=None) -> str:
 
 def read_tensor_file(text: str) -> Tensor:
     """Parse the tensor file format; exact inverse of write_tensor_file."""
-    lines = list(_logical_lines(text))
-    pos = 0
+    lines = _logical_lines(text)
 
     def next_line():
-        nonlocal pos
-        if pos >= len(lines):
-            raise TensorFileError("unexpected end of file")
-        lineno, line = lines[pos]
-        pos += 1
-        return lineno, line
+        for item in lines:
+            return item
+        raise TensorFileError("unexpected end of file")
 
     # Verification builds n**3 coefficients, so dim is bounded like
     # builtin:classical-N.
@@ -115,7 +130,11 @@ def read_tensor_file(text: str) -> Tensor:
     if key == "lambda":
         if not value:
             raise TensorFileError(f"line {lineno}: 'lambda' needs a value")
-        _parse_rational(value[0], lineno)
+        try:
+            parse_rational(value[0])
+        except (ValueError, ZeroDivisionError):
+            raise TensorFileError(
+                f"line {lineno}: malformed rational {value[0]!r}")
         lineno, line = next_line()
     nterms = _parse_count(lineno, line, "terms", minimum=0)
 
@@ -126,19 +145,12 @@ def read_tensor_file(text: str) -> Tensor:
             raise TensorFileError(f"line {lineno}: expected 'term'")
         mats = []
         for _ in range(3):
-            rows = []
-            for _ in range(dim):
-                lineno, line = next_line()
-                row = [_parse_rational(tok, lineno) for tok in line.split()]
-                if len(row) != dim:
-                    raise TensorFileError(
-                        f"line {lineno}: ragged matrix, expected {dim} "
-                        f"entries, got {len(row)}")
-                rows.append(row)
-            mats.append(Matrix(rows))
+            rows = [_read_row(*next_line(), dim) for _ in range(dim)]
+            den = lcm(*(q for row in rows for _, q in row))
+            mats.append(Matrix.from_ints(den, [[p * (den // q) for p, q in row]
+                                               for row in rows]))
         terms.append(RankOneTerm(*mats))
-    if pos != len(lines):
-        lineno, _ = lines[pos]
+    for lineno, _ in lines:
         raise TensorFileError(f"line {lineno}: trailing content")
     return Tensor(dim, terms)
 

@@ -11,7 +11,7 @@ import warnings
 from itertools import product
 
 from .matrix import Matrix
-from .tensor import Tensor, is_matmul_tensor, map_factors
+from .tensor import RankOneTerm, Tensor, is_matmul_tensor, map_factors
 
 IndexTriple = tuple[int, int, int]
 
@@ -66,6 +66,24 @@ def tensor_project(t: Tensor, idx: IndexTriple) -> Tensor:
         raise ValueError("cannot project a dimension-1 tensor")
     _check_index(t.dim, *idx)
     return map_factors(t, matrix_project, idx, t.dim - 1)
+
+
+def projection_census(t: Tensor):
+    """Yield (idx, p, is_matmul_tensor(p)), p = merge_shared_factors(
+    tensor_project(t, idx)), for idx in {1..n}^3 in lexicographic order.
+    Each factor is projected once per (row, column): projection (i, j, k)
+    takes the a, b and c projections at (i, j), (j, k) and (k, i)."""
+    from .constructions import merge_shared_factors  # imports this module
+    n = t.dim
+    if n < 2:
+        raise ValueError("census needs dimension >= 2")
+    cells = list(product(range(1, n + 1), repeat=2))
+    proj = [[{rc: matrix_project(m, *rc) for rc in cells}
+             for m in (tm.a, tm.b, tm.c)] for tm in t.terms]
+    for i, j, k in product(range(1, n + 1), repeat=3):
+        p = merge_shared_factors(Tensor(n - 1, (
+            RankOneTerm(pa[i, j], pb[j, k], pc[k, i]) for pa, pb, pc in proj)))
+        yield (i, j, k), p, is_matmul_tensor(p)
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:

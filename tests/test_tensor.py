@@ -245,3 +245,49 @@ def test_dense_laderman_image_pinned():
                       *t.terms[1:]])
     assert not mm.is_matmul_tensor(near)
     assert _exact_form(near) != mm.matmul_form(3)
+
+
+def _reference_verdict(t):
+    return mm.to_coefficient_form(t) == mm.matmul_form(t.dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_tensors())
+def test_brent_check_agrees_with_coefficient_form(t):
+    assert mm.is_matmul_tensor(t) == _reference_verdict(t)
+
+
+_MATMUL_TENSORS = (mm.classical(1), mm.classical(2), mm.strassen(),
+                   mm.winograd(Fraction(5, 7)), mm.laderman(),
+                   mm.laderman_variant(Fraction(3, 4)))
+
+
+@st.composite
+def _near_misses(draw):
+    """(tensor, verdict): a multiplication tensor with one entry perturbed
+    or one term dropped (False), or one term split into three copies whose
+    scales of different denominators sum to 1 (True)."""
+    t = draw(st.sampled_from(_MATMUL_TENSORS))
+    terms = list(t.terms)
+    pos = draw(st.integers(0, len(terms) - 1))
+    tm = terms.pop(pos)
+    kind = draw(st.sampled_from(["perturb", "drop", "split"]))
+    if kind == "perturb":
+        factors = [tm.a, tm.b, tm.c]
+        f = draw(st.integers(0, 2))
+        rows = factors[f].row_list()
+        i, j = draw(st.integers(0, t.dim - 1)), draw(st.integers(0, t.dim - 1))
+        rows[i][j] += draw(wide_fraction.filter(bool))
+        factors[f] = Matrix(rows)
+        terms.insert(pos, RankOneTerm(*factors))
+    elif kind == "split":
+        x, y = draw(wide_fraction), draw(wide_fraction)
+        terms[pos:pos] = [tm.scaled(x), tm.scaled(y), tm.scaled(1 - x - y)]
+    return Tensor(t.dim, terms), kind == "split"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_misses())
+def test_brent_check_on_near_misses(case):
+    t, verdict = case
+    assert mm.is_matmul_tensor(t) == _reference_verdict(t) == verdict

@@ -1,6 +1,9 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import (TensorFileError, read_group_file, read_isotropy_file,
@@ -75,6 +78,27 @@ def test_only_integers_and_p_over_q(token):
         read_tensor_file(f"dim 1\nlambda {token}\nterms 0\n")
 
 
+@pytest.mark.parametrize("row, token", [
+    ("1/0 x", "1/0"), ("x 1/0", "x"), ("1 1/0 1", "1/0"),
+    ("1 \u0662", "\u0662"), ("+1/2 1/+2", "1/+2")])
+def test_first_malformed_token_of_a_row_wins(row, token):
+    """A malformed token is reported before a ragged row, and the first
+    malformed token of the row is the one named."""
+    with pytest.raises(TensorFileError,
+                       match=re.escape(f"line 4: malformed rational '{token}'")):
+        read_tensor_file(f"dim 2\nterms 1\nterm\n{row}\n")
+
+
+def test_entry_past_int_digit_limit_is_malformed():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() has no digit limit in this interpreter")
+    token = "9" * (limit + 1)
+    with pytest.raises(TensorFileError,
+                       match=f"line 4: malformed rational '{token}'"):
+        read_tensor_file(f"dim 1\nterms 1\nterm\n{token}\n1\n1\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("dim 2.5\nterms 0\n", "line 1: malformed count"),
     ("dim 0\nterms 0\n", "line 1: 'dim' must be at least 1"),
@@ -105,6 +129,97 @@ def test_dim_bounded_like_classical(tmp_path, capsys):
     assert run(["verify", "--tensor", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'dim' must be at most 16" in err
+
+
+_FRACTION = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def _pq_tensors(draw):
+    n = draw(st.integers(1, 3))
+    mat = st.lists(st.lists(_FRACTION, min_size=n, max_size=n),
+                   min_size=n, max_size=n).map(mm.Matrix)
+    terms = st.builds(mm.RankOneTerm, mat, mat, mat)
+    return mm.Tensor(n, draw(st.lists(terms, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pq_tensors())
+def test_write_read_roundtrip_pq(t):
+    assert read_tensor_file(write_tensor_file(t)) == t
+
+
+# Lines of the format, near misses of them, and other text.
+_LINE = st.one_of(
+    st.sampled_from(["dim 1", "dim 2", "lambda 3/4", "lambda", "terms 0",
+                     "terms 1", "terms 2", "term", "1", "0 1", "1/2 -3",
+                     "2/4 +3", "-0 0/5", "1/0", "1 2 3", "# note"]),
+    st.text(st.sampled_from("0123456789/+- \t#abdeimrstx.\u0662\u00b2"),
+            max_size=12))
+
+
+@st.composite
+def _edited_files(draw):
+    """A written tensor file with up to three lines replaced, inserted or
+    deleted."""
+    lines = write_tensor_file(draw(_pq_tensors()),
+                              draw(st.none() | _FRACTION)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit != "insert":
+            del lines[pos:pos + 1]
+        if edit != "delete":
+            lines.insert(pos, draw(_LINE))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_edited_files(), st.lists(_LINE, max_size=12).map("\n".join),
+                 st.text(max_size=40)))
+def test_read_closed_error_surface(text):
+    """Any text gives a tensor or a TensorFileError, nothing else."""
+    try:
+        assert isinstance(read_tensor_file(text), mm.Tensor)
+    except TensorFileError:
+        pass
+
+
+@st.composite
+def _token(draw):
+    """(text, value): p or p/q in a non-canonical spelling: a '+' sign,
+    '-0', leading zeros, an unreduced or unit denominator."""
+    p, q = draw(st.integers(-99, 99)), draw(st.integers(1, 99))
+    k = draw(st.integers(1, 5))
+    signs = ["-"] if p < 0 else ["", "+", "-"] if p == 0 else ["", "+"]
+    sign = draw(st.sampled_from(signs))
+    zeros = "0" * draw(st.integers(0, 2))
+    text = f"{sign}{zeros}{abs(p) * k}"
+    if q * k != 1 or draw(st.booleans()):
+        text += f"/{q * k}"
+    return text, Fraction(p, q)
+
+
+def test_non_canonical_tokens_read_as_their_values():
+    text = "dim 2\nterms 1\nterm\n2/4 +3\n-0 0/5\n1 0\n0 1\n1 0\n0 1\n"
+    (tm,) = read_tensor_file(text).terms
+    assert tm.a == mm.Matrix([[Fraction(1, 2), 3], [0, 0]])
+    assert tm.a.den == 2 and tm.a.num == ((1, 6), (0, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_token(), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_non_canonical_tokens_read_as_fractions(rows):
+    n = len(rows)
+    body = "\n".join(" ".join(text for text, _ in row) for row in rows)
+    one = "\n".join(" ".join("1" for _ in range(n)) for _ in range(n))
+    (tm,) = read_tensor_file(f"dim {n}\nterms 1\nterm\n{body}\n{one}\n"
+                             f"{one}\n").terms
+    assert tm.a == mm.Matrix([[value for _, value in row] for row in rows])
 
 
 def test_group_file_roundtrip():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import mmtensor as mm
 from mmtensor import Matrix
 
-from conftest import rand_matrix
+from conftest import DENSE_ISOTROPY, rand_matrix
 
 
 def test_matrix_zero():
@@ -93,3 +94,34 @@ def test_contraction_compatibility(rng):
                                   mm.matrix_project(b, j, k),
                                   mm.matrix_project(c, k, i))
         assert lhs == mid == rhs
+
+
+_CENSUS_TENSORS = {
+    "laderman": mm.laderman,
+    "variant-3/4": lambda: mm.laderman_variant(Fraction(3, 4)),
+    "dense": lambda: mm.act(DENSE_ISOTROPY, mm.laderman()),
+    # One term short: the projections that keep that term fail.
+    "laderman-minus-one": lambda: mm.Tensor(3, mm.laderman().terms[1:]),
+}
+
+
+@pytest.mark.parametrize("name", _CENSUS_TENSORS)
+def test_projection_census_matches_reference_loop(name):
+    """The census projects each factor once; term for term it must equal
+    merging each tensor_project, with the verdict of the Fraction table."""
+    t = _CENSUS_TENSORS[name]()
+    census = list(mm.projection_census(t))
+    assert [idx for idx, _, _ in census] == list(product(range(1, 4),
+                                                         repeat=3))
+    for idx, merged, ok in census:
+        ref = mm.merge_shared_factors(mm.tensor_project(t, idx))
+        assert merged.dim == ref.dim == 2
+        assert merged.terms == ref.terms, idx
+        assert ok == (mm.to_coefficient_form(ref) == mm.matmul_form(2))
+    verdicts = [ok for _, _, ok in census]
+    assert all(verdicts) == (name != "laderman-minus-one")
+
+
+def test_projection_census_needs_dimension_two():
+    with pytest.raises(ValueError, match="census needs dimension >= 2"):
+        list(mm.projection_census(mm.classical(1)))
