@@ -1,4 +1,4 @@
-"""Builtin tensors and groups, term merging, and the rank-23 assembly.
+"""Builtin tensors and groups, the correction term and the rank-23 assembly.
 
 The assembly follows the chain: start from Strassen's seven terms, sandwich
 into the Winograd variant, lift it into the lower-right 2x2 block of a 3x3
@@ -9,8 +9,6 @@ multiplication with 23 rank-one terms after merging shared factors.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -19,15 +17,12 @@ from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
                        orbit_sum)
-from .matrix import Matrix, as_fraction, projective_key
-from .tensor import (RankOneTerm, Tensor, combine, monomial_term, scale_form,
+from .matrix import Matrix, as_fraction
+from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
+                     merge_shared_factors, monomial_term, scale_form,
                      to_coefficient_form)
 from .transforms import tensor_lift
 from .trilinear import parse_trilinear
-
-
-# Largest N of builtin:classical-N; its memory grows as N**5.
-MAX_CLASSICAL_SIZE = 16
 
 
 def classical(n: int) -> Tensor:
@@ -95,77 +90,6 @@ def klein_group() -> IsotropyGroup:
     ])
 
 
-# Factor pairs (a,b), (a,c), (b,c), in the order a merge tries them.
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def merge_shared_factors(t: Tensor) -> Tensor:
-    """Greedily merge terms sharing two factors up to scale.
-
-    When u = (alpha v_a) (x) (beta v_b) (x) u_c shares its a and b factors
-    with v (and likewise for the other two factor pairs), the pair collapses
-    to a single rank-one term with the third factors combined linearly.  The
-    coefficient form is unchanged; zero terms (including full cancellations)
-    are dropped.  Runs to a fixed point in deterministic order: each step
-    merges the lexicographically first mergeable pair of positions i < j
-    into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
-
-    Each term is filed under the projective classes of its three factor
-    pairs.  Two terms merge iff they share a class, so the first mergeable
-    pair is the least (first, second) slot pair over all classes.
-    """
-    terms = list(t.nonzero_terms())
-    units = {}  # projective key of a factor -> its number
-    normal = [None] * len(terms)  # per slot: (lead, unit number) per factor
-    classes = defaultdict(list)  # (pair, unit number, unit number) -> slots
-
-    def keys(i):
-        n = normal[i]
-        return [(p, n[x][1], n[y][1]) for p, (x, y) in enumerate(_PAIRS)]
-
-    def file(i):
-        tm = terms[i]
-        normal[i] = [(lead, units.setdefault(key, len(units)))
-                     for lead, key in map(projective_key, (tm.a, tm.b, tm.c))]
-        for key in keys(i):
-            insort(classes[key], i)
-
-    def unfile(i):
-        for key in keys(i):
-            classes[key].remove(i)
-
-    for i in range(len(terms)):
-        file(i)
-    while True:
-        first = min(((s[0], s[1]) for s in classes.values() if len(s) > 1),
-                    default=None)
-        if first is None:
-            break
-        i, j = first
-        new = _merge_pair(terms[i], normal[i], terms[j], normal[j])
-        unfile(i)
-        unfile(j)
-        terms[j] = None
-        if new.is_zero():
-            terms[i] = None
-        else:
-            terms[i] = new
-            file(i)
-    return Tensor(t.dim, [tm for tm in terms if tm is not None])
-
-
-def _merge_pair(u: RankOneTerm, nu, v: RankOneTerm, nv) -> RankOneTerm:
-    """Fold u into v along the first factor pair on which the unit numbers
-    of nu and nv agree; u's scales go into its third factor."""
-    x, y = next((x, y) for x, y in _PAIRS
-                if nu[x][1] == nv[x][1] and nu[y][1] == nv[y][1])
-    z = 3 - x - y
-    scale = nu[x][0] / nv[x][0] * (nu[y][0] / nv[y][0])
-    factors = [v.a, v.b, v.c]
-    factors[z] = (u.a, u.b, u.c)[z].scale(scale) + factors[z]
-    return RankOneTerm(*factors)
-
-
 def klein_orbit_sum_winograd(lam=1) -> Tensor:
     """Klein orbit sum of the lifted Winograd tensor, merged to 19 terms.
 
@@ -203,7 +127,6 @@ class CorrectionResult:
     tensor: Tensor
     corner_coefficient: Fraction
     corner_total_weight: Fraction
-    shape: tuple
 
 
 def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
@@ -255,8 +178,7 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
     tensor = Tensor(n, known_terms + [tm.scaled(c_fix)
                                       for tm in corner_gsum.terms])
     return CorrectionResult(tensor=tensor, corner_coefficient=c_fix,
-                            corner_total_weight=c_fix * corner_form[corner],
-                            shape=tuple(shape))
+                            corner_total_weight=c_fix * corner_form[corner])
 
 
 def cyclic_partition() -> MonomialOrbitPartition:

@@ -19,7 +19,7 @@ factor is refused, when the Isotropy is built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -59,15 +59,20 @@ class SignedPerm:
         return Matrix.from_ints(1, rows)
 
 
+@dataclass(frozen=True, slots=True)
 class Isotropy:
     """A sandwiching triple of invertible n x n matrices: _perms holds its
     SignedPerms, or else _pairs holds (G^-T, G^T) per factor."""
 
-    __slots__ = ("g1", "g2", "g3", "_perms", "_pairs")
+    g1: Matrix
+    g2: Matrix
+    g3: Matrix
+    _perms: tuple | None = field(init=False, compare=False, repr=False)
+    _pairs: tuple | None = field(init=False, compare=False, repr=False)
 
-    def __init__(self, g1: Matrix, g2: Matrix, g3: Matrix):
-        factors = (g1, g2, g3)
-        if any(not g.is_square() or g.rows != g1.rows for g in factors):
+    def __post_init__(self):
+        factors = self.factors()
+        if any(not g.is_square() or g.rows != self.g1.rows for g in factors):
             raise ValueError("isotropy factors must be square, same size")
         perms = tuple(map(SignedPerm.from_matrix, factors))
         pairs = None
@@ -78,11 +83,8 @@ class Isotropy:
                               for g in factors)
             except ValueError:
                 raise ValueError("singular isotropy factor") from None
-        for name, value in zip(self.__slots__, (*factors, perms, pairs)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Isotropy is immutable")
+        object.__setattr__(self, "_perms", perms)
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def dim(self) -> int:
@@ -95,12 +97,6 @@ class Isotropy:
     def identity(n: int) -> "Isotropy":
         e = Matrix.identity(n)
         return Isotropy(e, e, e)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Isotropy) and self.factors() == other.factors()
-
-    def __hash__(self) -> int:
-        return hash(self.factors())
 
     def __repr__(self) -> str:
         return f"Isotropy(dim={self.dim})"

@@ -6,11 +6,13 @@ coefficient table of the associated trilinear form, obtained by pairing each
 factor against unit matrices; two tensors are equal as trilinear forms iff
 their tables are identical.  The table and the Brent-equation check read
 one exact integer expansion over the common denominator of the terms.
+merge_shared_factors collapses terms that share two factors up to scale.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import insort
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -26,6 +28,10 @@ CoefficientForm = dict[tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
 # Type of a decomposition: multiset of per-term factor-rank triples.
 TensorType = Counter
 
+# Largest N of builtin:classical-N and of a tensor file's dim: census makes
+# N**3 projections, and classical-N takes memory growing as N**5.
+MAX_CLASSICAL_SIZE = 16
+
 
 @dataclass(frozen=True)
 class RankOneTerm:
@@ -36,9 +42,8 @@ class RankOneTerm:
     c: Matrix
 
     def __post_init__(self):
-        dims = {m.rows for m in (self.a, self.b, self.c)}
-        dims |= {m.cols for m in (self.a, self.b, self.c)}
-        if len(dims) != 1:
+        a, b, c = self.a, self.b, self.c
+        if not a.rows == a.cols == b.rows == b.cols == c.rows == c.cols:
             raise ValueError("rank-one term factors must be square, same size")
 
     @property
@@ -64,32 +69,23 @@ class RankOneTerm:
                 self.c.scale(la * lb))
 
 
+@dataclass(frozen=True, slots=True)
 class Tensor:
     """Dimension n plus an ordered collection of rank-one terms."""
 
-    __slots__ = ("dim", "terms")
+    dim: int
+    terms: tuple[RankOneTerm, ...] = ()
 
-    def __init__(self, dim: int, terms=()):
-        terms = tuple(terms)
-        if dim < 1:
+    def __post_init__(self):
+        terms = tuple(self.terms)
+        if self.dim < 1:
             raise ValueError("tensor dimension must be >= 1")
-        if any(t.dim != dim for t in terms):
+        if any(t.dim != self.dim for t in terms):
             raise ValueError("term dimension mismatch")
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
 
     def nonzero_terms(self) -> tuple[RankOneTerm, ...]:
         return tuple(t for t in self.terms if not t.is_zero())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.terms))
 
     def __repr__(self) -> str:
         return f"Tensor(dim={self.dim}, terms={len(self.terms)})"
@@ -211,6 +207,77 @@ def combine(t1: Tensor, s1: Rational, t2: Tensor, s2: Rational) -> Tensor:
     if s2:
         terms.extend(tm if s2 == 1 else tm.scaled(s2) for tm in t2.terms)
     return Tensor(t1.dim, terms)
+
+
+# Factor pairs (a,b), (a,c), (b,c), in the order a merge tries them.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def merge_shared_factors(t: Tensor) -> Tensor:
+    """Greedily merge terms sharing two factors up to scale.
+
+    When u = (alpha v_a) (x) (beta v_b) (x) u_c shares its a and b factors
+    with v (and likewise for the other two factor pairs), the pair collapses
+    to a single rank-one term with the third factors combined linearly.  The
+    coefficient form is unchanged; zero terms (including full cancellations)
+    are dropped.  Runs to a fixed point in deterministic order: each step
+    merges the lexicographically first mergeable pair of positions i < j
+    into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
+
+    Each term is filed under the projective classes of its three factor
+    pairs.  Two terms merge iff they share a class, so the first mergeable
+    pair is the least (first, second) slot pair over all classes.
+    """
+    terms = list(t.nonzero_terms())
+    units = {}  # projective key of a factor -> its number
+    normal = [None] * len(terms)  # per slot: (lead, unit number) per factor
+    classes = defaultdict(list)  # (pair, unit number, unit number) -> slots
+
+    def keys(i):
+        n = normal[i]
+        return [(p, n[x][1], n[y][1]) for p, (x, y) in enumerate(_PAIRS)]
+
+    def file(i):
+        tm = terms[i]
+        normal[i] = [(lead, units.setdefault(key, len(units)))
+                     for lead, key in map(projective_key, (tm.a, tm.b, tm.c))]
+        for key in keys(i):
+            insort(classes[key], i)
+
+    def unfile(i):
+        for key in keys(i):
+            classes[key].remove(i)
+
+    for i in range(len(terms)):
+        file(i)
+    while True:
+        first = min(((s[0], s[1]) for s in classes.values() if len(s) > 1),
+                    default=None)
+        if first is None:
+            break
+        i, j = first
+        new = _merge_pair(terms[i], normal[i], terms[j], normal[j])
+        unfile(i)
+        unfile(j)
+        terms[j] = None
+        if new.is_zero():
+            terms[i] = None
+        else:
+            terms[i] = new
+            file(i)
+    return Tensor(t.dim, [tm for tm in terms if tm is not None])
+
+
+def _merge_pair(u: RankOneTerm, nu, v: RankOneTerm, nv) -> RankOneTerm:
+    """Fold u into v along the first factor pair on which the unit numbers
+    of nu and nv agree; u's scales go into its third factor."""
+    x, y = next((x, y) for x, y in _PAIRS
+                if nu[x][1] == nv[x][1] and nu[y][1] == nv[y][1])
+    z = 3 - x - y
+    scale = nu[x][0] / nv[x][0] * (nu[y][0] / nv[y][0])
+    factors = [v.a, v.b, v.c]
+    factors[z] = (u.a, u.b, u.c)[z].scale(scale) + factors[z]
+    return RankOneTerm(*factors)
 
 
 def form_equal(t1: Tensor, t2: Tensor) -> bool:

@@ -29,10 +29,9 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .constructions import MAX_CLASSICAL_SIZE
 from .isotropy import Isotropy, IsotropyGroup
 from .matrix import Matrix, parse_rational
-from .tensor import RankOneTerm, Tensor
+from .tensor import MAX_CLASSICAL_SIZE, RankOneTerm, Tensor
 
 
 class TensorFileError(ValueError):
@@ -121,8 +120,7 @@ def read_tensor_file(text: str) -> Tensor:
             return item
         raise TensorFileError("unexpected end of file")
 
-    # Verification builds n**3 coefficients, so dim is bounded like
-    # builtin:classical-N.
+    # dim is bounded like builtin:classical-N, for census's n**3 projections.
     dim = _parse_count(*next_line(), "dim", minimum=1,
                        maximum=MAX_CLASSICAL_SIZE)
     lineno, line = next_line()

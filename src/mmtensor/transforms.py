@@ -11,7 +11,8 @@ import warnings
 from itertools import product
 
 from .matrix import Matrix
-from .tensor import RankOneTerm, Tensor, is_matmul_tensor, map_factors
+from .tensor import (RankOneTerm, Tensor, is_matmul_tensor, map_factors,
+                     merge_shared_factors)
 
 IndexTriple = tuple[int, int, int]
 
@@ -73,7 +74,6 @@ def projection_census(t: Tensor):
     tensor_project(t, idx)), for idx in {1..n}^3 in lexicographic order.
     Each factor is projected once per (row, column): projection (i, j, k)
     takes the a, b and c projections at (i, j), (j, k) and (k, i)."""
-    from .constructions import merge_shared_factors  # imports this module
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import read_tensor_file, write_group_file
@@ -332,3 +335,83 @@ def test_parser_keeps_no_state(tmp_path, capsys):
                                        golden[second]["stdout"],
                                        golden[second]["stderr"])
     assert len(golden["type"]["stdout"].splitlines()) == 1
+
+
+# Every subcommand, on the files {tensor}, {iso} and {group}.
+FUZZ_COMMANDS = [
+    "show --tensor {tensor}",
+    "verify --tensor {tensor}",
+    "type --tensor {tensor} --compare {other}",
+    "project --tensor {tensor} --i {i} --j {j} --k {k}",
+    "project --tensor {tensor} --i {i} --j {j} --k {k} --lift",
+    "zero --tensor {tensor} --i {i} --j {j} --k {k}",
+    "act --tensor {tensor} --iso {iso}",
+    "orbit --tensor {tensor} --group {group}",
+    "merge --tensor {tensor}",
+    "construct {name} --lambda {lam}",
+    "correction --group {group}",
+    "codegen --tensor {tensor}",
+    "mul --size {size} --base {tensor} --lambda {lam}",
+    "stabilizer-search --tensor {tensor}",
+    "census --tensor {tensor}",
+]
+FUZZ_SEEDS = {
+    "tensor": [mm.write_tensor_file(mm.strassen()),
+               mm.write_tensor_file(mm.lifted_winograd(), lam=2)],
+    "iso": [mm.write_tensor_file(mm.Tensor(2, [
+        mm.RankOneTerm(*mm.winograd_isotropy().factors())]))],
+    "group": [write_group_file(mm.klein_group())],
+}
+FUZZ_TOKENS = ["0", "1", "-1", "2", "3", "1/2", "-3/4", "1/0", "x", "",
+               "term", "terms 0", "dim 3", "lambda 1/2", "#", "17", "1e9"]
+
+
+@st.composite
+def _mutated(draw, kind):
+    """A seed file of the kind with up to three lines dropped, copied,
+    inserted or given a new token."""
+    lines = draw(st.sampled_from(FUZZ_SEEDS[kind])).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "copy", "token", "line"]))
+        if i == len(lines) or op == "line":
+            lines.insert(i, draw(st.sampled_from(FUZZ_TOKENS)))
+        elif op == "drop":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(i, lines[i])
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(
+                st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS),
+       st.fixed_dictionaries({kind: _mutated(kind) for kind in FUZZ_SEEDS}),
+       st.fixed_dictionaries({
+           "i": st.integers(0, 3), "j": st.integers(0, 3),
+           "k": st.integers(0, 3), "size": st.integers(0, 6),
+           "lam": st.sampled_from(["1", "-3/7", "2/4", "0", "1/0", "x"]),
+           "name": st.sampled_from(["winograd", "laderman-variant"]),
+           "other": st.sampled_from(["{tensor}", "builtin:laderman",
+                                     "builtin:nonesuch"])}))
+def test_run_closed_error_surface(fuzz_dir, command, files, values):
+    """Every subcommand on mutated files exits 0, 1 or 2 and raises
+    nothing."""
+    for kind, text in files.items():
+        path = fuzz_dir / f"{kind}.txt"
+        path.write_text(text)
+        values[kind] = str(path)
+    values["other"] = values["other"].format(**values)
+    argv = command.format(**values).split()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)

@@ -1,0 +1,54 @@
+"""Import layering of the package, read from its source with ast."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mmtensor"
+MODULES = {p.stem: ast.parse(p.read_text(), str(p))
+           for p in sorted(SRC.glob("*.py"))}
+
+
+def _imports(tree) -> set[str]:
+    """The package modules that tree imports anywhere, function bodies
+    included; "__init__" stands for the package itself."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module] if node.module else
+                       [a.name if a.name in MODULES else "__init__"
+                        for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in ([node.module] if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names]):
+                package, _, module = name.partition(".")
+                if package == "mmtensor":
+                    out.add(module or "__init__")
+    return out
+
+
+GRAPH = {name: _imports(tree) for name, tree in MODULES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_import_inside_a_function(name):
+    late = [f"{name}.py:{inner.lineno}"
+            for node in ast.walk(MODULES[name])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert late == []
+
+
+def test_import_graph_is_acyclic():
+    assert "tensor" in GRAPH["transforms"]
+    try:
+        tuple(TopologicalSorter(GRAPH).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+def test_tensorfile_does_not_import_constructions():
+    assert "constructions" not in GRAPH["tensorfile"]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import Matrix, RankOneTerm, Tensor
+from mmtensor import Isotropy, Matrix, RankOneTerm, Tensor
+from mmtensor.codegen import _compile
 from mmtensor.isotropy import monomial_stabilizer_count
 
 from conftest import DENSE_ISOTROPY, rand_matrix
@@ -47,6 +48,43 @@ def test_tensor_invariants():
     z = Tensor(2)
     assert mm.decomposition_length(z) == 0
     assert mm.to_coefficient_form(z) == {}
+
+
+def test_core_types_are_immutable():
+    t, g, m = mm.strassen(), mm.winograd_isotropy(), Matrix.identity(2)
+    for obj, name, value in [(t, "dim", 3), (t, "terms", ()),
+                             (g, "g1", m), (m, "den", 2)]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        assert getattr(obj, name) != value
+
+
+def test_core_types_are_values():
+    """Separately built equal tensors and isotropies are equal with equal
+    hashes, so a value-keyed cache hits on the second copy."""
+    assert mm.strassen() is not mm.strassen()
+    assert mm.strassen() == mm.strassen()
+    assert hash(mm.strassen()) == hash(mm.strassen())
+    assert mm.strassen() != Tensor(2, mm.strassen().terms[1:])
+    assert repr(mm.strassen()) == "Tensor(dim=2, terms=7)"
+    g = mm.winograd_isotropy(Fraction(3, 4))
+    assert g == mm.winograd_isotropy(Fraction(3, 4))
+    assert hash(g) == hash(mm.winograd_isotropy(Fraction(3, 4)))
+    assert g != mm.winograd_isotropy()
+    assert repr(g) == "Isotropy(dim=2)"
+    _compile.cache_clear()
+    _compile(mm.strassen())
+    _compile(mm.strassen())
+    assert _compile.cache_info().hits == 1
+
+
+def test_isotropy_equality_ignores_cached_action():
+    p, e = Matrix([[0, 1], [1, 0]]), Matrix.identity(2)
+    g, h = Isotropy(p, p, e), Isotropy(p, p, e)
+    assert g._perms is not None and g._pairs is None
+    object.__setattr__(h, "_perms", None)
+    object.__setattr__(h, "_pairs", ())
+    assert g == h and hash(g) == hash(h)
 
 
 def test_monomial_term():
