@@ -1,8 +1,9 @@
 """Compile a verified tensor into a straight-line multiplication schedule.
 
 Each rank-one term becomes one product of two linear combinations of
-input entries; output entries accumulate the products.  The recursion
-then applies the same schedule blockwise for larger matrices.
+input entries; output entries accumulate the products.  The schedule
+holds those linear forms, and the recursion compiles them and applies
+them blockwise for larger matrices.
 """
 
 import random
@@ -24,7 +25,7 @@ def rnd(n):
                     for _ in range(n)] for _ in range(n)])
 
 a, b = rnd(2), rnd(2)
-assert sched.evaluate(a, b) == a @ b
+assert mm.recursive_multiply(mm.strassen(), a, b).product == a @ b
 print("2x2 schedule output matches the schoolbook product exactly")
 
 # recursion: 4x4 via Strassen costs 7^2 = 49 base multiplications

@@ -1,17 +1,20 @@
 """Turn a tensor into an executable bilinear schedule.
 
-A Schedule holds a verified multiplication tensor's nonzero terms and
-nothing else: product p is read off term p's a and b factors, and the
-outputs off the c factors.  Execution compiles each verified base tensor
-once, from those factors' int rows, into a generated Python function for
-one recursion level, and runs it on flat int lists in block-recursive
-order, with a generated schoolbook kernel at the leaves.
+extract_schedule reads a verified multiplication tensor's nonzero terms,
+once, into a Schedule: the linear forms of a straight-line program, whose
+product p multiplies a form in the entries of A by a form in the entries
+of B and whose output entries are forms in the products.  op_count counts
+over those forms, emit_code prints them, and execution compiles them once
+per base tensor, with denominators cleared, into a generated Python
+function for one recursion level.  That function runs on flat int lists
+in block-recursive order, with a generated schoolbook kernel at the
+leaves.
 
 Convention note: with the trace pairing used throughout, the (1,2)
 contraction of a multiplication tensor yields the transposed product, i.e.
 contract12(t, A, B) == (A.B)^T.  Schedules and recursive_multiply fold the
-final transpose in, so they compute A.B itself: the accumulation for output
-entry (s,u) collects the c factor's (u,s) coefficients.
+final transpose in, so they compute A.B itself: the form of output entry
+(s,u) collects the (u,s) coefficients of the c factors.
 """
 
 from __future__ import annotations
@@ -22,8 +25,11 @@ from functools import lru_cache, partial
 from math import lcm
 
 from .matrix import Matrix
-from .tensor import RankOneTerm, Tensor, is_matmul_tensor
-from .trilinear import format_form, format_sum
+from .tensor import Tensor, is_matmul_tensor
+from .trilinear import atoms, format_sum
+
+# A linear form: (index, coefficient) pairs with nonzero coefficients.
+Form = tuple[tuple[int, Fraction], ...]
 
 
 def contract12(t: Tensor, a: Matrix, b: Matrix) -> Matrix:
@@ -42,36 +48,15 @@ def contract12(t: Tensor, a: Matrix, b: Matrix) -> Matrix:
 class Schedule:
     """Straight-line bilinear program of a verified multiplication tensor.
 
-    terms are the tensor's nonzero terms, one product each: product p
-    multiplies the combination of A entries given by terms[p].a with the
-    combination of B entries given by terms[p].b.  Output entry (s,u) sums
-    the products p weighted by the (u,s) entries of terms[p].c.
+    Product p is (sum of v*A_k over a[p]) times (sum of v*B_k over b[p]),
+    with k the row-major flat index of an n x n entry.  Output entry k =
+    (s,u), row-major, is the sum of v*P_p over c[k], in product order.
     """
 
     dim: int
-    terms: tuple[RankOneTerm, ...]
-
-    @property
-    def num_products(self) -> int:
-        return len(self.terms)
-
-    def outputs(self) -> list[list[tuple[int, Fraction]]]:
-        """The (p, coefficient) pairs of each output entry (s,u), row-major
-        over (s,u) and in product order within one entry."""
-        n = self.dim
-        outs = [[] for _ in range(n * n)]
-        for p, tm in enumerate(self.terms):
-            for u, s, v in tm.c.entries():
-                outs[(s - 1) * n + u - 1].append((p, v))
-        return outs
-
-    def evaluate(self, a: Matrix, b: Matrix) -> Matrix:
-        """Run the schedule: A.B."""
-        n = self.dim
-        if not (a.rows == a.cols == b.rows == b.cols == n):
-            raise ValueError("evaluate expects square matrices of the "
-                             "schedule dimension")
-        return recursive_multiply(Tensor(n, self.terms), a, b).product
+    a: tuple[Form, ...]
+    b: tuple[Form, ...]
+    c: tuple[Form, ...]
 
 
 @dataclass(frozen=True)
@@ -82,23 +67,32 @@ class OpCount:
 
 
 def extract_schedule(t: Tensor) -> Schedule:
-    """The schedule of t's nonzero terms.  Raises ValueError when t is not
-    a multiplication tensor."""
+    """The schedule of t's nonzero terms, one product each.  Raises
+    ValueError when t is not a multiplication tensor."""
     if not is_matmul_tensor(t):
         raise ValueError("base tensor is not a multiplication tensor")
-    return Schedule(dim=t.dim, terms=t.nonzero_terms())
+    n = t.dim
+    terms = t.nonzero_terms()
+
+    def form(m: Matrix) -> Form:
+        return tuple(((i - 1) * n + j - 1, v) for i, j, v in m.entries())
+
+    c = [[] for _ in range(n * n)]
+    for p, tm in enumerate(terms):
+        for u, s, v in tm.c.entries():
+            c[(s - 1) * n + u - 1].append((p, v))
+    return Schedule(n, tuple(form(tm.a) for tm in terms),
+                    tuple(form(tm.b) for tm in terms), tuple(map(tuple, c)))
 
 
 def op_count(s: Schedule) -> OpCount:
     """Naive counts: no common-subexpression elimination."""
-    forms = [[v for _, _, v in m.entries()]
-             for tm in s.terms for m in (tm.a, tm.b)]
-    forms += [[c for _, c in accum] for accum in s.outputs()]
+    forms = s.a + s.b + s.c
     return OpCount(
-        multiplications=s.num_products,
-        additions=sum(max(len(cs) - 1, 0) for cs in forms),
-        scalar_multiplications=sum(c not in (1, -1)
-                                   for cs in forms for c in cs))
+        multiplications=len(s.a),
+        additions=sum(max(len(f) - 1, 0) for f in forms),
+        scalar_multiplications=sum(v not in (1, -1)
+                                   for f in forms for _, v in f))
 
 
 def emit_code(s: Schedule, style: str = "flat") -> str:
@@ -107,32 +101,38 @@ def emit_code(s: Schedule, style: str = "flat") -> str:
     Products whose two input forms are single unit atoms and which feed a
     single output with coefficient 1 are inlined into that output line;
     everything else gets a named product line.  'annotated' appends the
-    originating term indices.
+    originating term indices.  Atoms like a11 have one digit per index, so
+    s.dim must be at most 9.
     """
     if style not in ("flat", "annotated"):
         raise ValueError(f"unknown style: {style}")
     annotate = style == "annotated"
+    a_atoms, b_atoms, c_atoms = (atoms(x, s.dim) for x in "abc")
 
-    def single_unit(m: Matrix) -> bool:
-        return [v for _, _, v in m.entries()] == [1]
+    def unit(form: Form) -> bool:
+        return [v for _, v in form] == [1]
 
-    # A product feeds exactly the outputs named by its c factor's entries.
-    inline = {p for p, tm in enumerate(s.terms)
-              if all(map(single_unit, (tm.a, tm.b, tm.c)))}
-    ab = [(format_form("a", tm.a.entries()), format_form("b", tm.b.entries()))
-          for tm in s.terms]
+    feeds = [[] for _ in s.a]
+    for k, form in enumerate(s.c):
+        for p, v in form:
+            feeds[p].append((k, v))
+    inline = {p for p, forms in enumerate(zip(s.a, s.b, feeds))
+              if all(map(unit, forms))}
+    ab = [(format_sum((a_atoms[k], v) for k, v in fa),
+           format_sum((b_atoms[k], v) for k, v in fb))
+          for fa, fb in zip(s.a, s.b)]
 
     lines = []
     for p, (a, b) in enumerate(ab):
         if p not in inline:
             note = f"  # term {p + 1}" if annotate else ""
             lines.append(f"p{p + 1} = ({a}) * ({b}){note}")
-    for k, accum in enumerate(s.outputs()):
+    for k, form in enumerate(s.c):
         rhs = format_sum((" * ".join(ab[p]) if p in inline
-                          else f"p{p + 1}", c) for p, c in accum)
-        line = f"c{k // s.dim + 1}{k % s.dim + 1} = {rhs}"
-        if annotate and accum:
-            line += "  # terms " + ",".join(str(p + 1) for p, _ in accum)
+                          else f"p{p + 1}", v) for p, v in form)
+        line = f"{c_atoms[k]} = {rhs}"
+        if annotate and form:
+            line += "  # terms " + ",".join(str(p + 1) for p, _ in form)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -144,38 +144,10 @@ class MultiplyResult:
 
 
 # Execution runs on flat lists of ints in block-recursive order, where every
-# block at every level is one contiguous slice.  Each base tensor is verified,
-# lowered and compiled once; the product is divided out once at the end.
+# block at every level is one contiguous slice.  Each base tensor is verified
+# and compiled once; the product is divided out once at the end.
 # The benchmark's multiply workload uses 3 bases, 2 leaf sizes and 2
 # layouts, so each cache below holds 4 entries.
-
-def _lower(s: Schedule):
-    """Integer program for s: (a_prog, b_prog, c_prog, scale).
-
-    Product p is (sum c*X_k over a_prog[p]) times (sum c*Y_k over
-    b_prog[p]), read off the int rows of its a and b factors; output block
-    k is sum c*P_p over c_prog[k], each c divided by the two denominators
-    of P_p and all cleared by scale, the lcm of their own denominators.
-    So the outputs are scale times those of s.  Coefficients 1 go first.
-    """
-    n = s.dim
-
-    def prog(pairs):
-        return tuple(sorted(pairs, key=lambda kc: kc[1] != 1))
-
-    def flat(m: Matrix):
-        return prog((i * n + j, v) for i, row in enumerate(m.num)
-                    for j, v in enumerate(row) if v)
-
-    a_prog = [flat(tm.a) for tm in s.terms]
-    b_prog = [flat(tm.b) for tm in s.terms]
-    c_forms = [[(p, c / (s.terms[p].a.den * s.terms[p].b.den))
-                for p, c in accum] for accum in s.outputs()]
-    scale = lcm(1, *(c.denominator for form in c_forms for _, c in form))
-    c_prog = [prog((p, (c * scale).numerator) for p, c in form)
-              for form in c_forms]
-    return a_prog, b_prog, c_prog, scale
-
 
 def _form(terms, blocks: str, var: str) -> str:
     """Source of the list sum c*blocks[k] over (k, c) in terms, built in one
@@ -196,23 +168,38 @@ def _compile(t: Tensor):
 
     level(X, Y, q, rec) is one recursion level: X and Y hold n*n blocks of
     q entries each, rec multiplies two blocks, and the result is the n*n
-    output blocks, scale times A.B.  Raises ValueError when t is not a
-    multiplication tensor (lru_cache keeps no result for that).
+    output blocks, scale times A.B.  The a and b forms are multiplied by
+    their own lcm denominators into ints; the c coefficients are divided
+    by those two and then cleared by scale, the lcm of their own
+    denominators.  Coefficients 1 go first in every form.  Raises
+    ValueError when t is not a multiplication tensor (lru_cache keeps no
+    result for that).
     """
     s = extract_schedule(t)
-    a_prog, b_prog, c_prog, scale = _lower(s)
+
+    def den(form: Form) -> int:
+        return lcm(*(v.denominator for _, v in form))
+
+    def ints(form: Form, d: int):
+        return sorted(((k, int(v * d)) for k, v in form),
+                      key=lambda kv: kv[1] != 1)
+
+    c = [tuple((p, v / (den(s.a[p]) * den(s.b[p]))) for p, v in form)
+         for form in s.c]
+    scale = lcm(*map(den, c))
     products = ",\n         ".join(
-        f"rec({_form(af, 'X', 'x')}, {_form(bf, 'Y', 'y')})"
-        for af, bf in zip(a_prog, b_prog))
-    outputs = ",\n            ".join(f"*{_form(cf, 'P', 'p')}"
-                                      for cf in c_prog)
+        f"rec({_form(ints(fa, den(fa)), 'X', 'x')}, "
+        f"{_form(ints(fb, den(fb)), 'Y', 'y')})"
+        for fa, fb in zip(s.a, s.b))
+    outputs = ",\n            ".join(f"*{_form(ints(form, scale), 'P', 'p')}"
+                                      for form in c)
     env = {}
     exec("def level(X, Y, q, rec):\n"
          "    X = [X[i:i + q] for i in range(0, len(X), q)]\n"
          "    Y = [Y[i:i + q] for i in range(0, len(Y), q)]\n"
          f"    P = [{products}]\n"
          f"    return [{outputs}]\n", env)
-    return s.dim, s.num_products, env["level"], scale
+    return s.dim, len(s.a), env["level"], scale
 
 
 @lru_cache(maxsize=4)

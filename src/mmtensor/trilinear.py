@@ -16,8 +16,9 @@ a nonzero rational at parse time.  Multiplication is always explicit: no
 juxtaposition.
 
 print_trilinear writes one product per line, "(a11 + a12)*b22*c21\n+ ...",
-and refuses tensors with n > 9, whose indices need two digits.  Its linear
-forms come from format_sum, which codegen uses for its lines as well.
+and refuses tensors with n > 9, whose indices need two digits.  Its atoms
+come from atoms() and its linear forms from format_sum, which codegen uses
+for its lines as well.
 """
 
 from __future__ import annotations
@@ -212,10 +213,16 @@ def format_sum(pairs) -> str:
     return " ".join(chunks) or "0"
 
 
-def format_form(letter: str, entries) -> str:
-    """Linear form over atoms like a11, from the (i, j, c) triples of
-    Matrix.entries()."""
-    return format_sum((f"{letter}{i}{j}", c) for i, j, c in entries)
+def atoms(letter: str, n: int) -> list[str]:
+    """Names like a11 of an n x n matrix's entries, in row-major order.
+
+    Each index is one digit, so n must be at most 9: otherwise a111 would
+    name both (1,11) and (11,1).
+    """
+    if n >= 10:
+        raise ValueError("atoms like a11 have one digit per index: n <= 9")
+    return [f"{letter}{i}{j}" for i in range(1, n + 1)
+            for j in range(1, n + 1)]
 
 
 def print_trilinear(t: Tensor) -> str:
@@ -226,16 +233,17 @@ def print_trilinear(t: Tensor) -> str:
     written bare only when it is a single atom with coefficient 1.  Atoms
     carry one digit per index, so t.dim must be at most 9.
     """
-    if t.dim >= 10:
-        raise ValueError("trilinear text has one digit per index: n <= 9")
+    n = t.dim
+    names = {letter: atoms(letter, n) for letter in "abc"}
     terms = t.nonzero_terms()
     if not terms:
         return "0"
 
     def factor(letter: str, m: Matrix) -> str:
-        entries = list(m.entries())
-        text = format_form(letter, entries)
-        return text if [e[2] for e in entries] == [1] else f"({text})"
+        pairs = [(names[letter][(i - 1) * n + j - 1], c)
+                 for i, j, c in m.entries()]
+        text = format_sum(pairs)
+        return text if [c for _, c in pairs] == [1] else f"({text})"
 
     return "\n+ ".join("*".join((factor("a", tm.a), factor("b", tm.b),
                                  factor("c", tm.c))) for tm in terms)

@@ -136,6 +136,17 @@ def test_codegen(capsys):
     assert code == 0 and "# term" in out
 
 
+def test_codegen_refuses_two_digit_indices(capsys):
+    """Atoms have one digit per index, so a111 cannot name both a(1,11)
+    and a(11,1): codegen stops at n = 9."""
+    code, out, err = invoke(capsys, "codegen", "--tensor",
+                            "builtin:classical-10")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "n <= 9" in err
+    code, out, _ = invoke(capsys, "codegen", "--tensor", "builtin:classical-9")
+    assert code == 0 and out.endswith(" + a99 * b99\n")
+
+
 def test_mul_counts(capsys):
     code, out, _ = invoke(capsys, "mul", "--size", "4", "--seed", "1",
                           "--base", "builtin:strassen", "--threshold", "1")

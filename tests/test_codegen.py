@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import Matrix, contract12, emit_code, extract_schedule, op_count
+from mmtensor.isotropy import signed_permutations
 
 from conftest import rand_matrix
 
@@ -35,20 +36,62 @@ def test_contract12_is_transposed_product(rng):
             assert contract12(t, a, b).transpose() == a @ b
 
 
+def run_schedule(s, a, b):
+    """Reference interpreter: the schedule's a, b and c forms over the
+    Fraction entries of A and B, row-major."""
+    x = [v for row in a.row_list() for v in row]
+    y = [v for row in b.row_list() for v in row]
+    products = [sum(v * x[k] for k, v in fa) * sum(v * y[k] for k, v in fb)
+                for fa, fb in zip(s.a, s.b)]
+    out = [sum((v * products[p] for p, v in form), Fraction(0))
+           for form in s.c]
+    return Matrix([out[i:i + s.dim] for i in range(0, len(out), s.dim)])
+
+
+def _agrees(t, a, b):
+    got = run_schedule(extract_schedule(t), a, b)
+    # the schedule folds the final transpose in
+    assert got == contract12(t, a, b).transpose()
+    assert got == a @ b
+    assert got == mm.recursive_multiply(t, a, b).product
+
+
 def test_schedule_agrees_with_contract12(rng):
     for t in (mm.classical(2), mm.strassen(), mm.winograd(2), mm.laderman()):
-        sched = extract_schedule(t)
         for _ in range(10):
-            a, b = rand_matrix(rng, t.dim), rand_matrix(rng, t.dim)
-            # the schedule folds the final transpose in
-            assert sched.evaluate(a, b) == contract12(t, a, b).transpose()
-            assert sched.evaluate(a, b) == a @ b
+            _agrees(t, rand_matrix(rng, t.dim), rand_matrix(rng, t.dim))
 
 
 def test_schedule_skips_zero_terms():
     zero = mm.term(Matrix.zeros(2), Matrix.identity(2), Matrix.identity(2))
-    t = mm.Tensor(2, mm.strassen().terms + (zero,))
-    assert extract_schedule(t).num_products == mm.decomposition_length(t)
+    t = mm.Tensor(2, (zero,) + mm.strassen().terms + (zero,))
+    sched = extract_schedule(t)
+    assert len(sched.a) == len(sched.b) == mm.decomposition_length(t) == 7
+    assert sched == extract_schedule(mm.strassen())
+
+
+def _nnz(m):
+    return len(list(m.entries()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mm.classical(3), mm.strassen, lambda: mm.winograd(Fraction(5, 7)),
+    mm.laderman, lambda: mm.laderman_variant(1),
+    lambda: mm.laderman_variant(Fraction(-3, 7))])
+def test_op_count_read_off_the_factors(make):
+    """The naive counts follow from the nonzero factors alone: a form of
+    m atoms takes m - 1 additions, and the n*n outputs take the c factors'
+    entries less one each."""
+    t = make()
+    terms = t.nonzero_terms()
+    counts = op_count(extract_schedule(t))
+    assert counts.multiplications == mm.decomposition_length(t)
+    assert counts.additions == (
+        sum(_nnz(tm.a) - 1 + _nnz(tm.b) - 1 for tm in terms)
+        + sum(_nnz(tm.c) for tm in terms) - t.dim ** 2)
+    assert counts.scalar_multiplications == sum(
+        v not in (1, -1) for tm in terms for m in (tm.a, tm.b, tm.c)
+        for _, _, v in m.entries())
 
 
 def test_op_counts():
@@ -79,6 +122,19 @@ def test_emit_code_strassen_structure():
 
 def test_emit_code_classical_1():
     assert emit_code(extract_schedule(mm.classical(1))) == "c11 = a11 * b11\n"
+
+
+def test_emit_code_refuses_two_digit_indices():
+    """a111 would be both a(1,11) and a(11,1): emit_code refuses n >= 10
+    with the error of print_trilinear, whose atoms it shares."""
+    sched = extract_schedule(mm.classical(10))
+    with pytest.raises(ValueError, match="n <= 9") as emitted:
+        emit_code(sched)
+    with pytest.raises(ValueError) as printed:
+        mm.print_trilinear(mm.classical(10))
+    assert str(emitted.value) == str(printed.value)
+    text = emit_code(extract_schedule(mm.classical(9)))
+    assert text.splitlines()[-1].startswith("c99 = a91 * b19 + ")
 
 
 def test_emit_code_styles_and_determinism():
@@ -199,12 +255,6 @@ def test_extract_schedule_refuses_non_multiplication_tensors():
         extract_schedule(mm.klein_orbit_sum_winograd())
 
 
-def test_evaluate_validation(rng):
-    sched = extract_schedule(mm.strassen())
-    with pytest.raises(ValueError):
-        sched.evaluate(rand_matrix(rng, 3), rand_matrix(rng, 3))
-
-
 def test_recursive_multiply_rational_depth_three(rng):
     a, b = rand_matrix(rng, 27), rand_matrix(rng, 27)
     res = mm.recursive_multiply(mm.laderman_variant(Fraction(3, 4)), a, b,
@@ -247,6 +297,25 @@ def test_recursive_multiply_property(data, n, name, lam, negate, threshold):
     assert res.product == a @ b
     assert all(isinstance(v, Fraction) for row in res.product.row_list()
                for v in row)
+
+
+_SIGNED_PERMS = [sp.to_matrix() for sp in signed_permutations(3)]
+_lambdas = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                     st.integers(1, 3))
+_bases = st.one_of(
+    st.builds(partial(_base, "winograd"), _lambdas),
+    st.builds(partial(_base, "laderman_variant"), _lambdas),
+    st.builds(lambda ks: mm.act(mm.Isotropy(*(_SIGNED_PERMS[k] for k in ks)),
+                                mm.laderman()),
+              st.tuples(*[st.integers(0, len(_SIGNED_PERMS) - 1)] * 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), _bases)
+def test_schedule_interpreter_property(data, t):
+    """The interpreted a, b and c forms give A.B on random operands, for
+    parametrised bases and signed-permutation images of laderman."""
+    _agrees(t, data.draw(_operand(t.dim)), data.draw(_operand(t.dim)))
 
 
 COMPILED_BASES = [
