@@ -322,8 +322,10 @@ def _stabilizer_masks(t: Tensor):
     sps = signed_permutations(n)
     # Images of each inverse f^-1 = f^T: position x - 1 holds the column
     # that f sends to row x, with its sign.
-    invs = [SignedPerm.from_matrix(sp.to_matrix().transpose()).images
-            for sp in sps]
+    invs = [[None] * n for _ in sps]
+    for inv, sp in zip(invs, sps):
+        for j, (x, s) in enumerate(sp.images, start=1):
+            inv[x - 1] = (j, s)
     # Code the form's values as small ints with code(-v) == -code(v).
     rank = {a: r for r, a in enumerate(sorted({abs(v) for v in form.values()}),
                                        start=1)}

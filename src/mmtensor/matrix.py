@@ -16,13 +16,18 @@ from operator import mul
 
 Rational = Fraction | int
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# Longer digit runs are refused before int(), so no answer depends on the
+# interpreter's digit limit, which never applies at 640 digits or fewer.
+MAX_DIGITS = 640
+_DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"
+RATIONAL = re.compile(rf"[+-]?{_DIGITS}(?:/{_DIGITS})?")  # p or p/q
 
 
 def parse_rational(text: str) -> Fraction:
-    """The integer or p/q in text, ASCII digits with an optional sign on p;
-    ValueError for any other text, ZeroDivisionError for q = 0."""
-    if not _RATIONAL.fullmatch(text):
+    """The integer or p/q in text, ASCII digit runs of at most MAX_DIGITS
+    with an optional sign on p; ValueError for any other text,
+    ZeroDivisionError for q = 0."""
+    if not RATIONAL.fullmatch(text):
         raise ValueError(f"malformed rational: {text!r}")
     p, _, q = text.partition("/")
     return Fraction(int(p), int(q or 1))

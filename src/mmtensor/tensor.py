@@ -11,8 +11,7 @@ merge_shared_factors collapses terms that share two factors up to scale.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -224,47 +223,40 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
 
-    Each term is filed under the projective classes of its three factor
-    pairs.  Two terms merge iff they share a class, so the first mergeable
-    pair is the least (first, second) slot pair over all classes.
+    Each term is keyed once, when it enters or is rebuilt: each factor by
+    its lead and projective class number, each factor pair by (pair, class
+    number, class number).  Two terms merge iff they share a pair key, so a
+    step scans the live terms in slot order and merges the least (first
+    slot, later slot) pair met under one key.
     """
     terms = list(t.nonzero_terms())
     units = {}  # projective key of a factor -> its number
     normal = [None] * len(terms)  # per slot: (lead, unit number) per factor
-    classes = defaultdict(list)  # (pair, unit number, unit number) -> slots
+    pair_keys = [()] * len(terms)  # per slot: (pair, unit, unit) per pair
 
-    def keys(i):
-        n = normal[i]
-        return [(p, n[x][1], n[y][1]) for p, (x, y) in enumerate(_PAIRS)]
-
-    def file(i):
+    def key(i):
         tm = terms[i]
-        normal[i] = [(lead, units.setdefault(key, len(units)))
-                     for lead, key in map(projective_key, (tm.a, tm.b, tm.c))]
-        for key in keys(i):
-            insort(classes[key], i)
-
-    def unfile(i):
-        for key in keys(i):
-            classes[key].remove(i)
+        normal[i] = n = [(lead, units.setdefault(k, len(units)))
+                         for lead, k in map(projective_key, (tm.a, tm.b, tm.c))]
+        pair_keys[i] = [(p, n[x][1], n[y][1])
+                        for p, (x, y) in enumerate(_PAIRS)]
 
     for i in range(len(terms)):
-        file(i)
+        key(i)
     while True:
-        first = min(((s[0], s[1]) for s in classes.values() if len(s) > 1),
-                    default=None)
-        if first is None:
+        first = {}  # pair key -> first live slot holding it
+        least = min(((i, j) for j, keys in enumerate(pair_keys) for k in keys
+                     if (i := first.setdefault(k, j)) < j), default=None)
+        if least is None:
             break
-        i, j = first
+        i, j = least
         new = _merge_pair(terms[i], normal[i], terms[j], normal[j])
-        unfile(i)
-        unfile(j)
-        terms[j] = None
+        terms[j], pair_keys[j] = None, ()
         if new.is_zero():
-            terms[i] = None
+            terms[i], pair_keys[i] = None, ()
         else:
             terms[i] = new
-            file(i)
+            key(i)
     return Tensor(t.dim, [tm for tm in terms if tm is not None])
 
 

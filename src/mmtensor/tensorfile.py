@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import Matrix, parse_rational
+from .matrix import MAX_DIGITS, RATIONAL, Matrix, parse_rational
 from .tensor import MAX_CLASSICAL_SIZE, RankOneTerm, Tensor
 
 
@@ -38,14 +38,10 @@ class TensorFileError(ValueError):
     pass
 
 
-# An ASCII integer of at most 640 digits, which int() converts under any
-# digit limit.
-_COUNT = re.compile(r"[+-]?[0-9]{1,640}")
-
-
-# One matrix row: whitespace-separated ASCII integers p or rationals p/q.
-_ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-_ROW = re.compile(rf"{_ENTRY.pattern}(?:\s+{_ENTRY.pattern})*")
+# An ASCII integer of at most MAX_DIGITS digits.
+_COUNT = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
+# One matrix row: whitespace-separated entries p or p/q.
+_ROW = re.compile(rf"{RATIONAL.pattern}(?:\s+{RATIONAL.pattern})*")
 
 
 def _read_row(lineno: int, line: str, dim: int) -> list[tuple[int, int]]:
@@ -55,13 +51,10 @@ def _read_row(lineno: int, line: str, dim: int) -> list[tuple[int, int]]:
     row = []
     for tok in line.split():
         p, _, q = tok.partition("/")
-        try:
-            p, q = int(p), int(q or 1)
-        except ValueError:  # not a number, or past int()'s digit limit
-            q = 0
-        if not q or not (row_ok or _ENTRY.fullmatch(tok)):
+        q = int(q or 1) if row_ok or RATIONAL.fullmatch(tok) else 0
+        if not q:
             raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
-        row.append((p, q))
+        row.append((int(p), q))
     if len(row) != dim:
         raise TensorFileError(f"line {lineno}: ragged matrix, expected {dim} "
                               f"entries, got {len(row)}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .matrix import Matrix, as_fraction
+from .matrix import MAX_DIGITS, Matrix, as_fraction
 from .tensor import RankOneTerm, Tensor
 
 
@@ -38,9 +38,6 @@ class TrilinearSyntaxError(ValueError):
 
 # Token kinds: an atom, an ASCII integer, or any other non-space character.
 _TOKEN = re.compile(r"(?P<atom>[abc][0-9][0-9])|(?P<int>[0-9]+)|\S")
-# Longer integers are refused before int(), so the error does not depend
-# on the interpreter's digit limit, which never applies at 640 or fewer.
-_MAX_DIGITS = 640
 
 
 class _Parser:
@@ -159,8 +156,8 @@ class _Parser:
         kind, text, _ = self.tokens[self.k]
         if kind != "int":
             raise self.error("expected a number or L")
-        if len(text) > _MAX_DIGITS:
-            raise self.error(f"number longer than {_MAX_DIGITS} digits")
+        if len(text) > MAX_DIGITS:
+            raise self.error(f"number longer than {MAX_DIGITS} digits")
         self.k += 1
         return Fraction(int(text))
 

@@ -300,17 +300,44 @@ def test_mul_size_bound(capsys):
                   "builtin:strassen")[0] == 2
 
 
-def test_python_dash_m():
+def python_dash_m(*argv, **env):
+    """Run python -m mmtensor argv in a subprocess, with this mmtensor on
+    PYTHONPATH and env added to the environment."""
     src = str(Path(mm.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "mmtensor", "verify",
-                           "--tensor", "builtin:strassen"],
+    return subprocess.run([sys.executable, "-m", "mmtensor", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def test_python_dash_m():
+    proc = python_dash_m("verify", "--tensor", "builtin:strassen")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "VERIFIED n=2 terms=7"
+
+
+@pytest.mark.parametrize("limit", [{}, {"PYTHONINTMAXSTRDIGITS": "0"}],
+                         ids=["default-digit-limit", "no-digit-limit"])
+def test_rationals_have_at_most_640_digits(tmp_path, limit):
+    """A tensor-file entry, a lambda line and --lambda read digit runs of
+    640 digits and exit 2 with one line at 641, whatever int()'s digit
+    limit is."""
+    for digits, code in ((640, 0), (641, 2)):
+        big = "7" * digits
+        entry, lam = tmp_path / "entry.tensor", tmp_path / "lambda.tensor"
+        entry.write_text(f"dim 1\nterms 1\nterm\n{big}\n1\n1\n")
+        lam.write_text(f"dim 1\nlambda 1/{big}\nterms 0\n")
+        for argv in (("show", "--tensor", str(entry)),
+                     ("show", "--tensor", str(lam)),
+                     ("construct", "winograd", "--lambda", f"-{big}")):
+            proc = python_dash_m(*argv, **limit)
+            assert proc.returncode == code, (digits, argv)
+            if code == 2:
+                assert proc.stdout == ""
+                assert len(proc.stderr.splitlines()) == 1
+                assert proc.stderr.startswith("error: ")
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -168,6 +168,38 @@ def test_merge_equals_restart_scan_on_constructions():
         assert mm.merge_shared_factors(t).terms == _restart_scan_merge(t).terms
 
 
+_E11, _E12, _E21, _E22 = (Matrix.unit(2, i, j)
+                          for i, j in product((1, 2), repeat=2))
+_I, _J, _K = _E11 + _E22, Matrix([[1, 1], [1, 1]]), Matrix([[1, -1], [0, 0]])
+
+
+def test_merge_takes_least_pair_not_first_met():
+    """Slots 3 and 5 share (a,c), and a scan in slot order meets them
+    before slots 1 and 6, which share (b,c).  The least pair (1,6) merges
+    first; merging (3,5) first would give slot 3 slot 6's (a,b) and fold
+    6 into 3 instead."""
+    e, h, f = _E12 + _E21, _E11 + _E12, _E11 + _E21
+    t = Tensor(2, [mm.term(_I, _I, _I), mm.term(_E22, e, f),
+                   mm.term(_J, _J, _J), mm.term(_E11, _E12, h),
+                   mm.term(_K, _K, _K), mm.term(_E11, _E21, h),
+                   mm.term(_E11, e, f)])
+    merged = mm.merge_shared_factors(t)
+    assert merged.terms == _restart_scan_merge(t).terms
+    assert merged.terms[1] == mm.term(_I, e, f)
+    assert merged.terms[3] == mm.term(_E11, e, h)
+
+
+def test_merge_rebuilt_term_meets_earlier_slot():
+    """Slots 1 and 2 merge on (a,b) into a term whose (a,c) is slot 0's,
+    so the rebuilt slot 1 then merges into slot 0, an earlier one."""
+    h = _E11 + _E12
+    t = Tensor(2, [mm.term(_E21, _E11, h), mm.term(_E21, _E22, _E11),
+                   mm.term(_E21, _E22, _E12)])
+    merged = mm.merge_shared_factors(t)
+    assert merged.terms == _restart_scan_merge(t).terms
+    assert merged.terms == (mm.term(_E21, _I, h),)
+
+
 def _normal(m):
     """The merge key before integer keys: m over its first nonzero entry,
     with that entry."""
