@@ -20,7 +20,7 @@ from .codegen import emit_code, extract_schedule, op_count, recursive_multiply
 from .constructions import (builtin, correction_term, klein_group,
                             merge_shared_factors)
 from .isotropy import act, monomial_stabilizer_count, orbit_sum
-from .matrix import Matrix, parse_rational
+from .matrix import Matrix, parse_int, parse_rational
 from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
 from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
@@ -245,14 +245,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("project", _cmd_project, "project out the (i,j,k) slices")
     for f in "ijk":
-        p.add_argument(f"--{f}", type=int, required=True)
+        p.add_argument(f"--{f}", type=parse_int, required=True)
     p.add_argument("--lift", action="store_true",
                    help="lift the projection back at the same position")
     p.add_argument("--out")
 
     p = command("zero", _cmd_zero, "zero the (i,j,k) slices")
     for f in "ijk":
-        p.add_argument(f"--{f}", type=int, required=True)
+        p.add_argument(f"--{f}", type=parse_int, required=True)
     p.add_argument("--out")
 
     p = command("act", _cmd_act, "apply a sandwiching isotropy")
@@ -282,10 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("mul", _cmd_mul, "multiply random matrices recursively",
                 tensor=False)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=parse_int, required=True)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.add_argument("--base", required=True, help="base tensor spec")
-    p.add_argument("--threshold", type=int, default=1)
+    p.add_argument("--threshold", type=parse_int, default=1)
     p.add_argument("--lambda", dest="lam", default="1")
 
     command("stabilizer-search", _cmd_stabilizer_search,

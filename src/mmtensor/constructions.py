@@ -17,7 +17,7 @@ from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
                        orbit_sum)
-from .matrix import Matrix, as_fraction
+from .matrix import Matrix, as_fraction, parse_int
 from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
                      merge_shared_factors, monomial_term, scale_form,
                      to_coefficient_form)
@@ -215,11 +215,12 @@ def builtin(name: str, lam=1) -> Tensor:
     """Look up a builtin tensor by CLI-style name, e.g. 'classical-3'.
     KeyError for an unknown name; ValueError for classical-N with N outside
     1..MAX_CLASSICAL_SIZE."""
-    if name.startswith("classical-"):
-        digits = name[len("classical-"):]
-        if not (digits.isascii() and digits.isdigit()):
-            raise KeyError(f"unknown builtin tensor: {name}")
-        n = int(digits)
+    digits = name.removeprefix("classical-")
+    if digits != name and digits[:1].isdigit():  # N in a name has no sign
+        try:
+            n = parse_int(digits)
+        except ValueError:
+            raise KeyError(f"unknown builtin tensor: {name}") from None
         if not 1 <= n <= MAX_CLASSICAL_SIZE:
             raise ValueError(f"builtin tensor {name}: N must lie in "
                              f"1..{MAX_CLASSICAL_SIZE}")

@@ -98,6 +98,10 @@ class Isotropy:
         e = Matrix.identity(n)
         return Isotropy(e, e, e)
 
+    def key(self) -> tuple:
+        """The factors' projective keys: equal iff equal up to scalars."""
+        return tuple(map(projective_key, self.factors()))
+
     def __repr__(self) -> str:
         return f"Isotropy(dim={self.dim})"
 
@@ -115,8 +119,7 @@ def _relabel(m: Matrix, p: SignedPerm, q: SignedPerm) -> Matrix:
 
 def projectively_equal(g: Isotropy, h: Isotropy) -> bool:
     """Equality up to independent scaling of each of the three factors."""
-    return all(projective_key(a)[1] == projective_key(b)[1]
-               for a, b in zip(g.factors(), h.factors()))
+    return g.key() == h.key()
 
 
 def act(g: Isotropy, t: Tensor) -> Tensor:
@@ -160,11 +163,10 @@ class IsotropyGroup:
 
     def is_closed(self) -> bool:
         """Closure and inverse-closure up to projective equivalence."""
-        def member(x):
-            return any(projectively_equal(x, e) for e in self.elements)
-        return (all(member(compose(g, h)) for g in self.elements
+        keys = {e.key() for e in self.elements}
+        return (all(compose(g, h).key() in keys for g in self.elements
                     for h in self.elements)
-                and all(member(inverse(g)) for g in self.elements))
+                and all(inverse(g).key() in keys for g in self.elements))
 
     def group_sum(self, m: Monomial) -> Tensor:
         """Sum of g(term of m) over the elements."""
@@ -184,18 +186,15 @@ def is_form_stabilized(g: Isotropy, t: Tensor) -> bool:
     return to_coefficient_form(act(g, t)) == to_coefficient_form(t)
 
 
-def _canonical_term_multiset(t: Tensor):
-    return Counter(tm.canonical() for tm in t.nonzero_terms())
-
-
 def is_term_stabilizer(group: IsotropyGroup, t: Tensor) -> bool:
     """True iff every group element permutes the term multiset of t.
 
     Terms are compared up to the scaling (a,b,c) ~ (alpha a, beta b,
     c/(alpha beta)) that leaves a rank-one tensor unchanged.
     """
-    ref = _canonical_term_multiset(t)
-    return all(_canonical_term_multiset(act(g, t)) == ref for g in group)
+    ref = Counter(tm.key() for tm in t.nonzero_terms())
+    return all(Counter(tm.key() for tm in act(g, t).nonzero_terms()) == ref
+               for g in group)
 
 
 # -- monomial orbits -------------------------------------------------------------

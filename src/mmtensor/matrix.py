@@ -20,7 +20,16 @@ Rational = Fraction | int
 # interpreter's digit limit, which never applies at 640 digits or fewer.
 MAX_DIGITS = 640
 _DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"
-RATIONAL = re.compile(rf"[+-]?{_DIGITS}(?:/{_DIGITS})?")  # p or p/q
+INTEGER = re.compile(rf"[+-]?{_DIGITS}")
+RATIONAL = re.compile(rf"{INTEGER.pattern}(?:/{_DIGITS})?")  # p or p/q
+
+
+def parse_int(text: str) -> int:
+    """The integer in text, an ASCII digit run of at most MAX_DIGITS with
+    an optional sign; ValueError for any other text."""
+    if not INTEGER.fullmatch(text):
+        raise ValueError(f"malformed integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -107,9 +116,8 @@ class Matrix:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
-        return Matrix.from_ints(1, [[0] * cols for _ in range(rows)])
+    def zeros(n: int) -> "Matrix":
+        return Matrix.from_ints(1, [[0] * n for _ in range(n)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -238,16 +246,14 @@ _set_rows, _set_cols, _set_den, _set_num = (  # past Matrix.__setattr__
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
-def projective_key(m: Matrix) -> tuple[Fraction, tuple]:
-    """Split m into (lead, key): lead is its first nonzero entry in row-major
-    order (0 for a zero matrix), key its shape and the flattened int rows of
-    the primitive integer multiple of m with a positive lead.  Two nonzero
-    matrices are proportional iff their keys are equal."""
+def projective_key(m: Matrix) -> tuple[int, ...]:
+    """m's shape and the flat int rows of its primitive integer multiple
+    with a positive lead, the first nonzero entry row-major (the shape alone
+    if m = 0).  Nonzero matrices are proportional iff their keys agree."""
     flat = tuple(chain.from_iterable(m.num))
     g = gcd(*flat)
     if not g:
-        return Fraction(0), (m.rows, m.cols)
-    lead = next(filter(None, flat))
-    if lead < 0:
+        return (m.rows, m.cols)
+    if next(filter(None, flat)) < 0:
         g = -g
-    return Fraction(lead, m.den), (m.rows, m.cols, *(v // g for v in flat))
+    return (m.rows, m.cols, *(v // g for v in flat))

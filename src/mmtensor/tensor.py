@@ -55,17 +55,19 @@ class RankOneTerm:
     def scaled(self, s: Rational) -> "RankOneTerm":
         return RankOneTerm(self.a.scale(s), self.b, self.c)
 
-    def canonical(self) -> tuple[Matrix, Matrix, Matrix]:
-        """Representative under (a,b,c) ~ (alpha a, beta b, c/(alpha beta)).
-
-        The a and b factors are scaled so their first nonzero entry is 1; the
-        compensating factor goes into c.  Zero terms are returned unchanged.
-        """
+    def key(self) -> tuple:
+        """The projective keys of a and b and (den, num) of c times their
+        leads: equal keys iff equal rank-one tensors, as under (a, b, c) ~
+        (alpha a, beta b, c/(alpha beta)).  ValueError for a zero term."""
         if self.is_zero():
-            return (self.a, self.b, self.c)
-        la, lb = projective_key(self.a)[0], projective_key(self.b)[0]
-        return (self.a.scale(1 / la), self.b.scale(1 / lb),
-                self.c.scale(la * lb))
+            raise ValueError("a zero term has no key")
+        c = self.c.scale(_lead(self.a) * _lead(self.b))
+        return projective_key(self.a), projective_key(self.b), (c.den, c.num)
+
+
+def _lead(m: Matrix) -> Fraction:
+    """The first nonzero entry of the nonzero matrix m, row-major."""
+    return Fraction(next(filter(None, chain.from_iterable(m.num))), m.den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,22 +226,19 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
 
     Each term is keyed once, when it enters or is rebuilt: each factor by
-    its lead and projective class number, each factor pair by (pair, class
-    number, class number).  Two terms merge iff they share a pair key, so a
-    step scans the live terms in slot order and merges the least (first
-    slot, later slot) pair met under one key.
+    its projective class number, each factor pair by (pair, class number,
+    class number).  Two terms merge iff they share a pair key, so a step
+    scans the live terms in slot order and merges the least (first slot,
+    later slot) pair met under one key.
     """
     terms = list(t.nonzero_terms())
     units = {}  # projective key of a factor -> its number
-    normal = [None] * len(terms)  # per slot: (lead, unit number) per factor
     pair_keys = [()] * len(terms)  # per slot: (pair, unit, unit) per pair
 
     def key(i):
-        tm = terms[i]
-        normal[i] = n = [(lead, units.setdefault(k, len(units)))
-                         for lead, k in map(projective_key, (tm.a, tm.b, tm.c))]
-        pair_keys[i] = [(p, n[x][1], n[y][1])
-                        for p, (x, y) in enumerate(_PAIRS)]
+        n = [units.setdefault(projective_key(f), len(units))
+             for f in (terms[i].a, terms[i].b, terms[i].c)]
+        pair_keys[i] = [(p, n[x], n[y]) for p, (x, y) in enumerate(_PAIRS)]
 
     for i in range(len(terms)):
         key(i)
@@ -250,7 +249,7 @@ def merge_shared_factors(t: Tensor) -> Tensor:
         if least is None:
             break
         i, j = least
-        new = _merge_pair(terms[i], normal[i], terms[j], normal[j])
+        new = _merge_pair(terms[i], pair_keys[i], terms[j], pair_keys[j])
         terms[j], pair_keys[j] = None, ()
         if new.is_zero():
             terms[i], pair_keys[i] = None, ()
@@ -260,16 +259,15 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     return Tensor(t.dim, [tm for tm in terms if tm is not None])
 
 
-def _merge_pair(u: RankOneTerm, nu, v: RankOneTerm, nv) -> RankOneTerm:
-    """Fold u into v along the first factor pair on which the unit numbers
-    of nu and nv agree; u's scales go into its third factor."""
-    x, y = next((x, y) for x, y in _PAIRS
-                if nu[x][1] == nv[x][1] and nu[y][1] == nv[y][1])
+def _merge_pair(u: RankOneTerm, ku, v: RankOneTerm, kv) -> RankOneTerm:
+    """Fold u into v along the first factor pair whose keys in ku and kv
+    agree; u's scales, read off the leads, go into its third factor."""
+    x, y = next(pair for pair, k, l in zip(_PAIRS, ku, kv) if k == l)
     z = 3 - x - y
-    scale = nu[x][0] / nv[x][0] * (nu[y][0] / nv[y][0])
-    factors = [v.a, v.b, v.c]
-    factors[z] = (u.a, u.b, u.c)[z].scale(scale) + factors[z]
-    return RankOneTerm(*factors)
+    fu, fv = (u.a, u.b, u.c), [v.a, v.b, v.c]
+    scale = _lead(fu[x]) / _lead(fv[x]) * (_lead(fu[y]) / _lead(fv[y]))
+    fv[z] = fu[z].scale(scale) + fv[z]
+    return RankOneTerm(*fv)
 
 
 def form_equal(t1: Tensor, t2: Tensor) -> bool:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import MAX_DIGITS, RATIONAL, Matrix, parse_rational
+from .matrix import RATIONAL, Matrix, parse_int, parse_rational
 from .tensor import MAX_CLASSICAL_SIZE, RankOneTerm, Tensor
 
 
@@ -38,8 +38,6 @@ class TensorFileError(ValueError):
     pass
 
 
-# An ASCII integer of at most MAX_DIGITS digits.
-_COUNT = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
 # One matrix row: whitespace-separated entries p or p/q.
 _ROW = re.compile(rf"{RATIONAL.pattern}(?:\s+{RATIONAL.pattern})*")
 
@@ -68,10 +66,7 @@ def _parse_count(lineno: int, line: str, key: str, minimum: int,
     if parts[0] != key:
         raise TensorFileError(f"line {lineno}: expected '{key} N'")
     try:
-        (tok,) = parts[1:]
-        if not _COUNT.fullmatch(tok):
-            raise ValueError(tok)
-        value = int(tok)
+        value = parse_int(" ".join(parts[1:]))  # two tokens fail too
     except ValueError:
         raise TensorFileError(f"line {lineno}: malformed count in {line!r}")
     if value < minimum:

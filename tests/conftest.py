@@ -27,13 +27,7 @@ DENSE_ISOTROPY = Isotropy(
 
 def canonical_terms(t):
     """Multiset key of a tensor's nonzero terms up to per-term rescaling."""
-    keyed = []
-    for tm in t.nonzero_terms():
-        a, b, c = tm.canonical()
-        keyed.append((tuple(map(tuple, a.row_list())),
-                      tuple(map(tuple, b.row_list())),
-                      tuple(map(tuple, c.row_list()))))
-    return sorted(keyed)
+    return sorted(tm.key() for tm in t.nonzero_terms())
 
 
 @pytest.fixture

@@ -340,6 +340,62 @@ def test_rationals_have_at_most_640_digits(tmp_path, limit):
                 assert proc.stderr.startswith("error: ")
 
 
+_640, _641 = "1" * 640, "1" * 641
+_MUL = ["mul", "--base", "builtin:strassen"]
+_PROJECT = ["project", "--tensor", "builtin:strassen", "--j", "1", "--k", "1"]
+# (argv, exit code, the start of its stdout or stderr)
+INTEGER_ARGS = [
+    (_MUL + ["--size", "1_0"], 2, "usage:"),
+    (_MUL + ["--size", "\u0663"], 2, "usage:"),
+    (_MUL + ["--size", "1", "--seed", _641], 2, "usage:"),
+    (_MUL + ["--size", "1", "--threshold", _641], 2, "usage:"),
+    (_PROJECT + ["--i", _641], 2, "usage:"),
+    (["verify", "--tensor", f"builtin:classical-{_641}"], 2,
+     "error: unknown builtin tensor"),
+    (_MUL + ["--size", "1", "--seed", _640, "--threshold", _640], 0,
+     "size 1 multiplications 1 OK"),
+    (_MUL + ["--size=+2", "--seed=-5", "--threshold=+1"], 0,
+     "size 2 multiplications 7 OK"),
+    (_MUL + ["--size", _640], 2, "error: --size must lie in 1..243"),
+    (_PROJECT + ["--i=-1"], 2, "error: indices must lie in 1..2"),
+    (["verify", "--tensor", f"builtin:classical-{'0' * 639}2"], 0,
+     "VERIFIED n=2 terms=8"),
+]
+
+
+@pytest.mark.parametrize("limit", [{}, {"PYTHONINTMAXSTRDIGITS": "0"}],
+                         ids=["default-digit-limit", "no-digit-limit"])
+def test_integer_arguments_have_one_grammar(limit):
+    """--size, --seed, --threshold, --i, --j, --k and the N of classical-N
+    are read like the counts of a tensor file: a sign and at most 640 ASCII
+    digits, whatever int()'s digit limit is."""
+    for argv, code, start in INTEGER_ARGS:
+        proc = python_dash_m(*argv, **limit)
+        assert proc.returncode == code, argv
+        assert (proc.stdout or proc.stderr).startswith(start), argv
+        if code == 2:
+            assert proc.stdout == ""
+            assert start == "usage:" or len(proc.stderr.splitlines()) == 1
+
+
+def test_type_compare_against_file(tmp_path, capsys):
+    lad, strassen = tmp_path / "laderman.tensor", tmp_path / "strassen.tensor"
+    lad.write_text(mm.write_tensor_file(mm.laderman()))
+    strassen.write_text(mm.write_tensor_file(mm.strassen()))
+    code, out, _ = invoke(capsys, "type", "--tensor", "builtin:laderman",
+                          "--compare", str(lad))
+    assert code == 0 and out.endswith("\nTYPE MATCH\n")
+    code, out, _ = invoke(capsys, "type", "--tensor", "builtin:laderman",
+                          "--compare", str(strassen))
+    assert code == 1 and out.endswith("\nTYPE MISMATCH\n")
+    missing = tmp_path / "missing.tensor"
+    code, out, err = invoke(capsys, "type", "--tensor", "builtin:laderman",
+                            "--compare", str(missing))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read tensor file {missing}: ")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 # Exit code, stdout, stderr (and the --out file, where written) of each argv.
 TRANSCRIPT = json.loads((GOLDEN / "cli_transcript.json").read_text())

@@ -37,7 +37,55 @@ def test_canonical_scaling_equivalence(rng):
         alpha, beta = Fraction(3, 7), Fraction(-2, 5)
         other = RankOneTerm(tm.a.scale(alpha), tm.b.scale(beta),
                             tm.c.scale(1 / (alpha * beta)))
-        assert tm.canonical() == other.canonical()
+        assert tm.key() == other.key()
+
+
+_ENTRY = st.sampled_from([0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
+_FACTOR = st.lists(st.lists(_ENTRY, min_size=2, max_size=2),
+                   min_size=2, max_size=2).map(Matrix)
+_SCALAR = _ENTRY.filter(bool)
+
+
+@st.composite
+def _term_pairs(draw):
+    """(u, v) of 2x2 terms: v is drawn afresh, or is u under the scaling
+    (alpha a, beta b, c/(alpha beta)), or that with one factor scaled
+    once more."""
+    u = RankOneTerm(*(draw(_FACTOR) for _ in range(3)))
+    how = draw(st.sampled_from(["fresh", "rescaled", "scaled-again"]))
+    if how == "fresh":
+        return u, RankOneTerm(*(draw(_FACTOR) for _ in range(3)))
+    alpha, beta = draw(_SCALAR), draw(_SCALAR)
+    factors = [u.a.scale(alpha), u.b.scale(beta),
+               u.c.scale(Fraction(1) / (alpha * beta))]
+    if how == "scaled-again":
+        i = draw(st.integers(0, 2))
+        factors[i] = factors[i].scale(draw(_SCALAR))
+    return u, RankOneTerm(*factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_pairs())
+def test_term_key_is_complete(pair):
+    """Two nonzero terms have equal keys iff they are the same rank-one
+    tensor; a zero term has no key."""
+    for tm in pair:
+        if tm.is_zero():
+            with pytest.raises(ValueError, match="zero term"):
+                tm.key()
+    u, v = pair
+    if u.is_zero() or v.is_zero():
+        return
+    form_u, form_v = (mm.to_coefficient_form(Tensor(2, [tm])) for tm in pair)
+    assert (u.key() == v.key()) == (form_u == form_v)
+    assert hash(u.key()) is not None and sorted([u.key(), v.key()])
+
+
+def test_zero_term_has_no_key():
+    e, z = Matrix.identity(2), Matrix.zeros(2)
+    for factors in ((z, e, e), (e, z, e), (e, e, z)):
+        with pytest.raises(ValueError, match="zero term"):
+            RankOneTerm(*factors).key()
 
 
 def test_tensor_invariants():

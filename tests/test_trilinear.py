@@ -39,8 +39,8 @@ def test_parse_lambda_symbol():
     t = parse_trilinear("(L*a11 + 1/L*a12)*b11*c11", lam=Fraction(5, 7))
     assert t.terms[0].a[1, 1] == Fraction(5, 7)
     assert t.terms[0].a[1, 2] == Fraction(7, 5)
-    with pytest.raises(ValueError):
-        parse_trilinear("L*a11*b11*c11", lam=0)
+    with pytest.raises(ValueError, match="lam must be nonzero"):
+        parse_trilinear("(L*a11)*b11*c11", lam=0)
 
 
 def test_parse_repeated_atom_accumulates():
@@ -56,19 +56,19 @@ def test_parse_zero():
 
 def test_parse_errors():
     cases = [
-        "a11*b11",                 # missing c form
-        "a11*a11*c11",             # duplicate letter
-        "a11*b11*c11 c11",         # junk between products
-        "(a11+b11)*b11*c11",       # mixed letters in a linear form
-        "a01*b11*c11",             # zero index
-        "a1*b11*c11",              # one-digit index
-        "2a11*b11*c11",            # implicit multiplication
-        "a11*b11*c11 +",           # dangling operator
-        "1/0*a11*b11*c11",         # zero denominator
-        "0 junk",
+        ("a11*b11", r"expected '\*'"),                    # missing c form
+        ("a11*a11*c11", "two 'a' linear forms"),          # duplicate letter
+        ("a11*b11*c11 c11", r"expected '\+' or '-'"),     # products not joined
+        ("(a11+b11)*b11*c11", "mixed letters 'a' and 'b'"),
+        ("a01*b11*c11", "indices are 1-based"),           # zero index
+        ("a1*b11*c11", "expected an atom"),               # one-digit index
+        ("2a11*b11*c11", "expected an atom"),             # implicit product
+        ("a11*b11*c11 +", "expected an atom"),            # dangling operator
+        ("(1/0*a11)*b11*c11", "zero denominator"),
+        ("0 junk", "junk after '0'"),
     ]
-    for text in cases:
-        with pytest.raises(TrilinearSyntaxError):
+    for text, message in cases:
+        with pytest.raises(TrilinearSyntaxError, match=message):
             parse_trilinear(text)
 
 
