@@ -20,7 +20,7 @@ from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
                        SignedPerm, act, compose, inverse, is_form_stabilized,
                        is_term_stabilizer, monomial_orbit, monomial_partition,
                        monomial_stabilizer_search, orbit_partition_sum,
-                       orbit_sum, projectively_equal)
+                       orbit_sum)
 from .constructions import (CorrectionResult, CYCLIC_CORRECTION_SHAPE,
                             KLEIN_CORRECTION_SHAPE, builtin, classical,
                             correction_term, cyclic_partition, klein_group,

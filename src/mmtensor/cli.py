@@ -47,6 +47,14 @@ def _parse_lambda(text: str) -> Fraction:
     return lam
 
 
+def _int_arg(text: str) -> int:
+    """parse_int as an argparse type, worded as for type=int."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _read_file(kind: str, path: str, parse):
     """parse(text of path); read and parse errors become CliErrors."""
     try:
@@ -245,14 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("project", _cmd_project, "project out the (i,j,k) slices")
     for f in "ijk":
-        p.add_argument(f"--{f}", type=parse_int, required=True)
+        p.add_argument(f"--{f}", type=_int_arg, required=True)
     p.add_argument("--lift", action="store_true",
                    help="lift the projection back at the same position")
     p.add_argument("--out")
 
     p = command("zero", _cmd_zero, "zero the (i,j,k) slices")
     for f in "ijk":
-        p.add_argument(f"--{f}", type=parse_int, required=True)
+        p.add_argument(f"--{f}", type=_int_arg, required=True)
     p.add_argument("--out")
 
     p = command("act", _cmd_act, "apply a sandwiching isotropy")
@@ -282,10 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("mul", _cmd_mul, "multiply random matrices recursively",
                 tensor=False)
-    p.add_argument("--size", type=parse_int, required=True)
-    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--size", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--base", required=True, help="base tensor spec")
-    p.add_argument("--threshold", type=parse_int, default=1)
+    p.add_argument("--threshold", type=_int_arg, default=1)
     p.add_argument("--lambda", dest="lam", default="1")
 
     command("stabilizer-search", _cmd_stabilizer_search,

@@ -11,9 +11,10 @@ each factor matters only up to a nonzero scalar.
 SignedPerm is the one signed-permutation type.  A signed permutation matrix G
 is orthogonal, so G^-T = G and each factor maps to P T Q^T: a relabeling of
 its entries with signs.  Triples of them (every Klein element and every
-stabilizer-search result) act that way, and monomial orbits read the same
-index maps.  Every other triple gets its inverse transposes, and a singular
-factor is refused, when the Isotropy is built.
+stabilizer-search result) act that way; act, monomial orbits and the search
+all read images forward, index j going to images[j - 1].  Every other triple
+gets its inverse transposes, and a singular factor is refused, when the
+Isotropy is built.
 """
 
 from __future__ import annotations
@@ -117,11 +118,6 @@ def _relabel(m: Matrix, p: SignedPerm, q: SignedPerm) -> Matrix:
     return Matrix.from_ints(m.den, rows)
 
 
-def projectively_equal(g: Isotropy, h: Isotropy) -> bool:
-    """Equality up to independent scaling of each of the three factors."""
-    return g.key() == h.key()
-
-
 def act(g: Isotropy, t: Tensor) -> Tensor:
     """Apply the sandwiching action term by term; term count is preserved."""
     if g.dim != t.dim:
@@ -147,7 +143,7 @@ class IsotropyGroup:
         elements = tuple(elements)
         if not elements:
             raise ValueError("empty isotropy group")
-        if not projectively_equal(elements[0], Isotropy.identity(elements[0].dim)):
+        if elements[0].key() != Isotropy.identity(elements[0].dim).key():
             raise ValueError("first group element must be the identity triple")
         self.elements = elements
 
@@ -302,34 +298,28 @@ def signed_permutations(n: int) -> list[SignedPerm]:
 
 
 def _stabilizer_masks(t: Tensor):
-    """signed_permutations(n), the images of their inverses, and
-    pair_mask(inv1, inv2): bit b of its result is set when
-    (f1, f2, sps[b]) stabilizes t's trilinear form.  These triples are the
-    stabilizer S of the form under a group action, so S is a subgroup of
-    G^3, G being the signed permutations.
+    """signed_permutations(n) and pair_mask(f1, f2): bit b of its result is
+    set when (f1, f2, sps[b]) stabilizes t's trilinear form.  These triples
+    are the stabilizer S of the form under a group action, so S is a
+    subgroup of G^3, G being the signed permutations.
 
-    Signed permutation matrices are orthogonal, so the acted coefficient
-    form is a signed relabeling of the original one.  For each (f1, f2) an
-    entry's a-pair, b-row and c-col images are fixed, which leaves a bit
-    mask of the admissible f3 (memoized per image); the masks of all
-    entries are ANDed.
+    Signed permutation matrices are orthogonal, so the acted form is a
+    signed relabeling of the original, read forward off images as act
+    does: a triple stabilizes the form iff it sends each entry to an entry
+    of the same value.  For each (f1, f2) an entry's a-pair, b-row and
+    c-col images are fixed, which leaves a bit mask of the admissible f3
+    (memoized per image); the masks of all entries are ANDed.
     """
     n = t.dim
     if n > 3:
         raise ValueError("signed-perm search supports n <= 3")
     form = to_coefficient_form(t)
     sps = signed_permutations(n)
-    # Images of each inverse f^-1 = f^T: position x - 1 holds the column
-    # that f sends to row x, with its sign.
-    invs = [[None] * n for _ in sps]
-    for inv, sp in zip(invs, sps):
-        for j, (x, s) in enumerate(sp.images, start=1):
-            inv[x - 1] = (j, s)
     # Code the form's values as small ints with code(-v) == -code(v).
     rank = {a: r for r, a in enumerate(sorted({abs(v) for v in form.values()}),
                                        start=1)}
     coded = {key: rank[v] if v > 0 else -rank[-v] for key, v in form.items()}
-    # Each entry's indices less one, for the positions into invs.
+    # Each entry's indices less one, for the positions into images.
     entries = [((i - 1, j - 1, k - 1, l - 1, m - 1, nn - 1), c)
                for ((i, j), (k, l), (m, nn)), c in coded.items()]
     full = (1 << len(sps)) - 1
@@ -338,24 +328,25 @@ def _stabilizer_masks(t: Tensor):
     def f3_mask(a_pair, b_row, c_col, l, m, want):
         """Bits of the f3 that give the image entry the coded value want."""
         mask = 0
-        for bit, inv in enumerate(invs):
-            (y, sy), (z, sz) = inv[l], inv[m]
+        for bit, f3 in enumerate(sps):
+            (y, sy), (z, sz) = f3.images[l], f3.images[m]
             value = coded.get((a_pair, (b_row, y), (z, c_col)), 0)
             if value * sy * sz == want:
                 mask |= 1 << bit
         return mask
 
-    def pair_mask(inv1, inv2):
+    def pair_mask(f1, f2):
         mask = full
+        f1, f2 = f1.images, f2.images
         for (i, j, k, l, m, nn), c in entries:
-            (x, si), (y, sj) = inv1[i], inv2[j]
-            (z, sk), (w, sn) = inv2[k], inv1[nn]
+            (x, si), (y, sj) = f1[i], f2[j]
+            (z, sk), (w, sn) = f2[k], f1[nn]
             mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
             if not mask:
                 break
         return mask
 
-    return sps, invs, pair_mask
+    return sps, pair_mask
 
 
 def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
@@ -365,11 +356,11 @@ def monomial_stabilizer_search(t: Tensor) -> list[tuple[SignedPerm, ...]]:
     Exhaustive over the (n! 2^n)^3 candidates, n <= 3, in lexicographic
     order of signed_permutations(n) indices.
     """
-    sps, invs, pair_mask = _stabilizer_masks(t)
+    sps, pair_mask = _stabilizer_masks(t)
     found = []
-    for inv1, f1 in zip(invs, sps):
-        for inv2, f2 in zip(invs, sps):
-            mask = pair_mask(inv1, inv2)
+    for f1 in sps:
+        for f2 in sps:
+            mask = pair_mask(f1, f2)
             found.extend((f1, f2, f3) for bit, f3 in enumerate(sps)
                          if mask >> bit & 1)
     return found
@@ -383,10 +374,9 @@ def monomial_stabilizer_count(t: Tensor) -> int:
     over f1 is a coset of K2 = {f2 : (e, f2, f3) in S for some f3}.  The
     scan for pi1(S), the f1 with some partner f2, stops at the first one.
     """
-    _, invs, pair_mask = _stabilizer_masks(t)
-    e = invs[0]
+    sps, pair_mask = _stabilizer_masks(t)
+    e = sps[0]
     k3 = pair_mask(e, e).bit_count()
-    k2 = sum(1 for inv2 in invs if pair_mask(e, inv2))
-    pi1 = sum(1 for inv1 in invs
-              if any(pair_mask(inv1, inv2) for inv2 in invs))
+    k2 = sum(1 for f2 in sps if pair_mask(e, f2))
+    pi1 = sum(1 for f1 in sps if any(pair_mask(f1, f2) for f2 in sps))
     return pi1 * k2 * k3

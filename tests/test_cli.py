@@ -343,13 +343,17 @@ def test_rationals_have_at_most_640_digits(tmp_path, limit):
 _640, _641 = "1" * 640, "1" * 641
 _MUL = ["mul", "--base", "builtin:strassen"]
 _PROJECT = ["project", "--tensor", "builtin:strassen", "--j", "1", "--k", "1"]
-# (argv, exit code, the start of its stdout or stderr)
+# (argv, exit code, the start of its stdout or stderr).  A "usage:" case
+# ends in the flag and the value that argparse refuses.
 INTEGER_ARGS = [
+    (_MUL + ["--size", "x"], 2, "usage:"),
     (_MUL + ["--size", "1_0"], 2, "usage:"),
     (_MUL + ["--size", "\u0663"], 2, "usage:"),
     (_MUL + ["--size", "1", "--seed", _641], 2, "usage:"),
     (_MUL + ["--size", "1", "--threshold", _641], 2, "usage:"),
     (_PROJECT + ["--i", _641], 2, "usage:"),
+    (_PROJECT + ["--i", "1", "--j", "x"], 2, "usage:"),
+    (_PROJECT + ["--i", "1", "--k", "x"], 2, "usage:"),
     (["verify", "--tensor", f"builtin:classical-{_641}"], 2,
      "error: unknown builtin tensor"),
     (_MUL + ["--size", "1", "--seed", _640, "--threshold", _640], 0,
@@ -376,6 +380,10 @@ def test_integer_arguments_have_one_grammar(limit):
         if code == 2:
             assert proc.stdout == ""
             assert start == "usage:" or len(proc.stderr.splitlines()) == 1
+        if start == "usage:":
+            flag, value = argv[-2:]
+            assert proc.stderr.splitlines()[-1].endswith(
+                f"argument {flag}: invalid int value: {value!r}"), argv
 
 
 def test_type_compare_against_file(tmp_path, capsys):

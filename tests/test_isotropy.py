@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
-                      Tensor, act, compose, inverse, projectively_equal)
+                      Tensor, act, compose, inverse)
 from mmtensor.isotropy import (SignedPerm, monomial_stabilizer_count,
                                signed_permutations)
 
@@ -102,8 +102,8 @@ def test_projective_equality():
     e = Matrix.identity(2)
     g = Isotropy(e, e, e)
     h = Isotropy(e.scale(3), e.scale(Fraction(-1, 2)), e)
-    assert projectively_equal(g, h)
-    assert not projectively_equal(g, Isotropy(Matrix([[0, 1], [1, 0]]), e, e))
+    assert g.key() == h.key()
+    assert g.key() != Isotropy(Matrix([[0, 1], [1, 0]]), e, e).key()
 
 
 def test_group_invariants():
@@ -418,6 +418,49 @@ def test_stabilizer_search_equals_exhaustive_check_n2(terms):
               if mm.is_form_stabilized(g, t)]
     assert mm.monomial_stabilizer_search(t) == direct
     assert monomial_stabilizer_count(t) == len(direct)
+
+
+def _sparse_term_n3():
+    entry = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    matrix = st.dictionaries(entry, st.sampled_from(_COEFFS), min_size=1,
+                             max_size=2).map(
+        lambda d: Matrix([[d.get((i, j), 0) for j in (1, 2, 3)]
+                          for i in (1, 2, 3)]))
+    return st.builds(mm.RankOneTerm, matrix, matrix, matrix)
+
+
+def _tensor_and_triples(n, term):
+    sps = st.sampled_from(signed_permutations(n))
+    triple = st.tuples(sps, sps, sps)
+    return st.tuples(st.lists(term, min_size=1, max_size=2)
+                     .map(lambda terms: Tensor(n, terms)), triple, triple)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(_tensor_and_triples(2, _term_n2()),
+                 _tensor_and_triples(3, _sparse_term_n3())), st.data())
+def test_stabilizer_search_is_conjugation_equivariant(case, data):
+    """t sums t0 over the cyclic group of h, so h is in its stabilizer S.
+    The stabilizer of act(g, t) is g S g^-1, and S is closed under
+    products; products are taken as matrix products."""
+    t0, h, g = case
+    powers = [Isotropy.identity(t0.dim)]
+    while (p := compose(_isotropy(h), powers[-1])).key() != powers[0].key():
+        powers.append(p)
+    t = mm.orbit_sum(IsotropyGroup(powers), t0)
+    conj = [{sp: SignedPerm.from_matrix(f.to_matrix() @ sp.to_matrix()
+                                        @ f.to_matrix().transpose())
+             for sp in signed_permutations(t.dim)} for f in g]
+    found = mm.monomial_stabilizer_search(t)
+    moved = mm.monomial_stabilizer_search(act(_isotropy(g), t))
+    members = set(found)
+    assert h in members
+    assert set(moved) == {tuple(c[f] for c, f in zip(conj, tri))
+                          for tri in found}
+    assert len(moved) == len(found)
+    x, y = (data.draw(st.sampled_from(found)) for _ in range(2))
+    assert tuple(SignedPerm.from_matrix(a.to_matrix() @ b.to_matrix())
+                 for a, b in zip(x, y)) in members
 
 
 def test_import_leaves_numpy_out():

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmtensor import Matrix, as_fraction, matrix_lift, matrix_project
+from mmtensor.matrix import projective_key
 
 
 def test_construction_and_indexing():
     m = Matrix([[1, 2], [3, "5/7"]])
     assert m[1, 1] == 1 and m[2, 2] == Fraction(5, 7)
     assert m.rows == m.cols == 2
+    assert repr(m) == "Matrix[1 2; 3 5/7]"
     with pytest.raises(IndexError):
         m[0, 1]
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
+    for empty in ([], [[]]):
+        with pytest.raises(ValueError, match="at least one row"):
+            Matrix(empty)
 
 
 def test_builders():
@@ -37,6 +42,8 @@ def test_arithmetic():
     assert a.transpose().transpose() == a
     with pytest.raises(ValueError):
         a + Matrix([[1]])
+    with pytest.raises(ValueError, match="product dimension"):
+        a @ Matrix([[1, 2, 3]])
 
 
 def test_trace_pair():
@@ -44,6 +51,8 @@ def test_trace_pair():
     b = Matrix([[5, 6], [7, 8]])
     # trace(a^T b) = sum of entrywise products
     assert a.trace_pair(b) == 5 + 12 + 21 + 32
+    with pytest.raises(ValueError, match="shape"):
+        a.trace_pair(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_rank():
@@ -62,6 +71,8 @@ def test_inverse():
     with pytest.raises(ValueError, match="singular"):
         Matrix([[1, 2], [2, 4]]).inverse()
     assert not Matrix([[1, 2], [2, 4]]).is_invertible()
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix([[1, 2, 3], [0, 1, 0]]).inverse()
     assert Matrix.identity(4).is_invertible()
 
 
@@ -81,6 +92,14 @@ def test_fraction_helpers():
     for text in ("0.5", "1e3", "1_000", "1/-2", " 1", "", "\u0661"):
         with pytest.raises(ValueError):
             as_fraction(text)
+
+
+def test_projective_key():
+    m = Matrix([[0, "2/3"], [-4, 6]])
+    assert projective_key(m) == (2, 2, 0, 1, -6, 9)
+    assert projective_key(m.scale("-3/2")) == projective_key(m)
+    assert projective_key(Matrix.zeros(2)) == (2, 2)
+    assert projective_key(Matrix([[0, 0, 0]])) == (1, 3)
 
 
 # -- differential test against Fraction rows ------------------------------------

@@ -96,6 +96,10 @@ def test_tensor_invariants():
     z = Tensor(2)
     assert mm.decomposition_length(z) == 0
     assert mm.to_coefficient_form(z) == {}
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mm.combine(z, 1, Tensor(3), 1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mm.form_equal(z, Tensor(3))
 
 
 def test_core_types_are_immutable():
@@ -155,6 +159,8 @@ def test_coefficient_form_cancellation():
     tm = mm.monomial_term(2, 1, 1, 1)
     t = Tensor(2, [tm, tm.scaled(-1)])
     assert mm.to_coefficient_form(t) == {}
+    form = mm.to_coefficient_form(mm.strassen())
+    assert mm.add_forms(form, mm.scale_form(form, -1)) == {}
     assert mm.decomposition_length(t) == 2  # terms kept, form cancels
 
 
