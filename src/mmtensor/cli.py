@@ -25,8 +25,7 @@ from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
 from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
                          write_tensor_file)
-from .transforms import (projection_census, tensor_lift, tensor_project,
-                         tensor_zero)
+from .transforms import projection_census, tensor_project, tensor_zero
 
 
 # Largest --size that mul accepts: 3**5, five levels of a 3x3 base.
@@ -139,11 +138,8 @@ def _triple(args, dim: int):
 
 
 def _cmd_project(args) -> int:
-    idx = _triple(args, args.tensor.dim)
-    p = tensor_project(args.tensor, idx)
-    if args.lift:
-        p = tensor_lift(p, idx)
-    _output_tensor(p, args.out)
+    t = args.tensor
+    _output_tensor(tensor_project(t, _triple(args, t.dim)), args.out)
     return 0
 
 
@@ -254,8 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("project", _cmd_project, "project out the (i,j,k) slices")
     for f in "ijk":
         p.add_argument(f"--{f}", type=_int_arg, required=True)
-    p.add_argument("--lift", action="store_true",
-                   help="lift the projection back at the same position")
     p.add_argument("--out")
 
     p = command("zero", _cmd_zero, "zero the (i,j,k) slices")

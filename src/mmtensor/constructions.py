@@ -19,8 +19,7 @@ from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
                        orbit_sum)
 from .matrix import Matrix, as_fraction, parse_int
 from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
-                     merge_shared_factors, monomial_term, scale_form,
-                     to_coefficient_form)
+                     merge_shared_factors, monomial_term, to_coefficient_form)
 from .transforms import tensor_lift
 from .trilinear import parse_trilinear
 
@@ -171,12 +170,12 @@ def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
     if corner not in corner_form:
         raise ValueError("corner group sum vanishes; cannot solve")
     c_fix = residual.get(corner, Fraction(0)) / corner_form[corner]
-    if residual != scale_form(corner_form, c_fix):
+    corner_terms = [tm.scaled(c_fix) for tm in corner_gsum.terms]
+    if residual != to_coefficient_form(Tensor(n, corner_terms)):
         raise ValueError("no coefficient assignment of this shape satisfies "
                          "the decomposition identity")
 
-    tensor = Tensor(n, known_terms + [tm.scaled(c_fix)
-                                      for tm in corner_gsum.terms])
+    tensor = Tensor(n, known_terms + corner_terms)
     return CorrectionResult(tensor=tensor, corner_coefficient=c_fix,
                             corner_total_weight=c_fix * corner_form[corner])
 

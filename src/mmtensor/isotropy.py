@@ -26,7 +26,7 @@ from functools import cache
 from itertools import permutations, product
 
 from .matrix import Matrix, projective_key
-from .tensor import Tensor, map_factors, monomial_term, to_coefficient_form
+from .tensor import Tensor, expansion, form_equal, map_factors, monomial_term
 
 Monomial = tuple[int, int, int]
 
@@ -179,7 +179,7 @@ def orbit_sum(group: IsotropyGroup, t: Tensor) -> Tensor:
 
 def is_form_stabilized(g: Isotropy, t: Tensor) -> bool:
     """True iff acting by g leaves the trilinear form unchanged."""
-    return to_coefficient_form(act(g, t)) == to_coefficient_form(t)
+    return form_equal(act(g, t), t)
 
 
 def is_term_stabilizer(group: IsotropyGroup, t: Tensor) -> bool:
@@ -305,43 +305,45 @@ def _stabilizer_masks(t: Tensor):
 
     Signed permutation matrices are orthogonal, so the acted form is a
     signed relabeling of the original, read forward off images as act
-    does: a triple stabilizes the form iff it sends each entry to an entry
-    of the same value.  For each (f1, f2) an entry's a-pair, b-row and
-    c-col images are fixed, which leaves a bit mask of the admissible f3
-    (memoized per image); the masks of all entries are ANDed.
+    does: a triple stabilizes the form iff it sends each entry of the
+    expansion to an entry of the same int value, a missing one being 0.
+    For each (f1, f2) an entry's a-pair, b-row and c-col images are fixed,
+    which leaves a bit mask of the admissible f3 (memoized per image); the
+    masks of all entries are ANDed.
     """
     n = t.dim
     if n > 3:
         raise ValueError("signed-perm search supports n <= 3")
-    form = to_coefficient_form(t)
+    sums = expansion(t)[1]
     sps = signed_permutations(n)
-    # Code the form's values as small ints with code(-v) == -code(v).
-    rank = {a: r for r, a in enumerate(sorted({abs(v) for v in form.values()}),
-                                       start=1)}
-    coded = {key: rank[v] if v > 0 else -rank[-v] for key, v in form.items()}
-    # Each entry's indices less one, for the positions into images.
-    entries = [((i - 1, j - 1, k - 1, l - 1, m - 1, nn - 1), c)
-               for ((i, j), (k, l), (m, nn)), c in coded.items()]
+    n2, n3, n4 = n * n, n ** 3, n ** 4
+    # Each entry's base-n key digits (i, j), (k, l), (m, nn), positions
+    # into images; image rows are 1-based, so a key built from them is
+    # over by 1 in each of its six digits.
+    entries = [(divmod(key // n4, n), divmod(key // n2 % n2, n),
+                divmod(key % n2, n), v) for key, v in sums.items()]
+    shift = sum(n ** p for p in range(6))
     full = (1 << len(sps)) - 1
 
     @cache
-    def f3_mask(a_pair, b_row, c_col, l, m, want):
-        """Bits of the f3 that give the image entry the coded value want."""
+    def f3_mask(base, l, m, want):
+        """Bits of the f3 that give the image entry at flat key base plus
+        f3's images of l and m the value want."""
         mask = 0
         for bit, f3 in enumerate(sps):
             (y, sy), (z, sz) = f3.images[l], f3.images[m]
-            value = coded.get((a_pair, (b_row, y), (z, c_col)), 0)
-            if value * sy * sz == want:
+            if sums.get(base + y * n2 + z * n, 0) * sy * sz == want:
                 mask |= 1 << bit
         return mask
 
     def pair_mask(f1, f2):
         mask = full
         f1, f2 = f1.images, f2.images
-        for (i, j, k, l, m, nn), c in entries:
+        for (i, j), (k, l), (m, nn), c in entries:
             (x, si), (y, sj) = f1[i], f2[j]
             (z, sk), (w, sn) = f2[k], f1[nn]
-            mask &= f3_mask((x, y), z, w, l, m, c * si * sj * sk * sn)
+            base = (x * n + y) * n4 + z * n3 + w - shift
+            mask &= f3_mask(base, l, m, c * si * sj * sk * sn)
             if not mask:
                 break
         return mask

@@ -1,11 +1,11 @@
 """Rank-one decompositions of trilinear forms and their canonical form.
 
 A tensor is an ordered sum of rank-one terms T_a (x) T_b (x) T_c of square
-matrices of a common dimension.  The canonical form is the sparse 6-index
-coefficient table of the associated trilinear form, obtained by pairing each
-factor against unit matrices; two tensors are equal as trilinear forms iff
-their tables are identical.  The table and the Brent-equation check read
-one exact integer expansion over the common denominator of the terms.
+matrices of a common dimension.  The canonical form is the expansion: the
+coefficient table of the associated trilinear form as ints over one
+denominator, in lowest terms, so two tensors are equal as trilinear forms
+iff their expansions are equal.  Every check compares expansions; the sparse
+6-index Fraction table is only read out of one.
 merge_shared_factors collapses terms that share two factors up to scale.
 """
 
@@ -15,12 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm
-from operator import countOf
+from math import gcd, lcm
 
 from .matrix import Matrix, Rational, as_fraction, projective_key
 
-# Canonical form: {((i,j),(k,l),(m,n)): Fraction}, zero entries absent.
+# Readout of the expansion: {((i,j),(k,l),(m,n)): Fraction}, zeros absent.
 CoefficientForm = dict[tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
                        Fraction]
 
@@ -115,14 +114,17 @@ def map_factors(t: Tensor, op, idx, dim: int) -> Tensor:
 
 # -- operations ----------------------------------------------------------------
 
-def _expansion(t: Tensor) -> tuple[int, dict[int, int]]:
-    """(D, sums): the coefficient table of t times D, keyed by flat ints.
+def expansion(t: Tensor) -> tuple[int, dict[int, int]]:
+    """(D, sums): the coefficient table of t times D, keyed by flat ints,
+    in lowest terms, so two tensors have equal trilinear forms iff their
+    expansions are equal.
 
     A factor is num / den, its entry (i, j) at flat index (i-1) n + (j-1);
     the product of nonzero num entries of a, b, c at fa, fb, fc is keyed
     fa n^4 + fb n^2 + fc.  Terms with a zero factor are skipped.  A term's
-    products are weighted by D // (da db dc), D the lcm of da db dc over
-    the terms, and summed; sums that cancel stay in as 0."""
+    products are weighted by L // (da db dc), L the lcm of da db dc over
+    the terms, and summed; sums that cancel are dropped, and L and the
+    sums are divided by their gcd to give D and the sums."""
     n2 = t.dim ** 2
     cleared, big_d = [], 1
     for tm in t.terms:
@@ -142,38 +144,28 @@ def _expansion(t: Tensor) -> tuple[int, dict[int, int]]:
                 for kc, vc in c:
                     key = kab + kc
                     sums[key] = sums.get(key, 0) + wab * vc
-    return big_d, sums
+    g = gcd(big_d, *sums.values())
+    return big_d // g, {key: v // g for key, v in sums.items() if v}
 
 
 def to_coefficient_form(t: Tensor) -> CoefficientForm:
-    """Expand the decomposition into the sparse 6-index coefficient table:
-    the integer expansion's flat keys split back into index pairs, and
-    each nonzero sum divided by D."""
+    """The sparse 6-index coefficient table, read out of the expansion:
+    its flat keys split back into index pairs, each sum divided by D."""
     n2 = t.dim ** 2
-    big_d, sums = _expansion(t)
+    big_d, sums = expansion(t)
     pos = list(product(range(1, t.dim + 1), repeat=2))
     return {(pos[key // n2 // n2], pos[key // n2 % n2], pos[key % n2]):
-            Fraction(v, big_d) for key, v in sums.items() if v}
-
-
-def matmul_form(n: int) -> CoefficientForm:
-    """Coefficient table of n x n matrix multiplication: 1 on every monomial."""
-    one = Fraction(1)
-    return {((i, j), (j, k), (k, i)): one
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)}
+            Fraction(v, big_d) for key, v in sums.items()}
 
 
 def is_matmul_tensor(t: Tensor) -> bool:
     """True iff the tensor computes n x n matrix multiplication exactly: the
-    Brent equations on the integer expansion, D on every monomial
-    a_ij b_jk c_ki and 0 elsewhere, with no Fraction and no matmul_form."""
-    n, big_d, sums = t.dim, *_expansion(t)
-    return (len(sums) - countOf(sums.values(), 0) == n ** 3
-            and all(sums.get(((i * n + j) * n * n + j * n + k) * n * n
-                             + k * n + i) == big_d
-                    for i, j, k in product(range(n), repeat=3)))
+    Brent equations, read as the expansion being 1 on every monomial
+    a_ij b_jk c_ki and absent elsewhere."""
+    n = t.dim
+    return expansion(t) == (1, {((i * n + j) * n * n + j * n + k) * n * n
+                                + k * n + i: 1
+                                for i, j, k in product(range(n), repeat=3)})
 
 
 def decomposition_length(t: Tensor) -> int:
@@ -274,25 +266,7 @@ def form_equal(t1: Tensor, t2: Tensor) -> bool:
     """Equality of the associated trilinear forms."""
     if t1.dim != t2.dim:
         raise ValueError("tensor dimension mismatch")
-    return to_coefficient_form(t1) == to_coefficient_form(t2)
-
-
-def scale_form(form: CoefficientForm, s: Rational) -> CoefficientForm:
-    s = as_fraction(s)
-    if s == 0:
-        return {}
-    return {k: s * v for k, v in form.items()}
-
-
-def add_forms(f1: CoefficientForm, f2: CoefficientForm) -> CoefficientForm:
-    out = dict(f1)
-    for k, v in f2.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return expansion(t1) == expansion(t2)
 
 
 def full_contraction(t: Tensor, a: Matrix, b: Matrix, c: Matrix) -> Fraction:

@@ -160,8 +160,7 @@ def test_criterion_06_averaging_and_compatibility():
     def check():
         for t in (mm.classical(2), mm.classical(3), mm.strassen()):
             s = mm.zeroing_family_sum(t)
-            assert mm.to_coefficient_form(s) == mm.scale_form(
-                mm.to_coefficient_form(t), (t.dim - 1) ** 3)
+            assert mm.form_equal(s, mm.combine(t, (t.dim - 1) ** 3, t, 0))
         rng = random.Random(7)
         lad = mm.laderman()
         a, b, c = (rand_matrix(rng, 3) for _ in range(3))
@@ -243,13 +242,11 @@ def test_criterion_09_correction_identity_klein():
         assert solved == res.corner_coefficient == Fraction(3, 4)
 
         # and the full decomposition identity holds with that coefficient
-        full_lhs = mm.add_forms(
-            mm.to_coefficient_form(gs((1, 1, 1))),
-            mm.to_coefficient_form(mm.orbit_sum(
-                K, mm.tensor_zero(mm.classical(3), (1, 1, 1)))))
-        full_rhs = mm.add_forms(mm.to_coefficient_form(mm.classical(3)),
-                                mm.to_coefficient_form(res.tensor))
-        assert full_lhs == full_rhs
+        full_lhs = mm.combine(
+            gs((1, 1, 1)), 1,
+            mm.orbit_sum(K, mm.tensor_zero(mm.classical(3), (1, 1, 1))), 1)
+        full_rhs = mm.combine(mm.classical(3), 1, res.tensor, 1)
+        assert mm.form_equal(full_lhs, full_rhs)
     _report(9, "group-sum decomposition identity holds with derived corner "
                "coefficient 3/4 (published 3 = 3/4 x stabilizer 4), "
                "confirmed by an independent solve", check)
@@ -295,9 +292,7 @@ def test_criterion_11_cyclic_partition():
         r_t = mm.orbit_partition_sum(part, coeff_vector(
             {(3, 3, 2): Fraction(1, 2), (3, 2, 3): 1,
              (3, 3, 3): res.corner_coefficient}))
-        assert mm.to_coefficient_form(lhs_t) == mm.add_forms(
-            mm.to_coefficient_form(mm.classical(3)),
-            mm.to_coefficient_form(r_t))
+        assert mm.form_equal(lhs_t, mm.combine(mm.classical(3), 1, r_t, 1))
     _report(11, "order-4 partition data validates and replays the "
                 "decomposition identity with the same derived corner "
                 "coefficient", check)

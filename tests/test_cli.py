@@ -80,10 +80,12 @@ def test_show_and_project(tmp_path, capsys):
     assert code == 0
     t = read_tensor_file(path.read_text())
     assert t.dim == 2 and mm.is_matmul_tensor(t)
-    # lift puts it back at dimension 3
-    code, out, _ = invoke(capsys, "project", "--tensor", "builtin:laderman",
-                          "--i", "1", "--j", "1", "--k", "1", "--lift")
-    assert code == 0 and out.startswith("dim 3")
+    # zero writes the lift of the projection at the same position
+    code, out, _ = invoke(capsys, "zero", "--tensor", "builtin:laderman",
+                          "--i", "1", "--j", "2", "--k", "3")
+    lift = mm.tensor_lift(mm.tensor_project(mm.laderman(), (1, 2, 3)),
+                          (1, 2, 3))
+    assert code == 0 and out == mm.write_tensor_file(lift)
 
 
 def test_zero(capsys):
@@ -429,7 +431,7 @@ def test_golden_transcript(tmp_path, capsys, case):
 def test_parser_keeps_no_state(tmp_path, capsys):
     golden = {c["id"]: c for c in TRANSCRIPT}
     for first, second in [("type-mismatch", "type"),
-                          ("project-lift", "project")]:
+                          ("codegen-annotated", "codegen")]:
         invoke_case(capsys, tmp_path, golden[first]["argv"])
         code, stdout, err, _ = invoke_case(capsys, tmp_path,
                                            golden[second]["argv"])
@@ -445,7 +447,6 @@ FUZZ_COMMANDS = [
     "verify --tensor {tensor}",
     "type --tensor {tensor} --compare {other}",
     "project --tensor {tensor} --i {i} --j {j} --k {k}",
-    "project --tensor {tensor} --i {i} --j {j} --k {k} --lift",
     "zero --tensor {tensor} --i {i} --j {j} --k {k}",
     "act --tensor {tensor} --iso {iso}",
     "orbit --tensor {tensor} --group {group}",

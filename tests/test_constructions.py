@@ -254,15 +254,13 @@ def test_correction_term_klein():
     assert res.corner_coefficient == Fraction(3, 4)
     assert res.corner_total_weight == 3
     # the identity it was solved from holds in full
-    lhs = mm.add_forms(
-        mm.to_coefficient_form(mm.orbit_sum(
-            mm.klein_group(), Tensor(3, [mm.monomial_term(3, 1, 1, 1)]))),
-        mm.to_coefficient_form(mm.orbit_sum(
-            mm.klein_group(),
-            mm.tensor_zero(mm.classical(3), (1, 1, 1)))))
-    rhs = mm.add_forms(mm.to_coefficient_form(mm.classical(3)),
-                       mm.to_coefficient_form(res.tensor))
-    assert lhs == rhs
+    lhs = mm.combine(
+        mm.orbit_sum(mm.klein_group(),
+                     Tensor(3, [mm.monomial_term(3, 1, 1, 1)])), 1,
+        mm.orbit_sum(mm.klein_group(),
+                     mm.tensor_zero(mm.classical(3), (1, 1, 1))), 1)
+    rhs = mm.combine(mm.classical(3), 1, res.tensor, 1)
+    assert mm.form_equal(lhs, rhs)
 
 
 def test_correction_term_cyclic_partition():

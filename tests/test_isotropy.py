@@ -228,12 +228,10 @@ def test_orbit_partition_sum_matches_group_sum():
     sums = [mm.orbit_partition_sum(part, [Fraction(int(i == k))
                                           for i in range(len(part.orbits))])
             for k in range(len(part.orbits))]
-    total = {}
-    for (orbit, _), s in zip(part.orbits, sums):
-        total = mm.add_forms(total, mm.scale_form(mm.to_coefficient_form(s),
-                                                  len(orbit)))
-    assert total == mm.to_coefficient_form(
-        mm.orbit_sum(K, mm.classical(3)))
+    total = Tensor(3, [tm.scaled(len(orbit))
+                       for (orbit, _), s in zip(part.orbits, sums)
+                       for tm in s.terms])
+    assert mm.form_equal(total, mm.orbit_sum(K, mm.classical(3)))
     with pytest.raises(ValueError):
         mm.orbit_partition_sum(part, [1])
     for m in product(range(1, 4), repeat=3):
@@ -344,6 +342,15 @@ def test_stabilizer_search_pinned_n3(make, count):
             assert not mm.is_form_stabilized(_isotropy(tri), t)
 
 
+def test_stabilizer_search_three_cycle_checked_in_full():
+    """Cycling the three indices fixes this form, and inverting one factor
+    of a stabilizing triple need not: every found triple is checked."""
+    t = _scaled_monomials(((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1))
+    found = mm.monomial_stabilizer_search(t)
+    assert len(found) == 3072 == monomial_stabilizer_count(t)
+    assert all(mm.is_form_stabilized(_isotropy(tri), t) for tri in found)
+
+
 def _signed_monomial_sum(n, seed):
     rng = random.Random(seed)
     coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
@@ -406,7 +413,7 @@ def _term_n2():
     return monomial | st.builds(mm.RankOneTerm, matrix, matrix, matrix)
 
 
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.lists(_term_n2(), min_size=1, max_size=3))
 def test_stabilizer_search_equals_exhaustive_check_n2(terms):
     t = Tensor(2, terms)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -150,7 +151,10 @@ def test_monomial_term():
 
 
 def test_matmul_form_and_verification():
-    assert len(mm.matmul_form(3)) == 27
+    assert mm.expansion(mm.classical(3)) == (1, {
+        (3 * i + j) * 81 + (3 * j + k) * 9 + 3 * k + i: 1
+        for i, j, k in product(range(3), repeat=3)})
+    assert len(mm.to_coefficient_form(mm.classical(3))) == 27
     assert mm.is_matmul_tensor(mm.classical(2))
     assert not mm.is_matmul_tensor(Tensor(2, [mm.monomial_term(2, 1, 1, 1)]))
 
@@ -159,8 +163,9 @@ def test_coefficient_form_cancellation():
     tm = mm.monomial_term(2, 1, 1, 1)
     t = Tensor(2, [tm, tm.scaled(-1)])
     assert mm.to_coefficient_form(t) == {}
-    form = mm.to_coefficient_form(mm.strassen())
-    assert mm.add_forms(form, mm.scale_form(form, -1)) == {}
+    s = mm.strassen()
+    assert mm.to_coefficient_form(mm.combine(s, 1, s, -1)) == {}
+    assert mm.expansion(mm.combine(s, 1, s, -1)) == (1, {})
     assert mm.decomposition_length(t) == 2  # terms kept, form cancels
 
 
@@ -181,9 +186,10 @@ def test_combine_is_linear_on_forms(rng):
                                 rand_matrix(rng, 2)) for _ in range(3)])
     s1, s2 = Fraction(2, 3), Fraction(-5)
     got = mm.to_coefficient_form(mm.combine(t1, s1, t2, s2))
-    want = mm.add_forms(mm.scale_form(mm.to_coefficient_form(t1), s1),
-                        mm.scale_form(mm.to_coefficient_form(t2), s2))
-    assert got == want
+    f1, f2 = mm.to_coefficient_form(t1), mm.to_coefficient_form(t2)
+    assert got == {
+        k: v for k in f1.keys() | f2.keys()
+        if (v := s1 * f1.get(k, 0) + s2 * f2.get(k, 0))}
 
 
 def test_combine_zero_scalar_drops_terms():
@@ -301,6 +307,32 @@ def test_coefficient_form_drops_cancelled_entries(t, data):
     assert _exact_form(Tensor(t.dim, [*t.terms, *cancel])) == form
 
 
+@settings(max_examples=60, deadline=None)
+@given(wide_tensors(), st.data())
+def test_expansion_is_in_lowest_terms(t, data):
+    """Splitting a term into scales x, y, 1 - x - y of different
+    denominators keeps the form, and moving one entry of it changes the
+    form; form_equal and the Fraction reference agree on both."""
+    nonzero = _wide_term(t.dim).filter(lambda tm: not tm.is_zero())
+    tm = data.draw(nonzero)
+    x = data.draw(wide_fraction.filter(lambda v: v.denominator > 1))
+    y = data.draw(wide_fraction.filter(
+        lambda v: v.denominator not in (1, x.denominator)))
+    base = Tensor(t.dim, [*t.terms, tm])
+    split = Tensor(t.dim, [*t.terms, tm.scaled(x), tm.scaled(y),
+                           tm.scaled(1 - x - y)])
+    factors = [tm.a, tm.b, tm.c]
+    f = data.draw(st.integers(0, 2))
+    rows = factors[f].row_list()
+    i, j = (data.draw(st.integers(0, t.dim - 1)) for _ in range(2))
+    rows[i][j] += data.draw(wide_fraction.filter(bool))
+    factors[f] = Matrix(rows)
+    moved = Tensor(t.dim, [*t.terms, RankOneTerm(*factors)])
+    ref = reference_form(base)
+    assert mm.form_equal(base, split) and ref == reference_form(split)
+    assert not mm.form_equal(base, moved) and ref != reference_form(moved)
+
+
 def test_coefficient_form_cancels_across_denominators():
     one = [[1]]
     t = Tensor(1, [mm.term([[Fraction(1, 3)]], one, one),
@@ -336,11 +368,11 @@ def test_dense_laderman_image_pinned():
     near = Tensor(3, [RankOneTerm(Matrix(rows), first.b, first.c),
                       *t.terms[1:]])
     assert not mm.is_matmul_tensor(near)
-    assert _exact_form(near) != mm.matmul_form(3)
+    assert _exact_form(near) != reference_form(mm.classical(3))
 
 
 def _reference_verdict(t):
-    return mm.to_coefficient_form(t) == mm.matmul_form(t.dim)
+    return reference_form(t) == reference_form(mm.classical(t.dim))
 
 
 @settings(max_examples=150, deadline=None)
