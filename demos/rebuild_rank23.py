@@ -2,8 +2,9 @@
 
 The chain: embed the Winograd 2x2 tensor in the lower-right block of a
 3x3 tensor, sum its orbit under a Klein four-group of row/column swaps,
-and repair the overlap with a solved correction term.  The result has 23
-rank-one terms and the same type as Laderman's algorithm.
+and repair the overlap with a correction term read off the decomposition
+identity.  The result has 23 rank-one terms and the same type as
+Laderman's algorithm.
 """
 
 import mmtensor as mm
@@ -24,7 +25,7 @@ print("is it already a multiplication tensor?",
       mm.is_matmul_tensor(bulk))
 print()
 
-# the repair: a correction tensor solved from the decomposition identity
+# the repair: a correction tensor read off the decomposition identity
 res = mm.correction_term(K)
 print("correction corner coefficient:", res.corner_coefficient,
       "(total weight", str(res.corner_total_weight) + ")")

@@ -20,8 +20,7 @@ from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
                        is_term_stabilizer, monomial_orbit, monomial_partition,
                        monomial_stabilizer_search, orbit_partition_sum,
                        orbit_sum)
-from .constructions import (CorrectionResult, CYCLIC_CORRECTION_SHAPE,
-                            KLEIN_CORRECTION_SHAPE, builtin, classical,
+from .constructions import (CorrectionResult, builtin, classical,
                             correction_term, cyclic_partition, klein_group,
                             klein_orbit_sum_winograd, laderman,
                             laderman_variant, lifted_winograd,
@@ -31,8 +30,8 @@ from .trilinear import TrilinearSyntaxError, parse_trilinear, print_trilinear
 from .tensorfile import (TensorFileError, read_group_file, read_isotropy_file,
                          read_tensor_file, write_group_file,
                          write_tensor_file)
-from .codegen import (MultiplyResult, OpCount, Schedule, contract12,
-                      emit_code, extract_schedule, op_count,
+from .codegen import (MultiplyResult, OpCount, Schedule, blocking,
+                      contract12, emit_code, extract_schedule, op_count,
                       recursive_multiply)
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .codegen import emit_code, extract_schedule, op_count, recursive_multiply
+from .codegen import (blocking, emit_code, extract_schedule, op_count,
+                      recursive_multiply)
 from .constructions import (builtin, correction_term, klein_group,
                             merge_shared_factors)
 from .isotropy import act, monomial_stabilizer_count, orbit_sum
@@ -28,7 +29,8 @@ from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
 from .transforms import projection_census, tensor_project, tensor_zero
 
 
-# Largest --size that mul accepts: 3**5, five levels of a 3x3 base.
+# Largest --size that mul accepts: 3**5, five levels of a 3x3 base.  No
+# run may take more leaf multiplications than schoolbook at that size.
 MAX_MUL_SIZE = 243
 
 
@@ -199,6 +201,10 @@ def _cmd_mul(args) -> int:
     if not 1 <= args.size <= MAX_MUL_SIZE:
         raise CliError(f"--size must lie in 1..{MAX_MUL_SIZE}")
     base = _load_tensor(args.base, args.lam)
+    count = blocking(base, args.size, args.threshold)[3]
+    if count > MAX_MUL_SIZE ** 3:
+        raise CliError(f"--size {args.size} takes {count} leaf "
+                       f"multiplications on this base, over {MAX_MUL_SIZE}**3")
     rng = random.Random(args.seed)
     def rnd():
         return Matrix([[Fraction(rng.randint(-99, 99), rng.randint(1, 9))

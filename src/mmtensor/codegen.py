@@ -235,6 +235,26 @@ def _order(padded: int, n: int, levels: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def blocking(t: Tensor, size: int, threshold: int = 1):
+    """(padded, levels, m, multiplications) of recursive_multiply on size x
+    size inputs: size zero-padded up to the next power of t.dim, split for
+    as many levels as leave blocks of side m above the threshold, and the
+    entry-level multiplications that takes.  Raises ValueError when t is
+    not a multiplication tensor."""
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    n, padded, levels = t.dim, size, 0
+    if n > 1:
+        padded = 1
+        while padded < size:
+            padded *= n
+    m = padded
+    while n > 1 and m > threshold:
+        m //= n
+        levels += 1
+    return padded, levels, m, _compile(t)[1] ** levels * m ** 3
+
+
 def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
                        threshold: int = 1) -> MultiplyResult:
     """Exact A.B by recursive blocking with t as the base tensor.
@@ -247,18 +267,8 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("recursive_multiply expects square matrices of "
                          "equal size")
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    n, products, level, scale = _compile(t)
-    padded, levels = a.rows, 0
-    if n > 1:
-        padded = 1
-        while padded < a.rows:
-            padded *= n
-    m = padded
-    while n > 1 and m > threshold:
-        m //= n
-        levels += 1
+    padded, levels, m, count = blocking(t, a.rows, threshold)
+    n, _, level, scale = _compile(t)
     run = _leaf(m)
     for d in range(levels):
         run = partial(level, q=(m * n ** d) ** 2, rec=run)
@@ -276,4 +286,4 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
     rows = [flat[i:i + a.cols] for i in range(0, a.rows * padded, padded)]
     return MultiplyResult(
         product=Matrix.from_ints(a.den * b.den * scale ** levels, rows),
-        scalar_multiplications=products ** levels * m ** 3)
+        scalar_multiplications=count)

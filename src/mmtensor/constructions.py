@@ -19,7 +19,8 @@ from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
                        orbit_sum)
 from .matrix import Matrix, as_fraction, parse_int
 from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
-                     merge_shared_factors, monomial_term, to_coefficient_form)
+                     expansion, merge_shared_factors, monomial_key,
+                     monomial_term)
 from .transforms import tensor_lift
 from .trilinear import parse_trilinear
 
@@ -98,86 +99,62 @@ def klein_orbit_sum_winograd(lam=1) -> Tensor:
     return merge_shared_factors(raw)
 
 
-# Correction-term shapes: base monomials with fixed weights, None marking the
-# corner coefficient that is solved for.
-KLEIN_CORRECTION_SHAPE = (
-    ((2, 3, 3), Fraction(1, 2)),
-    ((3, 3, 2), Fraction(1, 2)),
-    ((3, 2, 3), Fraction(1, 2)),
-    ((3, 3, 3), None),
-)
-
-CYCLIC_CORRECTION_SHAPE = (
-    ((3, 3, 2), Fraction(1, 2)),
-    ((3, 3, 3), None),
-    ((3, 2, 3), Fraction(1)),
-)
-
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Correction tensor plus the solved corner coefficient.
-
-    corner_coefficient multiplies the plain sum over group elements (the
-    corner term appears once per element); corner_total_weight is the
-    resulting total multiplicity of the corner rank-one term, i.e. the value
-    under the one-copy-per-orbit-member convention.
-    """
+    """Correction tensor R, its weight on the corner group sum
+    GroupSum(n,n,n), one corner term per group element, and the corner
+    term's total weight: the residual entry at (n,n,n), 0 where it is 0."""
 
     tensor: Tensor
     corner_coefficient: Fraction
     corner_total_weight: Fraction
 
 
-def correction_term(source, shape=KLEIN_CORRECTION_SHAPE) -> CorrectionResult:
-    """Solve for the correction tensor R of the orbit decomposition identity
+def correction_term(source) -> CorrectionResult:
+    """The correction tensor R of the orbit decomposition identity
 
         classical(n) = GroupSum(1,1,1) + sum over m in {2..n}^3 of GroupSum(m)
                        - R
 
-    where n = source.dim and GroupSum(m) is the sum of g(monomial_term(m))
-    over the group.  The monomials over 2..n are the classical tensor zeroed
-    at (1,1,1), so the sum over them is that tensor's group sum.  R is
-    constrained to the given shape: fixed weights on all base monomials
-    except the corner (n,n,n), whose coefficient is derived from the
-    identity and verified against it in full.
+    where n = source.dim and GroupSum(m) = source.group_sum(m).  R is read
+    off the residual, the identity's group sums minus classical(n): each
+    monomial m, in lexicographic order, that is nonzero in the residual and
+    not reached by a group sum taken before adds GroupSum(m) scaled by the
+    residual entry over GroupSum(m)'s own entry at m (its stabilizer order
+    under a permutation group).  ValueError unless R makes up the whole
+    residual, as it does for any group of signed permutation isotropies.
 
-    source is an IsotropyGroup acting monomially, or a
-    MonomialOrbitPartition standing in for a group given by orbit data only.
+    source is an IsotropyGroup, or a MonomialOrbitPartition standing in
+    for a group given by orbit data only.
     """
     n = source.dim
-    unknowns = [m for m, c in shape if c is None]
-    if unknowns != [(n, n, n)]:
-        raise ValueError(f"shape must leave exactly the corner ({n},{n},{n}) "
-                         "open")
-    corner = ((n, n), (n, n), (n, n))
     group_sum = cache(source.group_sum)
+    form = cache(lambda m: expansion(group_sum(m)))
 
-    known_terms = []
-    for m, c in shape:
-        if c is not None:
-            known_terms.extend(tm.scaled(c) for tm in group_sum(m).terms)
+    def stab(m):  # GroupSum(m)'s own entry at m
+        gd, gsums = form(m)
+        return Fraction(gsums.get(monomial_key(n, *m), 0), gd)
 
-    # What the corner group sum must supply: both group sums of the
-    # identity, minus classical(n) and the known part of R.
     rest = range(2, n + 1)
-    residual_terms = [tm for m in [(1, 1, 1), *product(rest, rest, rest)]
-                      for tm in group_sum(m).terms]
-    residual_terms.extend(tm.scaled(-1)
-                          for tm in [*classical(n).terms, *known_terms])
-    residual = to_coefficient_form(Tensor(n, residual_terms))
-    corner_gsum = group_sum((n, n, n))
-    corner_form = to_coefficient_form(corner_gsum)
-    if corner not in corner_form:
-        raise ValueError("corner group sum vanishes; cannot solve")
-    c_fix = residual.get(corner, Fraction(0)) / corner_form[corner]
-    corner_terms = [tm.scaled(c_fix) for tm in corner_gsum.terms]
-    if residual != to_coefficient_form(Tensor(n, corner_terms)):
-        raise ValueError("no coefficient assignment of this shape satisfies "
-                         "the decomposition identity")
-
-    tensor = Tensor(n, known_terms + corner_terms)
-    return CorrectionResult(tensor=tensor, corner_coefficient=c_fix,
-                            corner_total_weight=c_fix * corner_form[corner])
+    d, sums = expansion(Tensor(n, [
+        *(tm for m in [(1, 1, 1), *product(rest, rest, rest)]
+          for tm in group_sum(m).terms),
+        *(tm.scaled(-1) for tm in classical(n).terms)]))
+    terms, covered = [], set()
+    for m in product(range(1, n + 1), repeat=3):
+        key = monomial_key(n, *m)
+        if key in sums and key not in covered:
+            if s := stab(m):
+                terms.extend(tm.scaled(Fraction(sums[key], d) / s)
+                             for tm in group_sum(m).terms)
+            covered.update(form(m)[1])
+    tensor = Tensor(n, terms)
+    corner = (n, n, n)
+    weight = Fraction(sums.get(monomial_key(n, *corner), 0), d)
+    if expansion(tensor) != (d, sums) or weight and not stab(corner):
+        raise ValueError("no sum of group sums of monomials makes up the "
+                         "residual of the decomposition identity")
+    return CorrectionResult(tensor, weight and weight / stab(corner), weight)
 
 
 def cyclic_partition() -> MonomialOrbitPartition:

@@ -103,6 +103,12 @@ def monomial_term(n: int, i: int, j: int, k: int) -> RankOneTerm:
                        Matrix.unit(n, k, i))
 
 
+def monomial_key(n: int, i: int, j: int, k: int) -> int:
+    """The expansion key of the monomial a_ij b_jk c_ki of dimension n."""
+    fa, fb, fc = (i - 1) * n + j - 1, (j - 1) * n + k - 1, (k - 1) * n + i - 1
+    return (fa * n * n + fb) * n * n + fc
+
+
 def map_factors(t: Tensor, op, idx, dim: int) -> Tensor:
     """The tensor of op(a, i, j) (x) op(b, j, k) (x) op(c, k, i) over the
     terms of t, for idx = (i, j, k): the cyclic pattern of a monomial."""
@@ -163,9 +169,8 @@ def is_matmul_tensor(t: Tensor) -> bool:
     Brent equations, read as the expansion being 1 on every monomial
     a_ij b_jk c_ki and absent elsewhere."""
     n = t.dim
-    return expansion(t) == (1, {((i * n + j) * n * n + j * n + k) * n * n
-                                + k * n + i: 1
-                                for i, j, k in product(range(n), repeat=3)})
+    return expansion(t) == (1, {monomial_key(n, *m): 1 for m in
+                                product(range(1, n + 1), repeat=3)})
 
 
 def decomposition_length(t: Tensor) -> int:

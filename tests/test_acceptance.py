@@ -232,8 +232,9 @@ def test_criterion_09_correction_identity_klein():
         def val(t):
             return mm.full_contraction(t, e33, e33, e33)
         gs = lambda m: mm.orbit_sum(K, Tensor(3, [mm.monomial_term(3, *m)]))
-        known = sum(c * val(gs(m)) for m, c in mm.KLEIN_CORRECTION_SHAPE
-                    if c is not None)
+        # the paper's published weights: 1/2 on three group sums
+        known = sum(Fraction(1, 2) * val(gs(m))
+                    for m in [(2, 3, 3), (3, 3, 2), (3, 2, 3)])
         lhs = (val(gs((1, 1, 1)))
                + val(mm.orbit_sum(K, mm.tensor_zero(mm.classical(3),
                                                     (1, 1, 1))))
@@ -274,7 +275,7 @@ def test_criterion_11_cyclic_partition():
                 | part.orbit_of((2, 3, 2))[0]) == \
             (klein.orbit_of((2, 3, 2))[0] | klein.orbit_of((3, 2, 2))[0])
 
-        res = mm.correction_term(part, mm.CYCLIC_CORRECTION_SHAPE)
+        res = mm.correction_term(part)
         assert res.corner_coefficient == Fraction(3, 4)
 
         # rebuild the whole identity from partition data alone

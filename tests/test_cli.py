@@ -128,6 +128,30 @@ def test_correction(capsys):
     read_tensor_file(out)
 
 
+# The Winograd sandwich maps monomial terms to dense ones.
+NON_MONOMIAL_GROUP = mm.IsotropyGroup([mm.Isotropy.identity(2),
+                                       mm.winograd_isotropy()])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_correction_trivial_group(tmp_path, capsys, n):
+    group = tmp_path / "trivial.group"
+    group.write_text(write_group_file(mm.IsotropyGroup([
+        mm.Isotropy.identity(n)])))
+    code, out, err = invoke(capsys, "correction", "--group", str(group))
+    assert code == 0
+    assert err == "corner coefficient 0 (total weight 0)\n"
+    assert read_tensor_file(out).dim == n
+
+
+def test_correction_refuses_non_monomial_group(tmp_path, capsys):
+    group = tmp_path / "winograd.group"
+    group.write_text(write_group_file(NON_MONOMIAL_GROUP))
+    code, out, err = invoke(capsys, "correction", "--group", str(group))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "residual" in err
+
+
 def test_codegen(capsys):
     code, out, err = invoke(capsys, "codegen", "--tensor", "builtin:strassen")
     assert code == 0
@@ -302,6 +326,15 @@ def test_mul_size_bound(capsys):
                   "builtin:strassen")[0] == 2
 
 
+def test_mul_leaf_bound(capsys):
+    """A size within the bound can still pad far past it: classical-9
+    pads 82 to 729 and would take 729**3 leaf multiplications."""
+    code, out, err = invoke(capsys, "mul", "--size", "82", "--base",
+                            "builtin:classical-9")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "leaf multiplications" in err
+
+
 def python_dash_m(*argv, **env):
     """Run python -m mmtensor argv in a subprocess, with this mmtensor on
     PYTHONPATH and env added to the environment."""
@@ -463,7 +496,9 @@ FUZZ_SEEDS = {
                mm.write_tensor_file(mm.lifted_winograd(), lam=2)],
     "iso": [mm.write_tensor_file(mm.Tensor(2, [
         mm.RankOneTerm(*mm.winograd_isotropy().factors())]))],
-    "group": [write_group_file(mm.klein_group())],
+    "group": [write_group_file(mm.klein_group()),
+              write_group_file(NON_MONOMIAL_GROUP),
+              write_group_file(mm.IsotropyGroup([mm.Isotropy.identity(1)]))],
 }
 FUZZ_TOKENS = ["0", "1", "-1", "2", "3", "1/2", "-3/4", "1/0", "x", "",
                "term", "terms 0", "dim 3", "lambda 1/2", "#", "17", "1e9"]

@@ -225,6 +225,23 @@ def test_recursive_multiply_counts(rng):
     assert res.scalar_multiplications == 1
 
 
+def test_blocking():
+    """The count recursive_multiply reports, known before it runs; at
+    size 243, laderman takes 23**5 and strassen, padded to 256, 7**8."""
+    for t in (mm.strassen(), mm.laderman(), mm.classical(2)):
+        for size in (1, 3, 5, 9):
+            a = Matrix.identity(size)
+            for threshold in (1, 2, 4):
+                assert mm.blocking(t, size, threshold)[3] == \
+                    mm.recursive_multiply(t, a, a, threshold
+                                          ).scalar_multiplications
+    assert mm.blocking(mm.laderman(), 243) == (243, 5, 1, 23 ** 5)
+    assert mm.blocking(mm.strassen(), 243) == (256, 8, 1, 7 ** 8)
+    assert mm.blocking(mm.classical(9), 82) == (729, 3, 1, 729 ** 3)
+    with pytest.raises(ValueError, match="threshold"):
+        mm.blocking(mm.strassen(), 4, threshold=-1)
+
+
 def test_recursive_multiply_matches_schoolbook_all_sizes(rng):
     for n in range(1, 8):
         a, b = rand_matrix(rng, n), rand_matrix(rng, n)

@@ -264,20 +264,14 @@ def test_correction_term_klein():
 
 
 def test_correction_term_cyclic_partition():
-    res = mm.correction_term(mm.cyclic_partition(),
-                             mm.CYCLIC_CORRECTION_SHAPE)
+    res = mm.correction_term(mm.cyclic_partition())
     assert res.corner_coefficient == Fraction(3, 4)
     assert res.corner_total_weight == 3
 
 
 # Trivial group at n = 2, given as a group and as a partition: base + bulk
-# = m111 + m222, so R is minus the six off-diagonal monomials and the open
-# corner (2,2,2) solves to 0.
-TRIVIAL_N2_SHAPE = tuple(
-    (m, Fraction(-1)) for m in product((1, 2), repeat=3) if len(set(m)) > 1
-) + (((2, 2, 2), None),)
-
-
+# = m111 + m222, so R is minus the six off-diagonal monomials and the
+# corner (2,2,2) carries no weight.
 def _trivial_n2_sources():
     group = mm.IsotropyGroup([mm.Isotropy.identity(2)])
     partition = mm.MonomialOrbitPartition(
@@ -286,11 +280,11 @@ def _trivial_n2_sources():
 
 
 def test_correction_term_dimension_two():
-    results = [mm.correction_term(src, TRIVIAL_N2_SHAPE)
-               for src in _trivial_n2_sources()]
+    results = [mm.correction_term(src) for src in _trivial_n2_sources()]
     assert mm.form_equal(results[0].tensor, results[1].tensor)
     for res in results:
         assert res.tensor.dim == 2
+        assert mm.decomposition_length(res.tensor) == 6
         assert res.corner_coefficient == res.corner_total_weight == 0
         base = Tensor(2, [mm.monomial_term(2, 1, 1, 1)])
         bulk = mm.tensor_zero(mm.classical(2), (1, 1, 1))
@@ -298,17 +292,53 @@ def test_correction_term_dimension_two():
         assert mm.is_matmul_tensor(total)
 
 
+_D = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("source, corner", [
+    (mm.klein_group(), (Fraction(3, 4), 3)),
+    (mm.cyclic_partition(), (Fraction(3, 4), 3)),
+    (mm.IsotropyGroup([mm.Isotropy.identity(1)]), (0, 0)),
+    (mm.IsotropyGroup([mm.Isotropy.identity(2)]), (0, 0)),
+    (mm.IsotropyGroup([mm.Isotropy.identity(3)]), (0, 0)),
+    (mm.IsotropyGroup([mm.Isotropy.identity(3), mm.Isotropy(_D, _D, _D)]),
+     (Fraction(1, 2), 1)),
+], ids=["klein", "cyclic", "trivial-n1", "trivial-n2", "trivial-n3",
+        "signed"])
+def test_correction_term_read_off_identity(source, corner):
+    """R closes the decomposition identity, is stabilized by the group,
+    and pins the corner coefficient and its total weight."""
+    n = source.dim
+    res = mm.correction_term(source)
+    rest = range(2, n + 1)
+    bulk = Tensor(n, [tm for m in product(rest, rest, rest)
+                      for tm in source.group_sum(m).terms])
+    total = mm.combine(mm.combine(source.group_sum((1, 1, 1)), 1, bulk, 1),
+                       1, res.tensor, -1)
+    assert mm.form_equal(total, mm.classical(n))
+    if isinstance(source, mm.IsotropyGroup):
+        assert all(mm.is_form_stabilized(g, res.tensor) for g in source)
+    assert (res.corner_coefficient, res.corner_total_weight) == corner
+
+
+def test_correction_term_refuses_non_monomial_group():
+    """The Winograd sandwich maps monomial terms to dense ones, so no sum
+    of group sums makes up the residual."""
+    group = mm.IsotropyGroup([mm.Isotropy.identity(2),
+                              mm.winograd_isotropy(1)])
+    with pytest.raises(ValueError, match="residual"):
+        mm.correction_term(group)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("solve, golden", [
     (lambda: mm.correction_term(mm.klein_group()), "correction_klein"),
-    (lambda: mm.correction_term(mm.cyclic_partition(),
-                                mm.CYCLIC_CORRECTION_SHAPE),
-     "correction_cyclic"),
-    (lambda: mm.correction_term(_trivial_n2_sources()[0], TRIVIAL_N2_SHAPE),
+    (lambda: mm.correction_term(mm.cyclic_partition()), "correction_cyclic"),
+    (lambda: mm.correction_term(_trivial_n2_sources()[0]),
      "correction_trivial_n2"),
-    (lambda: mm.correction_term(_trivial_n2_sources()[1], TRIVIAL_N2_SHAPE),
+    (lambda: mm.correction_term(_trivial_n2_sources()[1]),
      "correction_trivial_n2"),
 ], ids=["klein", "cyclic", "trivial-n2-group", "trivial-n2-partition"])
 def test_correction_term_golden(solve, golden):
@@ -325,16 +355,6 @@ def test_laderman_variant_golden(lam, golden):
     # Pins the merge order and every factor's scaling, not just the form.
     text = (GOLDEN / f"laderman_variant_{golden}.tensor").read_text()
     assert mm.write_tensor_file(mm.laderman_variant(lam)) == text
-
-
-def test_correction_term_rejects_unsatisfiable_shape():
-    bad_shape = (((2, 3, 3), Fraction(1)), ((3, 3, 2), Fraction(1, 2)),
-                 ((3, 2, 3), Fraction(1, 2)), ((3, 3, 3), None))
-    with pytest.raises(ValueError, match="no coefficient assignment"):
-        mm.correction_term(mm.klein_group(), bad_shape)
-    with pytest.raises(ValueError, match="corner"):
-        mm.correction_term(mm.klein_group(), (((3, 3, 3), Fraction(1)),
-                                              ((2, 3, 3), None)))
 
 
 def test_cyclic_partition_structure():
