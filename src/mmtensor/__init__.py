@@ -17,7 +17,7 @@ from .transforms import (matrix_lift, matrix_project, matrix_zero,
                          tensor_zero, zeroing_family_sum)
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
                        SignedPerm, act, compose, inverse, is_form_stabilized,
-                       is_term_stabilizer, monomial_orbit, monomial_partition,
+                       is_term_stabilizer, monomial_partition,
                        monomial_stabilizer_search, orbit_partition_sum,
                        orbit_sum)
 from .constructions import (CorrectionResult, builtin, classical,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from importlib import resources
 from itertools import product
 
@@ -19,8 +19,7 @@ from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
                        orbit_sum)
 from .matrix import Matrix, as_fraction, parse_int
 from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
-                     expansion, merge_shared_factors, monomial_key,
-                     monomial_term)
+                     merge_shared_factors, monomial_term)
 from .transforms import tensor_lift
 from .trilinear import parse_trilinear
 
@@ -103,7 +102,7 @@ def klein_orbit_sum_winograd(lam=1) -> Tensor:
 class CorrectionResult:
     """Correction tensor R, its weight on the corner group sum
     GroupSum(n,n,n), one corner term per group element, and the corner
-    term's total weight: the residual entry at (n,n,n), 0 where it is 0."""
+    term's total weight in R."""
 
     tensor: Tensor
     corner_coefficient: Fraction
@@ -116,45 +115,35 @@ def correction_term(source) -> CorrectionResult:
         classical(n) = GroupSum(1,1,1) + sum over m in {2..n}^3 of GroupSum(m)
                        - R
 
-    where n = source.dim and GroupSum(m) = source.group_sum(m).  R is read
-    off the residual, the identity's group sums minus classical(n): each
-    monomial m, in lexicographic order, that is nonzero in the residual and
-    not reached by a group sum taken before adds GroupSum(m) scaled by the
-    residual entry over GroupSum(m)'s own entry at m (its stabilizer order
-    under a permutation group).  ValueError unless R makes up the whole
-    residual, as it does for any group of signed permutation isotropies.
+    where n = source.dim and GroupSum(m) = source.group_sum(m).  A triple
+    of signed permutations sends the term of m to exactly the term of its
+    image (the three factor signs multiply to +1), so GroupSum(m) is
+    stab(m) times the sum of the terms over m's orbit, and the identity is
+    counting: each monomial of an orbit O is met stab * |O & summed| times
+    on the right, where summed = {(1,1,1)} | {2..n}^3, and once on the
+    left.  R takes, per orbit in lexicographic order of its first
+    monomial m, GroupSum(m) scaled by w / stab with
+    w = stab * |O & summed| - 1, where w is not 0.  The orbits are
+    disjoint, so the identity closes by construction.
 
-    source is an IsotropyGroup, or a MonomialOrbitPartition standing in
-    for a group given by orbit data only.
+    source is an IsotropyGroup of signed permutation triples, or a
+    MonomialOrbitPartition standing in for a group given by orbit data
+    only; both give orbit_of(m) -> (orbit, stab) and group_sum(m).  The
+    group must be closed (read_group_file checks it): for elements that
+    are not, the orbits overlap and R does not close the identity.
     """
     n = source.dim
-    group_sum = cache(source.group_sum)
-    form = cache(lambda m: expansion(group_sum(m)))
-
-    def stab(m):  # GroupSum(m)'s own entry at m
-        gd, gsums = form(m)
-        return Fraction(gsums.get(monomial_key(n, *m), 0), gd)
-
     rest = range(2, n + 1)
-    d, sums = expansion(Tensor(n, [
-        *(tm for m in [(1, 1, 1), *product(rest, rest, rest)]
-          for tm in group_sum(m).terms),
-        *(tm.scaled(-1) for tm in classical(n).terms)]))
-    terms, covered = [], set()
+    summed = {(1, 1, 1), *product(rest, rest, rest)}
+    terms, seen = [], {}  # monomial -> (w / stab, stab) of its orbit
     for m in product(range(1, n + 1), repeat=3):
-        key = monomial_key(n, *m)
-        if key in sums and key not in covered:
-            if s := stab(m):
-                terms.extend(tm.scaled(Fraction(sums[key], d) / s)
-                             for tm in group_sum(m).terms)
-            covered.update(form(m)[1])
-    tensor = Tensor(n, terms)
-    corner = (n, n, n)
-    weight = Fraction(sums.get(monomial_key(n, *corner), 0), d)
-    if expansion(tensor) != (d, sums) or weight and not stab(corner):
-        raise ValueError("no sum of group sums of monomials makes up the "
-                         "residual of the decomposition identity")
-    return CorrectionResult(tensor, weight and weight / stab(corner), weight)
+        if m not in seen:
+            orbit, stab = source.orbit_of(m)
+            if c := Fraction(stab * len(orbit & summed) - 1, stab):
+                terms.extend(tm.scaled(c) for tm in source.group_sum(m).terms)
+            seen.update(dict.fromkeys(orbit, (c, stab)))
+    c, stab = seen[n, n, n]
+    return CorrectionResult(Tensor(n, terms), c, c * stab)
 
 
 def cyclic_partition() -> MonomialOrbitPartition:

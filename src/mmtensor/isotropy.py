@@ -164,6 +164,25 @@ class IsotropyGroup:
                     for h in self.elements)
                 and all(inverse(g).key() in keys for g in self.elements))
 
+    def orbit_of(self, m: Monomial) -> tuple[frozenset, int]:
+        """Orbit set and stabilizer order of a monomial.
+
+        A triple of signed permutations (f1, f2, f3) sends the term of
+        (i, j, k) to exactly the term of (f1(i), f2(j), f3(k)): the factor
+        signs s1(i)s2(j), s2(j)s3(k) and s3(k)s1(i) multiply to +1.  So
+        the orbit is read off the index maps.  ValueError when some
+        element is not a signed permutation triple.
+        """
+        orbit, stab = set(), 0
+        for g in self.elements:
+            if g._perms is None:
+                raise ValueError(f"group does not act monomially on {m}: "
+                                 "not a signed permutation triple")
+            mono = tuple(p.images[x - 1][0] for p, x in zip(g._perms, m))
+            orbit.add(mono)
+            stab += mono == m
+        return frozenset(orbit), stab
+
     def group_sum(self, m: Monomial) -> Tensor:
         """Sum of g(term of m) over the elements."""
         return orbit_sum(self, Tensor(self.dim, [monomial_term(self.dim, *m)]))
@@ -195,29 +214,10 @@ def is_term_stabilizer(group: IsotropyGroup, t: Tensor) -> bool:
 
 # -- monomial orbits -------------------------------------------------------------
 
-def monomial_orbit(group: IsotropyGroup, m: Monomial) -> tuple[frozenset, int]:
-    """Orbit set and stabilizer order of a monomial under signed permutations.
-
-    A triple of signed permutations (f1, f2, f3) sends the term of (i, j, k)
-    to +-(the term of (f1(i), f2(j), f3(k))), so the orbit is read off the
-    index maps.  Raises ValueError when some group element is not a signed
-    permutation triple.
-    """
-    orbit = set()
-    stab = 0
-    for g in group:
-        if g._perms is None:
-            raise ValueError(f"group does not act monomially on {m}: not a "
-                             "signed permutation triple")
-        mono = tuple(p.images[x - 1][0] for p, x in zip(g._perms, m))
-        orbit.add(mono)
-        stab += mono == m
-    return frozenset(orbit), stab
-
-
 @dataclass(frozen=True)
 class MonomialOrbitPartition:
-    """Disjoint monomial orbits with per-orbit stabilizer orders."""
+    """Disjoint monomial orbits, with per-orbit stabilizer orders, that
+    cover the cube {1..dim}^3."""
 
     group_order: int
     orbits: tuple[tuple[frozenset, int], ...]
@@ -231,6 +231,8 @@ class MonomialOrbitPartition:
             if len(orbit) * stab != self.group_order:
                 raise ValueError("orbit size times stabilizer order must "
                                  "equal the group order")
+        if seen != set(product(range(1, self.dim + 1), repeat=3)):
+            raise ValueError("orbits do not cover every monomial")
 
     @property
     def dim(self) -> int:
@@ -260,7 +262,7 @@ def monomial_partition(group: IsotropyGroup) -> MonomialOrbitPartition:
     for m in product(range(1, n + 1), repeat=3):
         if m in seen:
             continue
-        orbit, stab = monomial_orbit(group, m)
+        orbit, stab = group.orbit_of(m)
         seen |= orbit
         orbits.append((orbit, stab))
     return MonomialOrbitPartition(len(group), tuple(orbits))

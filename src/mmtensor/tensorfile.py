@@ -154,4 +154,8 @@ def read_isotropy_file(text: str) -> list[Isotropy]:
 
 
 def read_group_file(text: str) -> IsotropyGroup:
-    return IsotropyGroup(read_isotropy_file(text))
+    """Read an isotropy group; ValueError unless it is closed."""
+    group = IsotropyGroup(read_isotropy_file(text))
+    if not group.is_closed():
+        raise ValueError("isotropy group is not closed")
+    return group

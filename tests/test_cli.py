@@ -128,9 +128,11 @@ def test_correction(capsys):
     read_tensor_file(out)
 
 
-# The Winograd sandwich maps monomial terms to dense ones.
+# A closed involution group whose generator (G, G, G), G = [[1, 1], [0, -1]],
+# maps monomial terms to dense ones.
+_G = mm.Matrix([[1, 1], [0, -1]])
 NON_MONOMIAL_GROUP = mm.IsotropyGroup([mm.Isotropy.identity(2),
-                                       mm.winograd_isotropy()])
+                                       mm.Isotropy(_G, _G, _G)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -149,7 +151,20 @@ def test_correction_refuses_non_monomial_group(tmp_path, capsys):
     group.write_text(write_group_file(NON_MONOMIAL_GROUP))
     code, out, err = invoke(capsys, "correction", "--group", str(group))
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "residual" in err
+    assert len(err.splitlines()) == 1 and "monomially" in err
+
+
+@pytest.mark.parametrize("command", ["orbit --tensor builtin:lifted-winograd",
+                                     "correction"])
+def test_group_file_must_be_closed(tmp_path, capsys, command):
+    """Klein minus one element is no group: its orbit sum is no orbit
+    sum, so the file is refused."""
+    group = tmp_path / "partial.group"
+    group.write_text(write_group_file(mm.IsotropyGroup(
+        list(mm.klein_group())[:3])))
+    code, out, err = invoke(capsys, *command.split(), "--group", str(group))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "not closed" in err
 
 
 def test_codegen(capsys):

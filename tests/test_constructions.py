@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import Matrix, Tensor
+from mmtensor.isotropy import signed_permutations
+from mmtensor.tensor import monomial_key
 
 from conftest import DENSE_ISOTROPY, canonical_terms
 
@@ -326,8 +329,85 @@ def test_correction_term_refuses_non_monomial_group():
     of group sums makes up the residual."""
     group = mm.IsotropyGroup([mm.Isotropy.identity(2),
                               mm.winograd_isotropy(1)])
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(ValueError, match="monomially"):
         mm.correction_term(group)
+
+
+def _expanded_correction(source):
+    """Reference for correction_term: each weight read off the expansion
+    of the identity's residual, group sums minus classical(n), over the
+    group sum's own entry at m."""
+    n = source.dim
+
+    def stab(m):
+        d, sums = mm.expansion(source.group_sum(m))
+        return Fraction(sums.get(monomial_key(n, *m), 0), d)
+
+    rest = range(2, n + 1)
+    d, sums = mm.expansion(Tensor(n, [
+        *(tm for m in [(1, 1, 1), *product(rest, rest, rest)]
+          for tm in source.group_sum(m).terms),
+        *(tm.scaled(-1) for tm in mm.classical(n).terms)]))
+    terms, covered = [], set()
+    for m in product(range(1, n + 1), repeat=3):
+        key = monomial_key(n, *m)
+        if key in sums and key not in covered:
+            if s := stab(m):
+                terms.extend(tm.scaled(Fraction(sums[key], d) / s)
+                             for tm in source.group_sum(m).terms)
+            covered.update(mm.expansion(source.group_sum(m))[1])
+    tensor = Tensor(n, terms)
+    assert mm.expansion(tensor) == (d, sums)
+    weight = Fraction(sums.get(monomial_key(n, n, n, n), 0), d)
+    return tensor, weight and weight / stab((n, n, n)), weight
+
+
+def _generated_group(gens, limit):
+    """The group generated by isotropies, identity first; None once it
+    has more than limit elements."""
+    elements = [mm.Isotropy.identity(gens[0].dim)]
+    keys = {elements[0].key()}
+    for g in elements:  # grows while it is walked
+        for h in gens:
+            gh = mm.compose(g, h)
+            if gh.key() not in keys:
+                if len(elements) == limit:
+                    return None
+                keys.add(gh.key())
+                elements.append(gh)
+    return mm.IsotropyGroup(elements)
+
+
+def _differential_groups():
+    """The 216 cyclic groups generated by one permutation triple of S3^3,
+    then 20 seeded groups of order <= 16 generated by two signed triples."""
+    sps = signed_permutations(3)
+    perms = [p for p in sps if all(s == 1 for _, s in p.images)]
+    triple = lambda fs: mm.Isotropy(*(f.to_matrix() for f in fs))
+    yield from (_generated_group([triple(fs)], 6)
+                for fs in product(perms, repeat=3))
+    rng, found = random.Random(7), 0
+    while found < 20:
+        group = _generated_group([triple(rng.choices(sps, k=3)),
+                                  triple(rng.choices(sps, k=3))], 16)
+        if group is not None:
+            found += 1
+            yield group
+
+
+def test_correction_term_matches_expanded_reader():
+    """Counting orbit sizes gives the tensor, byte for byte, and the corner
+    numbers that reading the expanded identity gives."""
+    groups = 0
+    for group in _differential_groups():
+        res = mm.correction_term(group)
+        tensor, coefficient, weight = _expanded_correction(group)
+        assert mm.write_tensor_file(res.tensor) == \
+            mm.write_tensor_file(tensor)
+        assert (res.corner_coefficient, res.corner_total_weight) == \
+            (coefficient, weight)
+        groups += 1
+    assert groups == 236
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -182,11 +182,11 @@ def test_klein_term_stabilizer_pinned(make, stabilized):
 
 def test_monomial_orbit_examples():
     K = mm.klein_group()
-    orbit, stab = mm.monomial_orbit(K, (3, 3, 3))
+    orbit, stab = K.orbit_of((3, 3, 3))
     assert orbit == {(3, 3, 3)} and stab == 4
-    orbit, stab = mm.monomial_orbit(K, (2, 3, 3))
+    orbit, stab = K.orbit_of((2, 3, 3))
     assert orbit == {(2, 3, 3), (1, 3, 3)} and stab == 2
-    orbit, stab = mm.monomial_orbit(K, (1, 1, 1))
+    orbit, stab = K.orbit_of((1, 1, 1))
     assert orbit == {(1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 1, 2)} and stab == 1
 
 
@@ -194,7 +194,7 @@ def test_monomial_orbit_rejects_non_monomial_action():
     g = mm.winograd_isotropy(1)
     G = IsotropyGroup([Isotropy.identity(2), g])
     with pytest.raises(ValueError, match="monomially"):
-        mm.monomial_orbit(G, (1, 1, 1))
+        G.orbit_of((1, 1, 1))
 
 
 def test_monomial_partition_matches_reference():
@@ -214,6 +214,10 @@ def test_partition_validation():
                                    (frozenset({(1, 1, 1)}), 2)))
     with pytest.raises(ValueError, match="group order"):
         MonomialOrbitPartition(4, ((frozenset({(1, 1, 1)}), 1),))
+    # dim 2 from (2, 2, 2), so six monomials of {1, 2}^3 are missing
+    with pytest.raises(ValueError, match="cover"):
+        MonomialOrbitPartition(1, ((frozenset({(1, 1, 1)}), 1),
+                                   (frozenset({(2, 2, 2)}), 1)))
 
 
 def test_orbit_partition_sum_matches_group_sum():
@@ -240,6 +244,19 @@ def test_orbit_partition_sum_matches_group_sum():
 
 def _isotropy(tri):
     return Isotropy(*(f.to_matrix() for f in tri))
+
+
+def test_signed_triple_sends_monomial_term_to_image_term():
+    """(f1, f2, f3) sends the term of (i, j, k) to exactly the term of
+    (f1(i), f2(j), f3(k)): the factor signs s1 s2, s2 s3 and s3 s1
+    multiply to +1.  Exhaustive at n = 2."""
+    sps = signed_permutations(2)
+    for tri in product(sps, repeat=3):
+        g = _isotropy(tri)
+        for m in product((1, 2), repeat=3):
+            image = tuple(f.images[x - 1][0] for f, x in zip(tri, m))
+            got = act(g, Tensor(2, [mm.monomial_term(2, *m)])).terms[0]
+            assert got.key() == mm.monomial_term(2, *image).key()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
