@@ -26,7 +26,7 @@ print("is it already a multiplication tensor?",
 print()
 
 # the repair: a correction tensor read off the decomposition identity
-res = mm.correction_term(K)
+res = mm.correction_term(mm.monomial_partition(K))
 print("correction corner coefficient:", res.corner_coefficient,
       "(total weight", str(res.corner_total_weight) + ")")
 

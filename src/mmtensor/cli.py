@@ -20,7 +20,8 @@ from .codegen import (blocking, emit_code, extract_schedule, op_count,
                       recursive_multiply)
 from .constructions import (builtin, correction_term, klein_group,
                             merge_shared_factors)
-from .isotropy import act, monomial_stabilizer_count, orbit_sum
+from .isotropy import (act, monomial_partition, monomial_stabilizer_count,
+                       orbit_sum)
 from .matrix import Matrix, parse_int, parse_rational
 from .tensor import (Tensor, decomposition_length, format_type,
                      is_matmul_tensor, tensor_type)
@@ -178,7 +179,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_correction(args) -> int:
-    res = correction_term(_load_group(args.group))
+    res = correction_term(monomial_partition(_load_group(args.group)))
     _output_tensor(res.tensor, args.out)
     print(f"corner coefficient {res.corner_coefficient} "
           f"(total weight {res.corner_total_weight})",

@@ -4,7 +4,9 @@ The assembly follows the chain: start from Strassen's seven terms, sandwich
 into the Winograd variant, lift it into the lower-right 2x2 block of a 3x3
 tensor, sum its orbit under a Klein four-group of permutation isotropies, and
 repair the result with a correction term so the whole thing computes 3x3
-multiplication with 23 rank-one terms after merging shared factors.
+multiplication with 23 rank-one terms after merging shared factors.  The
+correction is read from the group's MonomialOrbitPartition: one monomial
+term per monomial, with an integer weight.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from importlib import resources
 from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
-                       orbit_sum)
+                       monomial_partition, orbit_sum)
 from .matrix import Matrix, as_fraction, parse_int
 from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
                      merge_shared_factors, monomial_term)
@@ -109,41 +111,34 @@ class CorrectionResult:
     corner_total_weight: Fraction
 
 
-def correction_term(source) -> CorrectionResult:
+def correction_term(partition: MonomialOrbitPartition) -> CorrectionResult:
     """The correction tensor R of the orbit decomposition identity
 
         classical(n) = GroupSum(1,1,1) + sum over m in {2..n}^3 of GroupSum(m)
                        - R
 
-    where n = source.dim and GroupSum(m) = source.group_sum(m).  A triple
-    of signed permutations sends the term of m to exactly the term of its
-    image (the three factor signs multiply to +1), so GroupSum(m) is
-    stab(m) times the sum of the terms over m's orbit, and the identity is
-    counting: each monomial of an orbit O is met stab * |O & summed| times
-    on the right, where summed = {(1,1,1)} | {2..n}^3, and once on the
-    left.  R takes, per orbit in lexicographic order of its first
-    monomial m, GroupSum(m) scaled by w / stab with
-    w = stab * |O & summed| - 1, where w is not 0.  The orbits are
-    disjoint, so the identity closes by construction.
-
-    source is an IsotropyGroup of signed permutation triples, or a
-    MonomialOrbitPartition standing in for a group given by orbit data
-    only; both give orbit_of(m) -> (orbit, stab) and group_sum(m).  The
-    group must be closed (read_group_file checks it): for elements that
-    are not, the orbits overlap and R does not close the identity.
+    where n = partition.dim and GroupSum(m) is the sum of g(term of m) over
+    the group the partition stands for.  A triple of signed permutations
+    sends the term of m to exactly the term of its image (the three factor
+    signs multiply to +1), so GroupSum(m) is stab(m) times the sum of the
+    terms over m's orbit O, and the identity is counting: each monomial m
+    is met stab * |O & summed| times on the right, where
+    summed = {(1,1,1)} | {2..n}^3, and once on the left.  So R is one
+    monomial term per monomial, in lexicographic order, with the integer
+    weight w(m) = stab * |O & summed| - 1 wherever it is not 0.  The corner
+    numbers are (w / stab, w) at (n,n,n).
     """
-    n = source.dim
+    n = partition.dim
     rest = range(2, n + 1)
     summed = {(1, 1, 1), *product(rest, rest, rest)}
-    terms, seen = [], {}  # monomial -> (w / stab, stab) of its orbit
-    for m in product(range(1, n + 1), repeat=3):
-        if m not in seen:
-            orbit, stab = source.orbit_of(m)
-            if c := Fraction(stab * len(orbit & summed) - 1, stab):
-                terms.extend(tm.scaled(c) for tm in source.group_sum(m).terms)
-            seen.update(dict.fromkeys(orbit, (c, stab)))
-    c, stab = seen[n, n, n]
-    return CorrectionResult(Tensor(n, terms), c, c * stab)
+    weights = {}  # monomial -> (w, stab) of its orbit
+    for orbit, stab in partition.orbits:
+        weights.update(dict.fromkeys(orbit,
+                                     (stab * len(orbit & summed) - 1, stab)))
+    terms = [monomial_term(n, *m).scaled(w)
+             for m, (w, _) in sorted(weights.items()) if w]
+    w, stab = weights[n, n, n]
+    return CorrectionResult(Tensor(n, terms), Fraction(w, stab), Fraction(w))
 
 
 def cyclic_partition() -> MonomialOrbitPartition:
@@ -169,9 +164,9 @@ def laderman_variant(lam=1) -> Tensor:
     - correction term, then merged.  lambda = 0 raises ValueError.
     """
     group = klein_group()
-    base = group.group_sum((1, 1, 1))
+    base = orbit_sum(group, Tensor(3, [monomial_term(3, 1, 1, 1)]))
     bulk = orbit_sum(group, lifted_winograd(lam))
-    corr = correction_term(group).tensor
+    corr = correction_term(monomial_partition(group)).tensor
     total = combine(combine(base, 1, bulk, 1), 1, corr, -1)
     return merge_shared_factors(total)
 

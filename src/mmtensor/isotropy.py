@@ -15,6 +15,10 @@ stabilizer-search result) act that way; act, monomial orbits and the search
 all read images forward, index j going to images[j - 1].  Every other triple
 gets its inverse transposes, and a singular factor is refused, when the
 Isotropy is built.
+
+MonomialOrbitPartition is the one orbit type: monomial_partition reads it
+off a group's index maps, and a partition can also be given by orbit data
+alone, for a group whose elements are not known.
 """
 
 from __future__ import annotations
@@ -143,6 +147,8 @@ class IsotropyGroup:
         elements = tuple(elements)
         if not elements:
             raise ValueError("empty isotropy group")
+        if any(g.dim != elements[0].dim for g in elements):
+            raise ValueError("isotropy group elements differ in dimension")
         if elements[0].key() != Isotropy.identity(elements[0].dim).key():
             raise ValueError("first group element must be the identity triple")
         self.elements = elements
@@ -163,29 +169,6 @@ class IsotropyGroup:
         return (all(compose(g, h).key() in keys for g in self.elements
                     for h in self.elements)
                 and all(inverse(g).key() in keys for g in self.elements))
-
-    def orbit_of(self, m: Monomial) -> tuple[frozenset, int]:
-        """Orbit set and stabilizer order of a monomial.
-
-        A triple of signed permutations (f1, f2, f3) sends the term of
-        (i, j, k) to exactly the term of (f1(i), f2(j), f3(k)): the factor
-        signs s1(i)s2(j), s2(j)s3(k) and s3(k)s1(i) multiply to +1.  So
-        the orbit is read off the index maps.  ValueError when some
-        element is not a signed permutation triple.
-        """
-        orbit, stab = set(), 0
-        for g in self.elements:
-            if g._perms is None:
-                raise ValueError(f"group does not act monomially on {m}: "
-                                 "not a signed permutation triple")
-            mono = tuple(p.images[x - 1][0] for p, x in zip(g._perms, m))
-            orbit.add(mono)
-            stab += mono == m
-        return frozenset(orbit), stab
-
-    def group_sum(self, m: Monomial) -> Tensor:
-        """Sum of g(term of m) over the elements."""
-        return orbit_sum(self, Tensor(self.dim, [monomial_term(self.dim, *m)]))
 
 
 def orbit_sum(group: IsotropyGroup, t: Tensor) -> Tensor:
@@ -245,26 +228,31 @@ class MonomialOrbitPartition:
                 return orbit, stab
         raise KeyError(f"monomial {m} not covered by the partition")
 
-    def group_sum(self, m: Monomial) -> Tensor:
-        """Sum of g(term of m) over the group the partition stands for:
-        stabilizer-order copies of each member of m's orbit."""
-        orbit, stab = self.orbit_of(m)
-        dim = self.dim
-        return Tensor(dim, (monomial_term(dim, *mono).scaled(stab)
-                            for mono in sorted(orbit)))
-
 
 def monomial_partition(group: IsotropyGroup) -> MonomialOrbitPartition:
-    """Partition of all n^3 monomials into orbits under a monomial action."""
-    n = group.dim
-    orbits = []
-    seen: set[Monomial] = set()
-    for m in product(range(1, n + 1), repeat=3):
-        if m in seen:
-            continue
-        orbit, stab = group.orbit_of(m)
-        seen |= orbit
-        orbits.append((orbit, stab))
+    """Partition of all n^3 monomials into orbits under a monomial action.
+
+    A triple of signed permutations (f1, f2, f3) sends the term of
+    (i, j, k) to exactly the term of (f1(i), f2(j), f3(k)): the factor
+    signs s1(i)s2(j), s2(j)s3(k) and s3(k)s1(i) multiply to +1.  So the
+    orbits are read off the index maps.  ValueError when some element is
+    not a signed permutation triple, or when the images are not the orbits
+    of a group: every member of m's image set must read the same set, and
+    be the image of m under exactly stab(m) elements.
+    """
+    if any(g._perms is None for g in group):
+        raise ValueError("group does not act monomially: some element is "
+                         "not a signed permutation triple")
+    maps = [tuple(tuple(r for r, _ in p.images) for p in g._perms)
+            for g in group]
+    cube = product(range(1, group.dim + 1), repeat=3)
+    images = {(i, j, k): Counter((f1[i - 1], f2[j - 1], f3[k - 1])
+                                 for f1, f2, f3 in maps) for i, j, k in cube}
+    for m, counts in images.items():
+        if (set(counts.values()) != {counts[m]}
+                or any(images[x].keys() != counts.keys() for x in counts)):
+            raise ValueError("isotropy group is not closed")
+    orbits = dict.fromkeys((frozenset(c), c[m]) for m, c in images.items())
     return MonomialOrbitPartition(len(group), tuple(orbits))
 
 
@@ -278,13 +266,12 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
     coeffs = list(coeffs)
     if len(coeffs) != len(partition.orbits):
         raise ValueError("need exactly one coefficient per orbit")
-    terms = []
-    for (orbit, _), coeff in zip(partition.orbits, coeffs):
-        coeff = Fraction(coeff)
-        if coeff and orbit:
-            terms.extend(tm.scaled(coeff)
-                         for tm in partition.group_sum(min(orbit)).terms)
-    return Tensor(partition.dim, terms)
+    dim, terms = partition.dim, []
+    for (orbit, stab), coeff in zip(partition.orbits, map(Fraction, coeffs)):
+        if coeff:
+            terms.extend(monomial_term(dim, *m).scaled(coeff * stab)
+                         for m in sorted(orbit))
+    return Tensor(dim, terms)
 
 
 # -- brute-force stabilizer search over signed permutation triples ---------------

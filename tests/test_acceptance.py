@@ -219,7 +219,7 @@ def test_criterion_08_orbit_sum_and_merges():
 def test_criterion_09_correction_identity_klein():
     def check():
         K = mm.klein_group()
-        res = mm.correction_term(K)
+        res = mm.correction_term(mm.monomial_partition(K))
         assert res.corner_coefficient == Fraction(3, 4)
         # the published corner value 3 is the total weight, i.e. the
         # derived per-element coefficient times the corner stabilizer 4

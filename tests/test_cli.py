@@ -167,6 +167,20 @@ def test_group_file_must_be_closed(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1 and "not closed" in err
 
 
+def test_correction_refuses_repeated_elements(tmp_path, capsys):
+    """e, e, r, r, r, r^2 for a 3-cycle r passes is_closed, but its
+    images reach r(m) three times and r^2(m) once, so no correction term
+    closes the identity (it printed corner 5/2 before)."""
+    c = mm.Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    e, r = mm.Isotropy.identity(3), mm.Isotropy(c, c, c)
+    group = tmp_path / "repeated.group"
+    group.write_text(write_group_file(mm.IsotropyGroup(
+        [e, e, r, r, r, mm.compose(r, r)])))
+    code, out, err = invoke(capsys, "correction", "--group", str(group))
+    assert code == 2 and out == ""
+    assert err == "error: isotropy group is not closed\n"
+
+
 def test_codegen(capsys):
     code, out, err = invoke(capsys, "codegen", "--tensor", "builtin:strassen")
     assert code == 0

@@ -102,7 +102,8 @@ def test_op_counts():
                       (mm.winograd(1), (7, 24, 0)),
                       (mm.winograd(Fraction(5, 7)), (7, 24, 24)),
                       (mm.laderman(), (23, 98, 0)),
-                      (mm.laderman_variant(1), (23, 98, 34))]:
+                      (mm.laderman_variant(1), (23, 98, 2)),
+                      (mm.laderman_variant(Fraction(3, 4)), (23, 98, 74))]:
         assert op_count(extract_schedule(t)) == mm.OpCount(*counts)
         assert counts[0] == mm.decomposition_length(t)
 
@@ -169,31 +170,31 @@ VARIANT_M3_7_ANNOTATED = """\
 p5 = (-a22 - 3/7*a23 + 7/3*a32) * (-b22 - 3/7*b23 + 7/3*b32)  # term 5
 p6 = (-a11 - 3/7*a13 - a22 - 3/7*a23 + 7/3*a31 + 7/3*a32 + a33) * (b32)  # term 6
 p7 = (a22 - 7/3*a32) * (-b22 + 7/3*b32)  # term 7
-p8 = (-3/4*a33) * (b33)  # term 8
-p9 = (-1/2*a32) * (b23)  # term 9
+p8 = (-3*a33) * (b33)  # term 8
+p9 = (-a32) * (b23)  # term 9
 p10 = (-a22 - 3/7*a23) * (b22 + 3/7*b23)  # term 10
-p11 = (-1/2*a23) * (2*b11 + 6/7*b13 + 2*b22 + 6/7*b23 - 14/3*b31 - 14/3*b32 - 2*b33)  # term 11
+p11 = (-a23) * (b11 + 3/7*b13 + b22 + 3/7*b23 - 7/3*b31 - 7/3*b32 - b33)  # term 11
 p12 = (-a21 - 3/7*a23 + 7/3*a31) * (-b11 - 3/7*b13 + 7/3*b31)  # term 12
 p13 = (-a12 - 3/7*a13 - a21 - 3/7*a23 + 7/3*a31 + 7/3*a32 + a33) * (b31)  # term 13
 p14 = (a21 - 7/3*a31) * (-b11 + 7/3*b31)  # term 14
-p15 = (-1/2*a31) * (b13)  # term 15
+p15 = (-a31) * (b13)  # term 15
 p16 = (-a21 - 3/7*a23) * (b11 + 3/7*b13)  # term 16
 p17 = (-a11 - 3/7*a13 + 7/3*a31) * (-b12 - 3/7*b13 + 7/3*b32)  # term 17
 p18 = (a11 - 7/3*a31) * (-b12 + 7/3*b32)  # term 18
 p19 = (-a11 - 3/7*a13) * (b12 + 3/7*b13)  # term 19
-p20 = (-1/2*a13) * (2*b12 + 6/7*b13 + 2*b21 + 6/7*b23 - 14/3*b31 - 14/3*b32 - 2*b33)  # term 20
+p20 = (-a13) * (b12 + 3/7*b13 + b21 + 3/7*b23 - 7/3*b31 - 7/3*b32 - b33)  # term 20
 p21 = (-a12 - 3/7*a13 + 7/3*a32) * (-b21 - 3/7*b23 + 7/3*b31)  # term 21
 p22 = (a12 - 7/3*a32) * (-b21 + 7/3*b31)  # term 22
 p23 = (-a12 - 3/7*a13) * (b21 + 3/7*b23)  # term 23
-c11 = a11 * b11 + 2*p9 - p21 - p22 - p23  # terms 1,9,21,22,23
-c12 = a12 * b22 + 2*p15 - p17 - p18 - p19  # terms 2,15,17,18,19
-c13 = -14/3*p9 - 14/3*p15 + 7/3*p17 + 7/3*p18 + p20 + 7/3*p21 + 7/3*p22  # terms 9,15,17,18,20,21,22
-c21 = a22 * b21 - p12 - p14 + 2*p15 - p16  # terms 3,12,14,15,16
-c22 = a21 * b12 - p5 - p7 + 2*p9 - p10  # terms 4,5,7,9,10
-c23 = 7/3*p5 + 7/3*p7 - 14/3*p9 + p11 + 7/3*p12 + 7/3*p14 - 14/3*p15  # terms 5,7,9,11,12,14,15
-c31 = 6/7*p9 - 3/7*p12 + p13 + 6/7*p15 - 3/7*p16 - 3/7*p21 - 3/7*p23  # terms 9,12,13,15,16,21,23
-c32 = -3/7*p5 + p6 + 6/7*p9 - 3/7*p10 + 6/7*p15 - 3/7*p17 - 3/7*p19  # terms 5,6,9,10,15,17,19
-c33 = -4/3*p8 - 2*p9 - 2*p15  # terms 8,9,15
+c11 = a11 * b11 + p9 - p21 - p22 - p23  # terms 1,9,21,22,23
+c12 = a12 * b22 + p15 - p17 - p18 - p19  # terms 2,15,17,18,19
+c13 = -7/3*p9 - 7/3*p15 + 7/3*p17 + 7/3*p18 + p20 + 7/3*p21 + 7/3*p22  # terms 9,15,17,18,20,21,22
+c21 = a22 * b21 - p12 - p14 + p15 - p16  # terms 3,12,14,15,16
+c22 = a21 * b12 - p5 - p7 + p9 - p10  # terms 4,5,7,9,10
+c23 = 7/3*p5 + 7/3*p7 - 7/3*p9 + p11 + 7/3*p12 + 7/3*p14 - 7/3*p15  # terms 5,7,9,11,12,14,15
+c31 = 3/7*p9 - 3/7*p12 + p13 + 3/7*p15 - 3/7*p16 - 3/7*p21 - 3/7*p23  # terms 9,12,13,15,16,21,23
+c32 = -3/7*p5 + p6 + 3/7*p9 - 3/7*p10 + 3/7*p15 - 3/7*p17 - 3/7*p19  # terms 5,6,9,10,15,17,19
+c33 = -1/3*p8 - p9 - p15  # terms 8,9,15
 """
 
 

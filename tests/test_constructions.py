@@ -253,7 +253,7 @@ def test_klein_orbit_sum_winograd():
 
 
 def test_correction_term_klein():
-    res = mm.correction_term(mm.klein_group())
+    res = mm.correction_term(mm.monomial_partition(mm.klein_group()))
     assert res.corner_coefficient == Fraction(3, 4)
     assert res.corner_total_weight == 3
     # the identity it was solved from holds in full
@@ -272,14 +272,14 @@ def test_correction_term_cyclic_partition():
     assert res.corner_total_weight == 3
 
 
-# Trivial group at n = 2, given as a group and as a partition: base + bulk
-# = m111 + m222, so R is minus the six off-diagonal monomials and the
-# corner (2,2,2) carries no weight.
+# Trivial group at n = 2, its partition read off the group and written out
+# by hand: base + bulk = m111 + m222, so R is minus the six off-diagonal
+# monomials and the corner (2,2,2) carries no weight.
 def _trivial_n2_sources():
     group = mm.IsotropyGroup([mm.Isotropy.identity(2)])
     partition = mm.MonomialOrbitPartition(
         1, tuple((frozenset([m]), 1) for m in product((1, 2), repeat=3)))
-    return group, partition
+    return mm.monomial_partition(group), partition
 
 
 def test_correction_term_dimension_two():
@@ -298,6 +298,12 @@ def test_correction_term_dimension_two():
 _D = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
+def _group_sum(group, m):
+    """GroupSum(m): the orbit sum of the term of monomial m."""
+    n = group.dim
+    return mm.orbit_sum(group, Tensor(n, [mm.monomial_term(n, *m)]))
+
+
 @pytest.mark.parametrize("source, corner", [
     (mm.klein_group(), (Fraction(3, 4), 3)),
     (mm.cyclic_partition(), (Fraction(3, 4), 3)),
@@ -312,11 +318,18 @@ def test_correction_term_read_off_identity(source, corner):
     """R closes the decomposition identity, is stabilized by the group,
     and pins the corner coefficient and its total weight."""
     n = source.dim
-    res = mm.correction_term(source)
+    if isinstance(source, mm.IsotropyGroup):
+        partition = mm.monomial_partition(source)
+        group_sum = lambda m: _group_sum(source, m)
+    else:  # partition data only: stab copies of each orbit member
+        partition = source
+        group_sum = lambda m: mm.orbit_partition_sum(
+            source, [int(m in orbit) for orbit, _ in source.orbits])
+    res = mm.correction_term(partition)
     rest = range(2, n + 1)
     bulk = Tensor(n, [tm for m in product(rest, rest, rest)
-                      for tm in source.group_sum(m).terms])
-    total = mm.combine(mm.combine(source.group_sum((1, 1, 1)), 1, bulk, 1),
+                      for tm in group_sum(m).terms])
+    total = mm.combine(mm.combine(group_sum((1, 1, 1)), 1, bulk, 1),
                        1, res.tensor, -1)
     assert mm.form_equal(total, mm.classical(n))
     if isinstance(source, mm.IsotropyGroup):
@@ -330,36 +343,29 @@ def test_correction_term_refuses_non_monomial_group():
     group = mm.IsotropyGroup([mm.Isotropy.identity(2),
                               mm.winograd_isotropy(1)])
     with pytest.raises(ValueError, match="monomially"):
-        mm.correction_term(group)
+        mm.correction_term(mm.monomial_partition(group))
 
 
-def _expanded_correction(source):
-    """Reference for correction_term: each weight read off the expansion
-    of the identity's residual, group sums minus classical(n), over the
-    group sum's own entry at m."""
-    n = source.dim
-
-    def stab(m):
-        d, sums = mm.expansion(source.group_sum(m))
-        return Fraction(sums.get(monomial_key(n, *m), 0), d)
-
+def _expanded_correction(group):
+    """Reference for correction_term: the expansion of the identity's
+    residual, group sums built through act minus classical(n), one
+    monomial term per nonzero entry; the corner coefficient is the entry
+    at (n,n,n) over the corner group sum's own entry there."""
+    n = group.dim
     rest = range(2, n + 1)
     d, sums = mm.expansion(Tensor(n, [
         *(tm for m in [(1, 1, 1), *product(rest, rest, rest)]
-          for tm in source.group_sum(m).terms),
+          for tm in _group_sum(group, m).terms),
         *(tm.scaled(-1) for tm in mm.classical(n).terms)]))
-    terms, covered = [], set()
-    for m in product(range(1, n + 1), repeat=3):
-        key = monomial_key(n, *m)
-        if key in sums and key not in covered:
-            if s := stab(m):
-                terms.extend(tm.scaled(Fraction(sums[key], d) / s)
-                             for tm in source.group_sum(m).terms)
-            covered.update(mm.expansion(source.group_sum(m))[1])
-    tensor = Tensor(n, terms)
+    residual = lambda m: Fraction(sums.get(monomial_key(n, *m), 0), d)
+    tensor = Tensor(n, [mm.monomial_term(n, *m).scaled(residual(m))
+                        for m in product(range(1, n + 1), repeat=3)
+                        if residual(m)])
     assert mm.expansion(tensor) == (d, sums)
-    weight = Fraction(sums.get(monomial_key(n, n, n, n), 0), d)
-    return tensor, weight and weight / stab((n, n, n)), weight
+    corner = (n, n, n)
+    d_corner, sums_corner = mm.expansion(_group_sum(group, corner))
+    stab = Fraction(sums_corner[monomial_key(n, *corner)], d_corner)
+    return tensor, residual(corner) / stab, residual(corner)
 
 
 def _generated_group(gens, limit):
@@ -400,7 +406,7 @@ def test_correction_term_matches_expanded_reader():
     numbers that reading the expanded identity gives."""
     groups = 0
     for group in _differential_groups():
-        res = mm.correction_term(group)
+        res = mm.correction_term(mm.monomial_partition(group))
         tensor, coefficient, weight = _expanded_correction(group)
         assert mm.write_tensor_file(res.tensor) == \
             mm.write_tensor_file(tensor)
@@ -414,7 +420,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("solve, golden", [
-    (lambda: mm.correction_term(mm.klein_group()), "correction_klein"),
+    (lambda: mm.correction_term(mm.monomial_partition(mm.klein_group())),
+     "correction_klein"),
     (lambda: mm.correction_term(mm.cyclic_partition()), "correction_cyclic"),
     (lambda: mm.correction_term(_trivial_n2_sources()[0]),
      "correction_trivial_n2"),
@@ -435,6 +442,47 @@ def test_laderman_variant_golden(lam, golden):
     # Pins the merge order and every factor's scaling, not just the form.
     text = (GOLDEN / f"laderman_variant_{golden}.tensor").read_text()
     assert mm.write_tensor_file(mm.laderman_variant(lam)) == text
+
+
+def _group_sum_correction(group):
+    """R as group sums: per orbit O, first met at m in lexicographic
+    order, GroupSum(m) scaled by w / stab with w = stab * |O & summed| - 1,
+    where w is not 0."""
+    n = group.dim
+    rest = range(2, n + 1)
+    summed = {(1, 1, 1), *product(rest, rest, rest)}
+    terms = []
+    for orbit, stab in mm.monomial_partition(group).orbits:
+        if w := stab * len(orbit & summed) - 1:
+            terms.extend(tm.scaled(Fraction(w, stab))
+                         for tm in _group_sum(group, min(orbit)).terms)
+    return Tensor(n, terms)
+
+
+def _seeded_lambdas(count, seed=23):
+    """count distinct non-integral p/q of either sign, |p|, q <= 9."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                       rng.randint(2, 9))
+        if lam.denominator > 1 and lam not in out:
+            out.append(lam)
+    return out
+
+
+@pytest.mark.parametrize("lam", [1, -2, Fraction(3, 4), Fraction(-5, 3),
+                                 *_seeded_lambdas(12)])
+def test_laderman_variant_same_terms_as_group_sum_correction(lam):
+    """R written as monomial terms or as group sums scaled by w / stab
+    merges to the same rank-one terms in the same order: only the split
+    of each term's scale over its factors moves."""
+    group = mm.klein_group()
+    base = _group_sum(group, (1, 1, 1))
+    bulk = mm.orbit_sum(group, mm.lifted_winograd(lam))
+    total = mm.combine(mm.combine(base, 1, bulk, 1),
+                       1, _group_sum_correction(group), -1)
+    assert [tm.key() for tm in mm.merge_shared_factors(total).terms] == \
+        [tm.key() for tm in mm.laderman_variant(lam).terms]
 
 
 def test_cyclic_partition_structure():

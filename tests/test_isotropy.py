@@ -181,7 +181,7 @@ def test_klein_term_stabilizer_pinned(make, stabilized):
 
 
 def test_monomial_orbit_examples():
-    K = mm.klein_group()
+    K = mm.monomial_partition(mm.klein_group())
     orbit, stab = K.orbit_of((3, 3, 3))
     assert orbit == {(3, 3, 3)} and stab == 4
     orbit, stab = K.orbit_of((2, 3, 3))
@@ -194,7 +194,33 @@ def test_monomial_orbit_rejects_non_monomial_action():
     g = mm.winograd_isotropy(1)
     G = IsotropyGroup([Isotropy.identity(2), g])
     with pytest.raises(ValueError, match="monomially"):
-        G.orbit_of((1, 1, 1))
+        mm.monomial_partition(G)
+
+
+_C3 = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+_R = Isotropy(_C3, _C3, _C3)
+
+
+# Klein minus one element: (3,3,1) is its own image twice and (3,3,2)'s
+# once.  {e, r} for a 3-cycle r: (1,1,1)
+# reads {(1,1,1), (2,2,2)}, but (2,2,2) reads {(2,2,2), (3,3,3)}.
+# e, e, r, r, r, r^2: every image set is an orbit of {e, r, r^2} and each
+# monomial is its own image twice, so orbit size times that count is 6,
+# but m reaches r(m) three times and r^2(m) once, which breaks the
+# counting identity of a group sum.
+@pytest.mark.parametrize("elements", [
+    lambda: list(mm.klein_group())[:3],
+    lambda: [Isotropy.identity(3), _R],
+    lambda: [Isotropy.identity(3)] * 2 + [_R] * 3 + [mm.compose(_R, _R)],
+], ids=["klein-minus-one", "image-sets-differ", "uneven-counts"])
+def test_monomial_partition_refuses_non_closed_group(elements):
+    with pytest.raises(ValueError, match="not closed"):
+        mm.monomial_partition(IsotropyGroup(elements()))
+
+
+def test_group_refuses_mixed_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        IsotropyGroup([Isotropy.identity(3), Isotropy.identity(2)])
 
 
 def test_monomial_partition_matches_reference():
@@ -238,8 +264,9 @@ def test_orbit_partition_sum_matches_group_sum():
     assert mm.form_equal(total, mm.orbit_sum(K, mm.classical(3)))
     with pytest.raises(ValueError):
         mm.orbit_partition_sum(part, [1])
-    for m in product(range(1, 4), repeat=3):
-        assert mm.form_equal(K.group_sum(m), part.group_sum(m))
+    for k, (orbit, _) in enumerate(part.orbits):
+        term = Tensor(3, [mm.monomial_term(3, *min(orbit))])
+        assert mm.form_equal(mm.orbit_sum(K, term), sums[k])
 
 
 def _isotropy(tri):
