@@ -11,7 +11,7 @@ import mmtensor as mm
 from mmtensor import Tensor
 
 K = mm.klein_group()
-print("group closed:", K.is_closed())
+print("group order:", len(K))
 print("group permutes the schoolbook terms:",
       mm.is_term_stabilizer(K, mm.classical(3)))
 print()

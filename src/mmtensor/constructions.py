@@ -79,6 +79,7 @@ def laderman() -> Tensor:
     return parse_trilinear(text)
 
 
+@lru_cache(maxsize=1)
 def klein_group() -> IsotropyGroup:
     """Four permutation isotropies isomorphic to the Klein four-group."""
     e = Matrix.identity(3)

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .matrix import Matrix, projective_key
+from .matrix import Matrix, as_fraction, projective_key
 from .tensor import Tensor, expansion, form_equal, map_factors, monomial_term
 
 Monomial = tuple[int, int, int]
@@ -141,7 +140,12 @@ def inverse(g: Isotropy) -> Isotropy:
 
 
 class IsotropyGroup:
-    """A finite collection of isotropies, the first being the identity."""
+    """A finite group of isotropies, the first being the identity.
+
+    The elements must be pairwise distinct up to scalars and closed under
+    compose; inverses then need no check, since in a finite closed set
+    some power g^k is the identity and g^-1 = g^(k-1) is in the set.
+    """
 
     def __init__(self, elements):
         elements = tuple(elements)
@@ -151,6 +155,11 @@ class IsotropyGroup:
             raise ValueError("isotropy group elements differ in dimension")
         if elements[0].key() != Isotropy.identity(elements[0].dim).key():
             raise ValueError("first group element must be the identity triple")
+        keys = {g.key() for g in elements}
+        if len(keys) != len(elements) or any(
+                compose(g, h).key() not in keys
+                for g in elements for h in elements):
+            raise ValueError("isotropy group is not closed")
         self.elements = elements
 
     def __len__(self) -> int:
@@ -162,13 +171,6 @@ class IsotropyGroup:
     @property
     def dim(self) -> int:
         return self.elements[0].dim
-
-    def is_closed(self) -> bool:
-        """Closure and inverse-closure up to projective equivalence."""
-        keys = {e.key() for e in self.elements}
-        return (all(compose(g, h).key() in keys for g in self.elements
-                    for h in self.elements)
-                and all(inverse(g).key() in keys for g in self.elements))
 
 
 def orbit_sum(group: IsotropyGroup, t: Tensor) -> Tensor:
@@ -211,6 +213,8 @@ class MonomialOrbitPartition:
             if seen & orbit:
                 raise ValueError("orbits are not disjoint")
             seen |= orbit
+            if stab < 1:
+                raise ValueError("stabilizer orders must be at least 1")
             if len(orbit) * stab != self.group_order:
                 raise ValueError("orbit size times stabilizer order must "
                                  "equal the group order")
@@ -235,10 +239,9 @@ def monomial_partition(group: IsotropyGroup) -> MonomialOrbitPartition:
     A triple of signed permutations (f1, f2, f3) sends the term of
     (i, j, k) to exactly the term of (f1(i), f2(j), f3(k)): the factor
     signs s1(i)s2(j), s2(j)s3(k) and s3(k)s1(i) multiply to +1.  So the
-    orbits are read off the index maps.  ValueError when some element is
-    not a signed permutation triple, or when the images are not the orbits
-    of a group: every member of m's image set must read the same set, and
-    be the image of m under exactly stab(m) elements.
+    orbit of m is its image set under the index maps, and its stabilizer
+    order is |group| / |orbit|.  ValueError when some element is not a
+    signed permutation triple.
     """
     if any(g._perms is None for g in group):
         raise ValueError("group does not act monomially: some element is "
@@ -246,14 +249,11 @@ def monomial_partition(group: IsotropyGroup) -> MonomialOrbitPartition:
     maps = [tuple(tuple(r for r, _ in p.images) for p in g._perms)
             for g in group]
     cube = product(range(1, group.dim + 1), repeat=3)
-    images = {(i, j, k): Counter((f1[i - 1], f2[j - 1], f3[k - 1])
-                                 for f1, f2, f3 in maps) for i, j, k in cube}
-    for m, counts in images.items():
-        if (set(counts.values()) != {counts[m]}
-                or any(images[x].keys() != counts.keys() for x in counts)):
-            raise ValueError("isotropy group is not closed")
-    orbits = dict.fromkeys((frozenset(c), c[m]) for m, c in images.items())
-    return MonomialOrbitPartition(len(group), tuple(orbits))
+    orbits = dict.fromkeys(frozenset((f1[i - 1], f2[j - 1], f3[k - 1])
+                                     for f1, f2, f3 in maps)
+                           for i, j, k in cube)
+    return MonomialOrbitPartition(
+        len(group), tuple((o, len(group) // len(o)) for o in orbits))
 
 
 def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
@@ -267,7 +267,8 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
     if len(coeffs) != len(partition.orbits):
         raise ValueError("need exactly one coefficient per orbit")
     dim, terms = partition.dim, []
-    for (orbit, stab), coeff in zip(partition.orbits, map(Fraction, coeffs)):
+    for (orbit, stab), coeff in zip(partition.orbits,
+                                    map(as_fraction, coeffs)):
         if coeff:
             terms.extend(monomial_term(dim, *m).scaled(coeff * stab)
                          for m in sorted(orbit))

@@ -26,11 +26,10 @@ term of three matrices (group files list the identity first).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import lcm
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import RATIONAL, Matrix, parse_int, parse_rational
+from .matrix import RATIONAL, Matrix, as_fraction, parse_int, parse_rational
 from .tensor import MAX_CLASSICAL_SIZE, RankOneTerm, Tensor
 
 
@@ -89,7 +88,7 @@ def write_tensor_file(t: Tensor, lam=None) -> str:
     """Serialize a tensor; lam is optional metadata recorded verbatim."""
     out = [f"dim {t.dim}"]
     if lam is not None:
-        out.append(f"lambda {Fraction(lam)}")
+        out.append(f"lambda {as_fraction(lam)}")
     out.append(f"terms {len(t.terms)}")
     for tm in t.terms:
         out.append("term")
@@ -154,8 +153,5 @@ def read_isotropy_file(text: str) -> list[Isotropy]:
 
 
 def read_group_file(text: str) -> IsotropyGroup:
-    """Read an isotropy group; ValueError unless it is closed."""
-    group = IsotropyGroup(read_isotropy_file(text))
-    if not group.is_closed():
-        raise ValueError("isotropy group is not closed")
-    return group
+    """Read an isotropy group; ValueError unless it is a group."""
+    return IsotropyGroup(read_isotropy_file(text))

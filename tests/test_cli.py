@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import read_tensor_file, write_group_file
@@ -154,31 +154,84 @@ def test_correction_refuses_non_monomial_group(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "monomially" in err
 
 
+def _group_text(elements) -> str:
+    """A group file listing the elements, which need not form a group:
+    the bytes write_group_file writes for a group."""
+    return mm.write_tensor_file(mm.Tensor(elements[0].dim, [
+        mm.RankOneTerm(*g.factors()) for g in elements]))
+
+
 @pytest.mark.parametrize("command", ["orbit --tensor builtin:lifted-winograd",
                                      "correction"])
 def test_group_file_must_be_closed(tmp_path, capsys, command):
     """Klein minus one element is no group: its orbit sum is no orbit
     sum, so the file is refused."""
     group = tmp_path / "partial.group"
-    group.write_text(write_group_file(mm.IsotropyGroup(
-        list(mm.klein_group())[:3])))
+    group.write_text(_group_text(list(mm.klein_group())[:3]))
     code, out, err = invoke(capsys, *command.split(), "--group", str(group))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "not closed" in err
 
 
-def test_correction_refuses_repeated_elements(tmp_path, capsys):
-    """e, e, r, r, r, r^2 for a 3-cycle r passes is_closed, but its
-    images reach r(m) three times and r^2(m) once, so no correction term
-    closes the identity (it printed corner 5/2 before)."""
-    c = mm.Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    e, r = mm.Isotropy.identity(3), mm.Isotropy(c, c, c)
+_C3 = mm.Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+_E3, _R3 = mm.Isotropy.identity(3), mm.Isotropy(_C3, _C3, _C3)
+# Element lists with repeats: e, e, r, r, r, r^2 for a 3-cycle r, and
+# (I, I, I) with (-I, I, I), one element up to scale.
+REPEATED_GROUPS = {
+    "uneven-counts": [_E3, _E3, _R3, _R3, _R3, mm.compose(_R3, _R3)],
+    "same-up-to-scale": [_E3, mm.Isotropy(mm.Matrix.identity(3).scale(-1),
+                                          _E3.g2, _E3.g3)],
+}
+
+
+@pytest.mark.parametrize("command", ["orbit --tensor builtin:lifted-winograd",
+                                     "correction"])
+@pytest.mark.parametrize("name", REPEATED_GROUPS)
+def test_group_file_refuses_repeated_elements(tmp_path, capsys, command,
+                                              name):
+    """A repeated element counts its images twice, so neither list is a
+    group: orbit printed 42 and 14 terms, and correction printed corner
+    1/2 for (I, I, I), (-I, I, I), where the trivial group's is 0."""
     group = tmp_path / "repeated.group"
-    group.write_text(write_group_file(mm.IsotropyGroup(
-        [e, e, r, r, r, mm.compose(r, r)])))
-    code, out, err = invoke(capsys, "correction", "--group", str(group))
+    group.write_text(_group_text(REPEATED_GROUPS[name]))
+    code, out, err = invoke(capsys, *command.split(), "--group", str(group))
     assert code == 2 and out == ""
-    assert err == "error: isotropy group is not closed\n"
+    assert err == (f"error: bad group file {group}: "
+                   "isotropy group is not closed\n")
+
+
+# V4's five subgroups, as index sets into list(mm.klein_group()).
+KLEIN_SUBGROUPS = [{0}, {0, 1}, {0, 2}, {0, 3}, {0, 1, 2, 3}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=5))
+@example([1, 2, 3])
+@example([3, 2, 1])
+@example([2, 3])
+def test_group_check_accepts_exactly_klein_subgroups(fuzz_dir, rest):
+    """Lists of Klein elements, the identity first and repeats allowed,
+    are groups iff they list one of V4's subgroups once each; orbit of
+    lifted Winograd then prints 7 |G| terms, and refuses the rest."""
+    idx = [0, *rest]
+    klein = list(mm.klein_group())
+    elements = [klein[i] for i in idx]
+    is_group = len(set(idx)) == len(idx) and set(idx) in KLEIN_SUBGROUPS
+    path = fuzz_dir / "klein-subset.group"
+    path.write_text(_group_text(elements))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["orbit", "--tensor", "builtin:lifted-winograd",
+                    "--group", str(path)])
+    if is_group:
+        assert len(mm.IsotropyGroup(elements)) == len(idx)
+        assert code == 0
+        assert len(read_tensor_file(out.getvalue()).terms) == 7 * len(idx)
+    else:
+        with pytest.raises(ValueError, match="not closed"):
+            mm.IsotropyGroup(elements)
+        assert code == 2 and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_codegen(capsys):

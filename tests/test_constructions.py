@@ -338,10 +338,10 @@ def test_correction_term_read_off_identity(source, corner):
 
 
 def test_correction_term_refuses_non_monomial_group():
-    """The Winograd sandwich maps monomial terms to dense ones, so no sum
-    of group sums makes up the residual."""
-    group = mm.IsotropyGroup([mm.Isotropy.identity(2),
-                              mm.winograd_isotropy(1)])
+    """(G, G, G), G = [[1, 1], [0, -1]], is a closed involution group that
+    maps monomial terms to dense ones, so it has no monomial orbits."""
+    g = mm.Matrix([[1, 1], [0, -1]])
+    group = mm.IsotropyGroup([mm.Isotropy.identity(2), mm.Isotropy(g, g, g)])
     with pytest.raises(ValueError, match="monomially"):
         mm.correction_term(mm.monomial_partition(group))
 

@@ -114,9 +114,10 @@ def test_group_invariants():
     with pytest.raises(ValueError, match="identity"):
         IsotropyGroup([Isotropy(p, p, e)])
     K = mm.klein_group()
-    assert len(K) == 4 and K.is_closed()
+    assert len(K) == 4 and len(IsotropyGroup(list(K))) == 4
     # dropping an element breaks closure
-    assert not IsotropyGroup(list(K)[:2] + [list(K)[3]]).is_closed()
+    with pytest.raises(ValueError, match="not closed"):
+        IsotropyGroup(list(K)[:2] + [list(K)[3]])
 
 
 def test_orbit_sum_fixed_by_elements():
@@ -191,8 +192,9 @@ def test_monomial_orbit_examples():
 
 
 def test_monomial_orbit_rejects_non_monomial_action():
-    g = mm.winograd_isotropy(1)
-    G = IsotropyGroup([Isotropy.identity(2), g])
+    # a closed involution group: G = [[1, 1], [0, -1]] squares to I
+    g = Matrix([[1, 1], [0, -1]])
+    G = IsotropyGroup([Isotropy.identity(2), Isotropy(g, g, g)])
     with pytest.raises(ValueError, match="monomially"):
         mm.monomial_partition(G)
 
@@ -201,20 +203,23 @@ _C3 = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 _R = Isotropy(_C3, _C3, _C3)
 
 
-# Klein minus one element: (3,3,1) is its own image twice and (3,3,2)'s
-# once.  {e, r} for a 3-cycle r: (1,1,1)
-# reads {(1,1,1), (2,2,2)}, but (2,2,2) reads {(2,2,2), (3,3,3)}.
-# e, e, r, r, r, r^2: every image set is an orbit of {e, r, r^2} and each
-# monomial is its own image twice, so orbit size times that count is 6,
-# but m reaches r(m) three times and r^2(m) once, which breaks the
-# counting identity of a group sum.
+# None of these is a group, so IsotropyGroup refuses each and no partition
+# is read.  Klein minus one element: two of its swaps compose to the
+# missing one.  {e, r} for a 3-cycle r: r^2 is missing.  e, e, r, r, r,
+# r^2: the keys repeat, and the images of m would reach r(m) three times
+# and r^2(m) once, which breaks the counting identity of a group sum.
+# (I, I, I) and (-I, I, I): one element up to scale, listed twice.
 @pytest.mark.parametrize("elements", [
     lambda: list(mm.klein_group())[:3],
     lambda: [Isotropy.identity(3), _R],
     lambda: [Isotropy.identity(3)] * 2 + [_R] * 3 + [mm.compose(_R, _R)],
-], ids=["klein-minus-one", "image-sets-differ", "uneven-counts"])
+    lambda: [Isotropy.identity(3),
+             Isotropy(Matrix.identity(3).scale(-1), Matrix.identity(3),
+                      Matrix.identity(3))],
+], ids=["klein-minus-one", "image-sets-differ", "uneven-counts",
+        "same-up-to-scale"])
 def test_monomial_partition_refuses_non_closed_group(elements):
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ValueError, match="^isotropy group is not closed$"):
         mm.monomial_partition(IsotropyGroup(elements()))
 
 
@@ -246,6 +251,17 @@ def test_partition_validation():
                                    (frozenset({(2, 2, 2)}), 1)))
 
 
+@pytest.mark.parametrize("order, n", [(-1, 2), (0, 1)])
+def test_partition_refuses_stabilizer_below_one(order, n):
+    """Singleton orbits with stabilizer order equal to the group order
+    pass the orbit-stabilizer product, but no group has order below 1
+    (order -1 gave an 8-term R, order 0 a ZeroDivisionError)."""
+    orbits = tuple((frozenset({m}), order)
+                   for m in product(range(1, n + 1), repeat=3))
+    with pytest.raises(ValueError, match="at least 1"):
+        MonomialOrbitPartition(order, orbits)
+
+
 def test_orbit_partition_sum_matches_group_sum():
     K = mm.klein_group()
     part = mm.monomial_partition(K)
@@ -264,6 +280,9 @@ def test_orbit_partition_sum_matches_group_sum():
     assert mm.form_equal(total, mm.orbit_sum(K, mm.classical(3)))
     with pytest.raises(ValueError):
         mm.orbit_partition_sum(part, [1])
+    # coefficients are exact rationals, as for combine and scaled
+    with pytest.raises(TypeError, match="exact rational"):
+        mm.orbit_partition_sum(part, [0.1] * len(part.orbits))
     for k, (orbit, _) in enumerate(part.orbits):
         term = Tensor(3, [mm.monomial_term(3, *min(orbit))])
         assert mm.form_equal(mm.orbit_sum(K, term), sums[k])

@@ -35,6 +35,10 @@ def test_lambda_metadata_line():
     text = write_tensor_file(mm.winograd(2), lam=2)
     assert "lambda 2" in text.splitlines()[1]
     assert read_tensor_file(text) == mm.winograd(2)
+    assert "lambda -3/7" in write_tensor_file(mm.winograd(2), lam="-3/7")
+    # a float is no exact rational: 0.1 would be written 3602879701896397/...
+    with pytest.raises(TypeError, match="exact rational"):
+        write_tensor_file(mm.winograd(2), lam=0.1)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -226,7 +230,10 @@ def test_group_file_roundtrip():
     K = mm.klein_group()
     text = write_group_file(K)
     back = read_group_file(text)
-    assert len(back) == 4 and back.is_closed()
+    assert isinstance(back, mm.IsotropyGroup) and len(back) == 4
+    partial = mm.Tensor(3, [mm.RankOneTerm(*g.factors()) for g in list(K)[:3]])
+    with pytest.raises(ValueError, match="not closed"):
+        read_group_file(write_tensor_file(partial))
     assert [g.factors() for g in back] == [g.factors() for g in K]
 
 
