@@ -11,8 +11,8 @@ import warnings
 from itertools import product
 
 from .matrix import Matrix
-from .tensor import (RankOneTerm, Tensor, is_matmul_tensor, map_factors,
-                     merge_shared_factors)
+from .tensor import (RankOneTerm, Tensor, expansion, is_matmul_tensor,
+                     map_factors, merge_shared_factors, monomial_key)
 
 IndexTriple = tuple[int, int, int]
 
@@ -72,18 +72,42 @@ def tensor_project(t: Tensor, idx: IndexTriple) -> Tensor:
 def projection_census(t: Tensor):
     """Yield (idx, p, is_matmul_tensor(p)), p = merge_shared_factors(
     tensor_project(t, idx)), for idx in {1..n}^3 in lexicographic order.
-    Each factor is projected once per (row, column): projection (i, j, k)
-    takes the a, b and c projections at (i, j), (j, k) and (k, i)."""
+
+    The verdicts come from one expansion (D, sums) of t, not from one per
+    projection.  Projection (i, j, k) deletes row i and column j of each a,
+    row j and column k of each b, row k and column i of each c, so its form
+    is t's form restricted to the keys whose a, b and c entries avoid those
+    lines; the (n-1)-monomials are exactly the surviving n-monomials.  A key
+    is bad where sums differs from D times the monomial form (a missing
+    monomial is bad), and p verifies iff no bad key survives (i, j, k).
+
+    Each factor is projected once per (row, column) cell, and zero
+    projections are dropped there: projection (i, j, k) builds only the
+    terms whose a, b and c projections at (i, j), (j, k) and (k, i) are all
+    nonzero, the terms merge_shared_factors keeps."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
-    cells = list(product(range(1, n + 1), repeat=2))
-    proj = [[{rc: matrix_project(m, *rc) for rc in cells}
-             for m in (tm.a, tm.b, tm.c)] for tm in t.terms]
+    n2 = n * n
+    cells = list(product(range(1, n + 1), repeat=2))  # flat index -> (r, c)
+    big_d, sums = expansion(t)
+    want = dict.fromkeys((monomial_key(n, *m) for m in
+                          product(range(1, n + 1), repeat=3)), big_d)
+    bad = []  # per bad key: the i, the j and the k whose lines it meets
+    for key in sums.keys() | want.keys():
+        if sums.get(key, 0) != want.get(key, 0):
+            a, b, c = (cells[key // w % n2] for w in (n2 * n2, n2, 1))
+            bad.append(((a[0], c[1]), (a[1], b[0]), (b[1], c[0])))
+    proj = [[{rc: pm for rc in cells
+              if not (pm := matrix_project(m, *rc)).is_zero()}
+             for m in (tm.a, tm.b, tm.c)] for tm in t.nonzero_terms()]
     for i, j, k in product(range(1, n + 1), repeat=3):
-        p = merge_shared_factors(Tensor(n - 1, (
-            RankOneTerm(pa[i, j], pb[j, k], pc[k, i]) for pa, pb, pc in proj)))
-        yield (i, j, k), p, is_matmul_tensor(p)
+        p = merge_shared_factors(Tensor(n - 1, [
+            RankOneTerm(a, b, c) for pa, pb, pc in proj
+            if (a := pa.get((i, j))) and (b := pb.get((j, k)))
+            and (c := pc.get((k, i)))]))
+        yield (i, j, k), p, not any(i not in x and j not in y and k not in z
+                                    for x, y, z in bad)
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:

@@ -102,6 +102,29 @@ def test_projective_key():
     assert projective_key(Matrix([[0, 0, 0]])) == (1, 3)
 
 
+def test_projective_key_is_kept_on_the_matrix():
+    m = Matrix([[0, "2/3"], [-4, 6]])
+    fresh = lambda: Matrix([[0, "2/3"], [-4, 6]])
+    assert projective_key(m) == projective_key(m) == projective_key(fresh())
+    assert projective_key(m) is projective_key(m)
+    # New matrices from a keyed one are keyed afresh.
+    assert projective_key(m.scale(2)) == projective_key(m)
+    assert projective_key(m.scale(0)) == (2, 2)
+    assert projective_key(m + Matrix.identity(2)) == (2, 2, 3, 2, -12, 21)
+    assert projective_key(matrix_project(m, 1, 1)) == (1, 1, 1)
+    assert projective_key(matrix_project(m, 2, 2)) == (1, 1)
+    assert projective_key(matrix_lift(m, 1, 1)) == (3, 3, 0, 0, 0,
+                                                    0, 0, 1, 0, -6, 9)
+    # Equality and hashing read only den and num.
+    assert m == fresh() and hash(m) == hash(fresh())
+    assert len({m, fresh()}) == 1
+    with pytest.raises(AttributeError):
+        m.x = 1
+    with pytest.raises(AttributeError):
+        m._key = (2, 2)
+    assert projective_key(m) == (2, 2, 0, 1, -6, 9)
+
+
 # -- differential test against Fraction rows ------------------------------------
 
 def ref_rank(rows):

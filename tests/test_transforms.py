@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
 from mmtensor import Matrix
+from mmtensor.isotropy import signed_permutations
 
 from conftest import DENSE_ISOTROPY, rand_matrix
 
@@ -125,3 +127,94 @@ def test_projection_census_matches_reference_loop(name):
 def test_projection_census_needs_dimension_two():
     with pytest.raises(ValueError, match="census needs dimension >= 2"):
         list(mm.projection_census(mm.classical(1)))
+
+
+# -- census verdicts read off the parent's expansion ----------------------------
+
+def _census_verdicts(t):
+    """Each census verdict checked against is_matmul_tensor of its merged
+    projection and against the Fraction table of tensor_project; returns
+    the verdicts in census order."""
+    target = mm.to_coefficient_form(mm.classical(t.dim - 1))
+    verdicts = []
+    for idx, p, ok in mm.projection_census(t):
+        ref = mm.to_coefficient_form(mm.tensor_project(t, idx)) == target
+        assert ok == mm.is_matmul_tensor(p) == ref, idx
+        verdicts.append(ok)
+    return verdicts
+
+
+_IDXS = list(product(range(1, 4), repeat=3))
+_SOURCES = {"laderman": mm.laderman,
+            "variant-3/4": lambda: mm.laderman_variant(Fraction(3, 4))}
+_OFF = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)])
+_DIAG = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                         Fraction(-1, 2)])
+
+
+@st.composite
+def _dense_matrix(draw):
+    """L @ U, L unit lower and U upper with a nonzero diagonal: invertible."""
+    low = [[Fraction(r == c) if r <= c else draw(_OFF) for c in range(3)]
+           for r in range(3)]
+    up = [[draw(_DIAG) if r == c else draw(_OFF) if r < c else Fraction(0)
+           for c in range(3)] for r in range(3)]
+    return Matrix(low) @ Matrix(up)
+
+
+_SIGNED = st.sampled_from(signed_permutations(3)).map(
+    lambda sp: sp.to_matrix())
+
+
+def _change_entry(t, data):
+    """t with one entry of one factor of one term moved off its value."""
+    terms = list(t.terms)
+    n = data.draw(st.integers(0, len(terms) - 1))
+    f = data.draw(st.integers(0, 2))
+    r, c = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    factors = [m.row_list() for m in (terms[n].a, terms[n].b, terms[n].c)]
+    factors[f][r][c] += data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+    terms[n] = mm.RankOneTerm(*map(Matrix, factors))
+    return mm.Tensor(3, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_census_verdicts_equal_projection_checks(data):
+    """Verdicts from the parent's expansion equal the checks of each
+    projection, on isotropy images of Laderman and its variant, as they
+    are, one term short, with one entry changed, and doubled."""
+    source = _SOURCES[data.draw(st.sampled_from(sorted(_SOURCES)))]()
+    make = data.draw(st.sampled_from([_SIGNED, _dense_matrix()]))
+    t = mm.act(mm.Isotropy(*(data.draw(make) for _ in range(3))), source)
+    change = data.draw(st.sampled_from(["none", "drop", "entry", "double"]))
+    if change == "drop":
+        n = data.draw(st.integers(0, len(t.terms) - 1))
+        t = mm.Tensor(3, t.terms[:n] + t.terms[n + 1:])
+    elif change == "entry":
+        t = _change_entry(t, data)
+    elif change == "double":
+        t = mm.Tensor(3, [tm.scaled(2) for tm in t.terms])
+    verdicts = _census_verdicts(t)
+    # At n = 3 every key survives some projection: all verify iff t does.
+    assert all(verdicts) == (change == "none")
+    if change == "double":
+        assert not any(verdicts)
+
+
+def test_census_verdicts_with_denominator():
+    """classical(3) plus the term a12 b33 c11 / 3: D = 3, and only the two
+    projections that keep all of its lines fail; i = 1 kills it."""
+    extra = mm.RankOneTerm(Matrix.unit(3, 1, 2).scale(Fraction(1, 3)),
+                           Matrix.unit(3, 3, 3), Matrix.unit(3, 1, 1))
+    t = mm.Tensor(3, mm.classical(3).terms + (extra,))
+    assert mm.expansion(t)[0] == 3
+    failed = [idx for idx, ok in zip(_IDXS, _census_verdicts(t)) if not ok]
+    assert failed == [(2, 1, 2), (3, 1, 2)]
+
+
+def test_non_multiplication_censuses():
+    """Two pinned censuses of tensors that are not multiplication tensors."""
+    zeroed = _census_verdicts(mm.tensor_zero(mm.classical(3), (1, 1, 1)))
+    assert [idx for idx, ok in zip(_IDXS, zeroed) if ok] == [(1, 1, 1)]
+    assert sum(_census_verdicts(mm.Tensor(3, mm.laderman().terms[1:]))) == 19
