@@ -18,13 +18,12 @@ from functools import lru_cache
 
 from .codegen import (blocking, emit_code, extract_schedule, op_count,
                       recursive_multiply)
-from .constructions import (builtin, correction_term, klein_group,
-                            merge_shared_factors)
+from .constructions import builtin, correction_term, klein_group
 from .isotropy import (act, monomial_partition, monomial_stabilizer_count,
                        orbit_sum)
 from .matrix import Matrix, parse_int, parse_rational
 from .tensor import (Tensor, decomposition_length, format_type,
-                     is_matmul_tensor, tensor_type)
+                     is_matmul_tensor, merge_shared_factors, tensor_type)
 from .tensorfile import (read_group_file, read_isotropy_file, read_tensor_file,
                          write_tensor_file)
 from .transforms import projection_census, tensor_project, tensor_zero
@@ -140,15 +139,9 @@ def _triple(args, dim: int):
     return idx
 
 
-def _cmd_project(args) -> int:
+def _cmd_slices(args) -> int:
     t = args.tensor
-    _output_tensor(tensor_project(t, _triple(args, t.dim)), args.out)
-    return 0
-
-
-def _cmd_zero(args) -> int:
-    t = args.tensor
-    _output_tensor(tensor_zero(t, _triple(args, t.dim)), args.out)
+    _output_tensor(args.op(t, _triple(args, t.dim)), args.out)
     return 0
 
 
@@ -254,15 +247,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("type", _cmd_type, "report the type multiset")
     p.add_argument("--compare", help="second tensor to compare types with")
 
-    p = command("project", _cmd_project, "project out the (i,j,k) slices")
-    for f in "ijk":
-        p.add_argument(f"--{f}", type=_int_arg, required=True)
-    p.add_argument("--out")
-
-    p = command("zero", _cmd_zero, "zero the (i,j,k) slices")
-    for f in "ijk":
-        p.add_argument(f"--{f}", type=_int_arg, required=True)
-    p.add_argument("--out")
+    for name, op, help in (("project", tensor_project, "project out"),
+                           ("zero", tensor_zero, "zero")):
+        p = command(name, _cmd_slices, f"{help} the (i,j,k) slices")
+        p.set_defaults(op=op)
+        for f in "ijk":
+            p.add_argument(f"--{f}", type=_int_arg, required=True)
+        p.add_argument("--out")
 
     p = command("act", _cmd_act, "apply a sandwiching isotropy")
     p.add_argument("--iso", required=True, help="isotropy file (first element)")

@@ -165,7 +165,8 @@ def laderman_variant(lam=1) -> Tensor:
     - correction term, then merged.  lambda = 0 raises ValueError.
     """
     group = klein_group()
-    base = orbit_sum(group, Tensor(3, [monomial_term(3, 1, 1, 1)]))
+    n = group.dim
+    base = orbit_sum(group, Tensor(n, [monomial_term(n, 1, 1, 1)]))
     bulk = orbit_sum(group, lifted_winograd(lam))
     corr = correction_term(monomial_partition(group)).tensor
     total = combine(combine(base, 1, bulk, 1), 1, corr, -1)

@@ -79,12 +79,9 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
 
 
 class Matrix:
-    """Immutable rows x cols matrix num / den, addressed as m[i, j], 1-based.
+    """Immutable rows x cols matrix num / den, addressed as m[i, j], 1-based."""
 
-    ``_key`` holds projective_key(m) once it is first asked for; it is not
-    set at construction and takes no part in equality or hashing."""
-
-    __slots__ = ("rows", "cols", "den", "num", "_key")
+    __slots__ = ("rows", "cols", "den", "num")
 
     def __new__(cls, entries):
         """The matrix with rows of ints, Fractions or 'p/q' strings."""
@@ -245,22 +242,18 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-_set_rows, _set_cols, _set_den, _set_num, _set_key = (  # past __setattr__
+_set_rows, _set_cols, _set_den, _set_num = (  # past __setattr__
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 def projective_key(m: Matrix) -> tuple[int, ...]:
     """m's shape and the flat int rows of its primitive integer multiple
     with a positive lead, the first nonzero entry row-major (the shape alone
-    if m = 0).  Nonzero matrices are proportional iff their keys agree.
-    The key is computed once per matrix and kept on it."""
-    key = getattr(m, "_key", None)
-    if key is None:
-        flat = tuple(chain.from_iterable(m.num))
-        key = (m.rows, m.cols)
-        if g := gcd(*flat):
-            if next(filter(None, flat)) < 0:
-                g = -g
-            key += tuple(v // g for v in flat)
-        _set_key(m, key)
+    if m = 0).  Nonzero matrices are proportional iff their keys agree."""
+    flat = tuple(chain.from_iterable(m.num))
+    key = (m.rows, m.cols)
+    if g := gcd(*flat):
+        if next(filter(None, flat)) < 0:
+            g = -g
+        key += tuple(v // g for v in flat)
     return key

@@ -221,27 +221,37 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     are dropped.  Runs to a fixed point in deterministic order: each step
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
-
-    Each term is keyed once, when it enters or is rebuilt: each factor by
-    its projective class number, each factor pair by (pair, class number,
-    class number).  Two terms merge iff they share a pair key, so a step
-    scans the live terms in slot order and merges the least (first slot,
-    later slot) pair met under one key.
     """
-    terms = list(t.nonzero_terms())
-    units = {}  # projective key of a factor -> its number
-    pair_keys = [()] * len(terms)  # per slot: (pair, unit, unit) per pair
+    return merge_keyed_terms(t.dim, [(tm, _factor_keys(tm))
+                                     for tm in t.nonzero_terms()])
 
-    def key(i):
-        n = [units.setdefault(projective_key(f), len(units))
-             for f in (terms[i].a, terms[i].b, terms[i].c)]
-        pair_keys[i] = [(p, n[x], n[y]) for p, (x, y) in enumerate(_PAIRS)]
 
-    for i in range(len(terms)):
-        key(i)
+def _factor_keys(tm: RankOneTerm) -> tuple:
+    return projective_key(tm.a), projective_key(tm.b), projective_key(tm.c)
+
+
+def merge_keyed_terms(dim: int, keyed) -> Tensor:
+    """merge_shared_factors for keyed, the pairs (tm, keys) over the terms
+    of a dimension-dim tensor in order, each tm nonzero and keys the
+    projective keys of tm.a, tm.b and tm.c.  Input terms are neither keyed
+    nor tested for zero here; only the terms that a merge rebuilds are.
+
+    Each factor key gets a class number, each factor pair the key (pair,
+    class number, class number).  Two terms merge iff they share a pair
+    key, so a step scans the live terms in slot order and merges the least
+    (first slot, later slot) pair met under one key.
+    """
+    units = {}  # projective key of a factor -> its class number
+
+    def pairs(factor_keys):  # (pair, class, class) per factor pair
+        n = [units.setdefault(k, len(units)) for k in factor_keys]
+        return [(p, n[x], n[y]) for p, (x, y) in enumerate(_PAIRS)]
+
+    terms = [tm for tm, _ in keyed]
+    pair_keys = [pairs(factor_keys) for _, factor_keys in keyed]
     while True:
         first = {}  # pair key -> first live slot holding it
-        least = min(((i, j) for j, keys in enumerate(pair_keys) for k in keys
+        least = min(((i, j) for j, slot in enumerate(pair_keys) for k in slot
                      if (i := first.setdefault(k, j)) < j), default=None)
         if least is None:
             break
@@ -251,9 +261,8 @@ def merge_shared_factors(t: Tensor) -> Tensor:
         if new.is_zero():
             terms[i], pair_keys[i] = None, ()
         else:
-            terms[i] = new
-            key(i)
-    return Tensor(t.dim, [tm for tm in terms if tm is not None])
+            terms[i], pair_keys[i] = new, pairs(_factor_keys(new))
+    return Tensor(dim, [tm for tm in terms if tm is not None])
 
 
 def _merge_pair(u: RankOneTerm, ku, v: RankOneTerm, kv) -> RankOneTerm:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import warnings
 from itertools import product
 
-from .matrix import Matrix
+from .matrix import Matrix, projective_key
 from .tensor import (RankOneTerm, Tensor, expansion, is_matmul_tensor,
-                     map_factors, merge_shared_factors, monomial_key)
+                     map_factors, merge_keyed_terms, monomial_key)
 
 IndexTriple = tuple[int, int, int]
 
@@ -81,10 +81,11 @@ def projection_census(t: Tensor):
     is bad where sums differs from D times the monomial form (a missing
     monomial is bad), and p verifies iff no bad key survives (i, j, k).
 
-    Each factor is projected once per (row, column) cell, and zero
-    projections are dropped there: projection (i, j, k) builds only the
-    terms whose a, b and c projections at (i, j), (j, k) and (k, i) are all
-    nonzero, the terms merge_shared_factors keeps."""
+    Each factor is projected and keyed once per (row, column) cell, and
+    zero projections are dropped there: projection (i, j, k) hands
+    merge_keyed_terms only the terms whose a, b and c projections at (i, j),
+    (j, k) and (k, i) are all nonzero, the terms merge_shared_factors keeps,
+    with the keys of those projections."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
@@ -98,14 +99,14 @@ def projection_census(t: Tensor):
         if sums.get(key, 0) != want.get(key, 0):
             a, b, c = (cells[key // w % n2] for w in (n2 * n2, n2, 1))
             bad.append(((a[0], c[1]), (a[1], b[0]), (b[1], c[0])))
-    proj = [[{rc: pm for rc in cells
+    proj = [[{rc: (pm, projective_key(pm)) for rc in cells
               if not (pm := matrix_project(m, *rc)).is_zero()}
              for m in (tm.a, tm.b, tm.c)] for tm in t.nonzero_terms()]
     for i, j, k in product(range(1, n + 1), repeat=3):
-        p = merge_shared_factors(Tensor(n - 1, [
-            RankOneTerm(a, b, c) for pa, pb, pc in proj
-            if (a := pa.get((i, j))) and (b := pb.get((j, k)))
-            and (c := pc.get((k, i)))]))
+        p = merge_keyed_terms(n - 1, [
+            (RankOneTerm(a[0], b[0], c[0]), (a[1], b[1], c[1]))
+            for pa, pb, pc in proj if (a := pa.get((i, j)))
+            and (b := pb.get((j, k))) and (c := pc.get((k, i)))])
         yield (i, j, k), p, not any(i not in x and j not in y and k not in z
                                     for x, y, z in bad)
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import Matrix
+from mmtensor import Matrix, tensor, transforms
 from mmtensor.isotropy import signed_permutations
+from mmtensor.matrix import projective_key
 
 from conftest import DENSE_ISOTROPY, rand_matrix
 
@@ -103,6 +104,9 @@ _CENSUS_TENSORS = {
     "dense": lambda: mm.act(DENSE_ISOTROPY, mm.laderman()),
     # One term short: the projections that keep that term fail.
     "laderman-minus-one": lambda: mm.Tensor(3, mm.laderman().terms[1:]),
+    # 3x3 and 1x1 projected factors.
+    "classical-4": lambda: mm.classical(4),
+    "strassen": mm.strassen,
 }
 
 
@@ -111,15 +115,16 @@ def test_projection_census_matches_reference_loop(name):
     """The census projects each factor once; term for term it must equal
     merging each tensor_project, with the verdict of the Fraction table."""
     t = _CENSUS_TENSORS[name]()
+    n = t.dim
     census = list(mm.projection_census(t))
-    assert [idx for idx, _, _ in census] == list(product(range(1, 4),
+    assert [idx for idx, _, _ in census] == list(product(range(1, n + 1),
                                                          repeat=3))
     for idx, merged, ok in census:
         ref = mm.merge_shared_factors(mm.tensor_project(t, idx))
-        assert merged.dim == ref.dim == 2
+        assert merged.dim == ref.dim == n - 1
         assert merged.terms == ref.terms, idx
         assert ok == (mm.to_coefficient_form(ref)
-                      == mm.to_coefficient_form(mm.classical(2)))
+                      == mm.to_coefficient_form(mm.classical(n - 1)))
     verdicts = [ok for _, _, ok in census]
     assert all(verdicts) == (name != "laderman-minus-one")
 
@@ -127,6 +132,41 @@ def test_projection_census_matches_reference_loop(name):
 def test_projection_census_needs_dimension_two():
     with pytest.raises(ValueError, match="census needs dimension >= 2"):
         list(mm.projection_census(mm.classical(1)))
+
+
+@pytest.mark.parametrize("name", ["laderman", "dense"])
+def test_census_keys_each_projected_factor_once(name, monkeypatch):
+    """In a census, projective_key runs once per nonzero projected factor
+    and once per factor of each nonzero term that a merge rebuilds, and
+    RankOneTerm.is_zero runs on t's own terms and on the merge results only,
+    never on a term handed to the merge."""
+    t = _CENSUS_TENSORS[name]()
+    projected, rekeyed, tested, built = [], [], [], []
+
+    def spy(log, fn):
+        return lambda x, *args: log.append(x) or fn(x, *args)
+
+    monkeypatch.setattr(transforms, "projective_key",
+                        spy(projected, projective_key))
+    monkeypatch.setattr(tensor, "projective_key", spy(rekeyed, projective_key))
+    monkeypatch.setattr(mm.RankOneTerm, "is_zero",
+                        spy(tested, mm.RankOneTerm.is_zero))
+    monkeypatch.setattr(tensor, "_merge_pair",
+                        lambda *args, f=tensor._merge_pair:
+                        built.append(f(*args)) or built[-1])
+    list(mm.projection_census(t))
+    monkeypatch.undo()
+
+    cells = list(product(range(1, 4), repeat=2))
+    assert len(projected) == len({id(m) for m in projected}) == sum(
+        not mm.matrix_project(m, *rc).is_zero() for tm in t.terms
+        for m in (tm.a, tm.b, tm.c) for rc in cells)
+    kept = [tm for tm in built if not tm.is_zero()]
+    assert built and len(rekeyed) == 3 * len(kept)
+    assert all(x is y for x, y in zip(
+        rekeyed, [f for tm in kept for f in (tm.a, tm.b, tm.c)]))
+    assert len(tested) == len(t.terms) + len(built)
+    assert all(x is y for x, y in zip(tested, t.terms + tuple(built)))
 
 
 # -- census verdicts read off the parent's expansion ----------------------------
