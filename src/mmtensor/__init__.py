@@ -10,8 +10,8 @@ schedules.
 from .matrix import Matrix, as_fraction
 from .tensor import (RankOneTerm, Tensor, combine, decomposition_length,
                      expansion, form_equal, full_contraction,
-                     is_matmul_tensor, monomial_term, tensor_type,
-                     format_type, term, to_coefficient_form)
+                     is_matmul_tensor, merge_shared_factors, monomial_term,
+                     tensor_type, format_type, term, to_coefficient_form)
 from .transforms import (matrix_lift, matrix_project, matrix_zero,
                          projection_census, tensor_lift, tensor_project,
                          tensor_zero, zeroing_family_sum)
@@ -23,9 +23,8 @@ from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
 from .constructions import (CorrectionResult, builtin, classical,
                             correction_term, cyclic_partition, klein_group,
                             klein_orbit_sum_winograd, laderman,
-                            laderman_variant, lifted_winograd,
-                            merge_shared_factors, strassen, winograd,
-                            winograd_isotropy)
+                            laderman_variant, lifted_winograd, strassen,
+                            winograd, winograd_isotropy)
 from .trilinear import TrilinearSyntaxError, parse_trilinear, print_trilinear
 from .tensorfile import (TensorFileError, read_group_file, read_isotropy_file,
                          read_tensor_file, write_group_file,

@@ -98,7 +98,7 @@ def _output_tensor(t: Tensor, out: str | None, lam: Fraction | None = None):
 
 
 def _cmd_show(args) -> int:
-    sys.stdout.write(write_tensor_file(args.tensor))
+    _output_tensor(args.tensor, None)
     return 0
 
 
@@ -162,7 +162,7 @@ def _cmd_merge(args) -> int:
     merged = merge_shared_factors(args.tensor)
     _output_tensor(merged, args.out)
     print(f"merged {decomposition_length(args.tensor)} -> "
-          f"{decomposition_length(merged)} terms", file=sys.stderr)
+          f"{len(merged.terms)} terms", file=sys.stderr)
     return 0
 
 
@@ -220,7 +220,7 @@ def _cmd_census(args) -> int:
     all_ok = True
     for (i, j, k), p, ok in projection_census(args.tensor):
         all_ok = all_ok and ok
-        print(f"({i},{j},{k}) terms {decomposition_length(p)} "
+        print(f"({i},{j},{k}) terms {len(p.terms)} "
               f"{'VERIFIED' if ok else 'FAILED'}")
     return 0 if all_ok else 1
 
@@ -231,14 +231,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "tensor workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, tensor=True):
+    def command(name, func, help, tensor=True, lam=True, out=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if tensor:
             p.add_argument("--tensor", required=True,
                            help="tensor file or builtin:<name>")
+        if lam:
             p.add_argument("--lambda", dest="lam", default="1",
                            help="rational p/q parameter for builtins")
+        if out:
+            p.add_argument("--out")
         return p
 
     command("show", _cmd_show, "print a tensor in the file format")
@@ -249,33 +252,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, op, help in (("project", tensor_project, "project out"),
                            ("zero", tensor_zero, "zero")):
-        p = command(name, _cmd_slices, f"{help} the (i,j,k) slices")
+        p = command(name, _cmd_slices, f"{help} the (i,j,k) slices",
+                    out=True)
         p.set_defaults(op=op)
         for f in "ijk":
             p.add_argument(f"--{f}", type=_int_arg, required=True)
-        p.add_argument("--out")
 
-    p = command("act", _cmd_act, "apply a sandwiching isotropy")
+    p = command("act", _cmd_act, "apply a sandwiching isotropy", out=True)
     p.add_argument("--iso", required=True, help="isotropy file (first element)")
-    p.add_argument("--out")
 
-    p = command("orbit", _cmd_orbit, "sum the orbit under a group")
+    p = command("orbit", _cmd_orbit, "sum the orbit under a group", out=True)
     p.add_argument("--group", required=True, help="builtin:klein or file")
-    p.add_argument("--out")
 
-    p = command("merge", _cmd_merge, "merge terms sharing two factors")
-    p.add_argument("--out")
+    command("merge", _cmd_merge, "merge terms sharing two factors", out=True)
 
     p = command("construct", _cmd_construct, "build a named construction",
-                tensor=False)
+                tensor=False, out=True)
     p.add_argument("name", choices=["laderman-variant", "winograd"])
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--out")
 
     p = command("correction", _cmd_correction, "solve the correction term",
-                tensor=False)
+                tensor=False, lam=False, out=True)
     p.add_argument("--group", required=True, help="builtin:klein or file")
-    p.add_argument("--out")
 
     p = command("codegen", _cmd_codegen, "emit a bilinear schedule as code")
     p.add_argument("--style", choices=["flat", "annotated"], default="flat")
@@ -286,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--base", required=True, help="base tensor spec")
     p.add_argument("--threshold", type=_int_arg, default=1)
-    p.add_argument("--lambda", dest="lam", default="1")
 
     command("stabilizer-search", _cmd_stabilizer_search,
             "search for monomial stabilizers")

@@ -5,8 +5,8 @@ into the Winograd variant, lift it into the lower-right 2x2 block of a 3x3
 tensor, sum its orbit under a Klein four-group of permutation isotropies, and
 repair the result with a correction term so the whole thing computes 3x3
 multiplication with 23 rank-one terms after merging shared factors.  The
-correction is read from the group's MonomialOrbitPartition: one monomial
-term per monomial, with an integer weight.
+correction is read from the group's MonomialOrbitPartition: one weight per
+orbit, summed over the partition.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from importlib import resources
 from itertools import product
 
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition, act,
-                       monomial_partition, orbit_sum)
+                       monomial_partition, orbit_partition_sum, orbit_sum)
 from .matrix import Matrix, as_fraction, parse_int
 from .tensor import (MAX_CLASSICAL_SIZE, RankOneTerm, Tensor, combine,
                      merge_shared_factors, monomial_term)
@@ -124,22 +124,22 @@ def correction_term(partition: MonomialOrbitPartition) -> CorrectionResult:
     signs multiply to +1), so GroupSum(m) is stab(m) times the sum of the
     terms over m's orbit O, and the identity is counting: each monomial m
     is met stab * |O & summed| times on the right, where
-    summed = {(1,1,1)} | {2..n}^3, and once on the left.  So R is one
-    monomial term per monomial, in lexicographic order, with the integer
-    weight w(m) = stab * |O & summed| - 1 wherever it is not 0.  The corner
-    numbers are (w / stab, w) at (n,n,n).
+    summed = {(1,1,1)} | {2..n}^3, and once on the left.  So R is the
+    partition sum with weight c(O) = |O & summed| - 1/stab on GroupSum(O):
+    one monomial term per monomial, with the integer weight c * stab.  The
+    corner numbers are (c, c * stab) at the orbit of (n,n,n).
     """
     n = partition.dim
     rest = range(2, n + 1)
     summed = {(1, 1, 1), *product(rest, rest, rest)}
-    weights = {}  # monomial -> (w, stab) of its orbit
-    for orbit, stab in partition.orbits:
-        weights.update(dict.fromkeys(orbit,
-                                     (stab * len(orbit & summed) - 1, stab)))
-    terms = [monomial_term(n, *m).scaled(w)
-             for m, (w, _) in sorted(weights.items()) if w]
-    w, stab = weights[n, n, n]
-    return CorrectionResult(Tensor(n, terms), Fraction(w, stab), Fraction(w))
+
+    def weight(orbit, stab):  # |O & summed| - 1/stab
+        return Fraction(stab * len(orbit & summed) - 1, stab)
+
+    corner, stab = partition.orbit_of((n, n, n))
+    c = weight(corner, stab)
+    r = orbit_partition_sum(partition, (weight(*o) for o in partition.orbits))
+    return CorrectionResult(r, c, c * stab)
 
 
 def cyclic_partition() -> MonomialOrbitPartition:

@@ -261,18 +261,20 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
 
     coeffs is one scalar per orbit (aligned with partition.orbits); the result
     is the sum over orbits of coeff * stabilizer_order * (sum of the orbit's
-    monomial terms).
+    monomial terms), one term per monomial of an orbit whose coeff is not 0,
+    in lexicographic monomial order.
     """
     coeffs = list(coeffs)
     if len(coeffs) != len(partition.orbits):
         raise ValueError("need exactly one coefficient per orbit")
-    dim, terms = partition.dim, []
+    scales = {}
     for (orbit, stab), coeff in zip(partition.orbits,
                                     map(as_fraction, coeffs)):
         if coeff:
-            terms.extend(monomial_term(dim, *m).scaled(coeff * stab)
-                         for m in sorted(orbit))
-    return Tensor(dim, terms)
+            scales.update(dict.fromkeys(orbit, coeff * stab))
+    dim = partition.dim
+    return Tensor(dim, [monomial_term(dim, *m).scaled(s)
+                        for m, s in sorted(scales.items())])
 
 
 # -- brute-force stabilizer search over signed permutation triples ---------------

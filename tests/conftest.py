@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmtensor import Isotropy, Matrix
+from mmtensor import Isotropy, IsotropyGroup, Matrix, compose
 
 
 def rand_matrix(rng, n, span=9):
@@ -23,6 +23,14 @@ DENSE_ISOTROPY = Isotropy(
            [[Fraction(1, 2), 1, -1], [0, -2, 1], [0, 0, 2]]),
     _dense([[1, 0, 0], [1, 1, 0], [2, -1, 1]],
            [[-2, 2, 1], [0, Fraction(1, 2), -1], [0, 0, Fraction(-1, 2)]]))
+
+
+def three_cycle_group():
+    """{e, r, r^2} for r = (C, C, C), C the 3-cycle sending index j to j + 1:
+    nine monomial orbits of size 3, the first {(1,1,1), (2,2,2), (3,3,3)}."""
+    c = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    r = Isotropy(c, c, c)
+    return IsotropyGroup([Isotropy.identity(3), r, compose(r, r)])
 
 
 def canonical_terms(t):

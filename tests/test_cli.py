@@ -281,6 +281,20 @@ def test_census(capsys):
     assert sum(1 for ln in lines if "terms 8" in ln) == 23
 
 
+def test_census_tests_no_term_for_zero_again(capsys, monkeypatch):
+    """census prints the length of each merge result as it is: it calls
+    RankOneTerm.is_zero exactly as often as projection_census does."""
+    t = mm.laderman()
+    calls = []
+    is_zero = mm.RankOneTerm.is_zero
+    monkeypatch.setattr(mm.RankOneTerm, "is_zero",
+                        lambda tm: calls.append(tm) or is_zero(tm))
+    list(mm.projection_census(t))
+    census_calls, calls[:] = len(calls), []
+    assert invoke(capsys, "census", "--tensor", "builtin:laderman")[0] == 0
+    assert len(calls) == census_calls > 0
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, "nonesuch")[0] == 2
     assert invoke(capsys, "verify")[0] == 2

@@ -12,7 +12,7 @@ from mmtensor import Matrix, Tensor
 from mmtensor.isotropy import signed_permutations
 from mmtensor.tensor import monomial_key
 
-from conftest import DENSE_ISOTROPY, canonical_terms
+from conftest import DENSE_ISOTROPY, canonical_terms, three_cycle_group
 
 
 LADERMAN_TYPE = Counter({(2, 2, 2): 4, (1, 3, 1): 2, (3, 1, 1): 2,
@@ -335,6 +335,27 @@ def test_correction_term_read_off_identity(source, corner):
     if isinstance(source, mm.IsotropyGroup):
         assert all(mm.is_form_stabilized(g, res.tensor) for g in source)
     assert (res.corner_coefficient, res.corner_total_weight) == corner
+
+
+@pytest.mark.parametrize("partition, weights", [
+    # the paper's weights: 1/2 on three group sums, 3/4 on the corner
+    (mm.monomial_partition(mm.klein_group()),
+     {(2, 3, 3): Fraction(1, 2), (3, 2, 3): Fraction(1, 2),
+      (3, 3, 2): Fraction(1, 2), (3, 3, 3): Fraction(3, 4)}),
+    (mm.cyclic_partition(),
+     {(3, 3, 2): Fraction(1, 2), (3, 2, 3): 1, (3, 3, 3): Fraction(3, 4)}),
+    # the corner orbit holds three summed monomials; the two orbits of
+    # permutations of (1, 2, 3) hold none
+    (mm.monomial_partition(three_cycle_group()),
+     {(3, 3, 3): 2, (1, 2, 3): -1, (1, 3, 2): -1}),
+], ids=["klein", "cyclic", "three-cycle"])
+def test_correction_term_is_partition_sum_of_weights(partition, weights):
+    """R is the partition sum with weight c(O) on the group sum of each
+    orbit O, term for term, and weight 0 on every orbit not listed."""
+    coeffs = [next((w for m, w in weights.items() if m in orbit), 0)
+              for orbit, _ in partition.orbits]
+    assert mm.write_tensor_file(mm.correction_term(partition).tensor) == \
+        mm.write_tensor_file(mm.orbit_partition_sum(partition, coeffs))
 
 
 def test_correction_term_refuses_non_monomial_group():

@@ -15,7 +15,7 @@ from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
 from mmtensor.isotropy import (SignedPerm, monomial_stabilizer_count,
                                signed_permutations)
 
-from conftest import canonical_terms, rand_matrix
+from conftest import canonical_terms, rand_matrix, three_cycle_group
 
 
 # Orbits of the four-group of row/column-12 swaps acting on the 27
@@ -286,6 +286,20 @@ def test_orbit_partition_sum_matches_group_sum():
     for k, (orbit, _) in enumerate(part.orbits):
         term = Tensor(3, [mm.monomial_term(3, *min(orbit))])
         assert mm.form_equal(mm.orbit_sum(K, term), sums[k])
+
+
+def test_orbit_partition_sum_writes_monomial_order():
+    """One term per monomial of an orbit with a nonzero coefficient, in
+    lexicographic monomial order: not orbit by orbit, as the 3-cycle's
+    first orbit is {(1,1,1), (2,2,2), (3,3,3)}."""
+    part = mm.monomial_partition(three_cycle_group())
+    assert part.orbits[0] == (frozenset({(1, 1, 1), (2, 2, 2), (3, 3, 3)}), 1)
+    coeffs = [k % 3 for k in range(len(part.orbits))]
+    coeff = {m: c for (orbit, _), c in zip(part.orbits, coeffs) for m in orbit}
+    want = Tensor(3, [mm.monomial_term(3, *m).scaled(coeff[m])
+                      for m in product(range(1, 4), repeat=3) if coeff[m]])
+    assert mm.write_tensor_file(mm.orbit_partition_sum(part, coeffs)) == \
+        mm.write_tensor_file(want)
 
 
 def _isotropy(tri):
