@@ -8,10 +8,11 @@ schedules.
 """
 
 from .matrix import Matrix, as_fraction
-from .tensor import (RankOneTerm, Tensor, combine, decomposition_length,
-                     expansion, form_equal, full_contraction,
-                     is_matmul_tensor, merge_shared_factors, monomial_term,
-                     tensor_type, format_type, term, to_coefficient_form)
+from .tensor import (RankOneTerm, Tensor, brent_failures, combine,
+                     decomposition_length, expansion, form_equal,
+                     full_contraction, is_matmul_tensor, merge_shared_factors,
+                     monomial_term, tensor_type, format_type, term,
+                     to_coefficient_form)
 from .transforms import (matrix_lift, matrix_project, matrix_zero,
                          projection_census, tensor_lift, tensor_project,
                          tensor_zero, zeroing_family_sum)

@@ -270,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 tensor=False, out=True)
     p.add_argument("name", choices=["laderman-variant", "winograd"])
 
-    p = command("correction", _cmd_correction, "solve the correction term",
+    p = command("correction", _cmd_correction,
+                "count the correction term of a group's monomial orbits",
                 tensor=False, lam=False, out=True)
     p.add_argument("--group", required=True, help="builtin:klein or file")
 

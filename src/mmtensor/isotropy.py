@@ -206,8 +206,12 @@ class MonomialOrbitPartition:
 
     group_order: int
     orbits: tuple[tuple[frozenset, int], ...]
+    dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", max(
+            (x for orbit, _ in self.orbits for m in orbit for x in m),
+            default=1))
         seen: set[Monomial] = set()
         for orbit, stab in self.orbits:
             if seen & orbit:
@@ -220,11 +224,6 @@ class MonomialOrbitPartition:
                                  "equal the group order")
         if seen != set(product(range(1, self.dim + 1), repeat=3)):
             raise ValueError("orbits do not cover every monomial")
-
-    @property
-    def dim(self) -> int:
-        return max((x for orbit, _ in self.orbits for m in orbit for x in m),
-                   default=1)
 
     def orbit_of(self, m: Monomial) -> tuple[frozenset, int]:
         for orbit, stab in self.orbits:

@@ -4,8 +4,8 @@ A tensor is an ordered sum of rank-one terms T_a (x) T_b (x) T_c of square
 matrices of a common dimension.  The canonical form is the expansion: the
 coefficient table of the associated trilinear form as ints over one
 denominator, in lowest terms, so two tensors are equal as trilinear forms
-iff their expansions are equal.  Every check compares expansions; the sparse
-6-index Fraction table is only read out of one.
+iff their expansions are equal.  Every check compares expansions, the one
+Brent check brent_failures too; the Fraction table is only read out of one.
 merge_shared_factors collapses terms that share two factors up to scale.
 """
 
@@ -164,13 +164,24 @@ def to_coefficient_form(t: Tensor) -> CoefficientForm:
             Fraction(v, big_d) for key, v in sums.items()}
 
 
-def is_matmul_tensor(t: Tensor) -> bool:
-    """True iff the tensor computes n x n matrix multiplication exactly: the
-    Brent equations, read as the expansion being 1 on every monomial
-    a_ij b_jk c_ki and absent elsewhere."""
+def brent_failures(t: Tensor) -> list:
+    """The Brent equations t breaks, sorted: the index pairs ((i,j),(k,l),
+    (m,n)) of each coefficient of a_ij b_kl c_mn where the expansion (D,
+    sums) is not D on a monomial a_ij b_jk c_ki (missing counts) or not 0
+    elsewhere; in lowest terms, so empty iff t is a multiplication tensor."""
     n = t.dim
-    return expansion(t) == (1, {monomial_key(n, *m): 1 for m in
-                                product(range(1, n + 1), repeat=3)})
+    n2, pos = n * n, list(product(range(1, n + 1), repeat=2))
+    big_d, sums = expansion(t)
+    want = dict.fromkeys((monomial_key(n, *m) for m in
+                          product(range(1, n + 1), repeat=3)), big_d)
+    return sorted((pos[key // n2 // n2], pos[key // n2 % n2], pos[key % n2])
+                  for key in sums.keys() | want.keys()
+                  if sums.get(key, 0) != want.get(key, 0))
+
+
+def is_matmul_tensor(t: Tensor) -> bool:
+    """True iff t computes n x n matrix multiplication: no Brent failure."""
+    return not brent_failures(t)
 
 
 def decomposition_length(t: Tensor) -> int:

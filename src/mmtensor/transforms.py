@@ -11,8 +11,8 @@ import warnings
 from itertools import product
 
 from .matrix import Matrix, projective_key
-from .tensor import (RankOneTerm, Tensor, expansion, is_matmul_tensor,
-                     map_factors, merge_keyed_terms, monomial_key)
+from .tensor import (RankOneTerm, Tensor, brent_failures, is_matmul_tensor,
+                     map_factors, merge_keyed_terms)
 
 IndexTriple = tuple[int, int, int]
 
@@ -73,13 +73,12 @@ def projection_census(t: Tensor):
     """Yield (idx, p, is_matmul_tensor(p)), p = merge_shared_factors(
     tensor_project(t, idx)), for idx in {1..n}^3 in lexicographic order.
 
-    The verdicts come from one expansion (D, sums) of t, not from one per
+    The verdicts come from one brent_failures(t), not from one check per
     projection.  Projection (i, j, k) deletes row i and column j of each a,
     row j and column k of each b, row k and column i of each c, so its form
-    is t's form restricted to the keys whose a, b and c entries avoid those
-    lines; the (n-1)-monomials are exactly the surviving n-monomials.  A key
-    is bad where sums differs from D times the monomial form (a missing
-    monomial is bad), and p verifies iff no bad key survives (i, j, k).
+    is t's form restricted to the coefficients whose a, b and c entries
+    avoid those lines; the (n-1)-monomials are exactly the surviving
+    n-monomials.  So p verifies iff no failure of t survives (i, j, k).
 
     Each factor is projected and keyed once per (row, column) cell, and
     zero projections are dropped there: projection (i, j, k) hands
@@ -89,16 +88,10 @@ def projection_census(t: Tensor):
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
-    n2 = n * n
-    cells = list(product(range(1, n + 1), repeat=2))  # flat index -> (r, c)
-    big_d, sums = expansion(t)
-    want = dict.fromkeys((monomial_key(n, *m) for m in
-                          product(range(1, n + 1), repeat=3)), big_d)
-    bad = []  # per bad key: the i, the j and the k whose lines it meets
-    for key in sums.keys() | want.keys():
-        if sums.get(key, 0) != want.get(key, 0):
-            a, b, c = (cells[key // w % n2] for w in (n2 * n2, n2, 1))
-            bad.append(((a[0], c[1]), (a[1], b[0]), (b[1], c[0])))
+    cells = list(product(range(1, n + 1), repeat=2))
+    # per failure: the i, the j and the k whose lines it meets
+    bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
+           for a, b, c in brent_failures(t)]
     proj = [[{rc: (pm, projective_key(pm)) for rc in cells
               if not (pm := matrix_project(m, *rc)).is_zero()}
              for m in (tm.a, tm.b, tm.c)] for tm in t.nonzero_terms()]

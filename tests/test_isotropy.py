@@ -239,6 +239,17 @@ def test_monomial_partition_matches_reference():
         part.orbit_of((4, 4, 4))
 
 
+def test_partition_stores_dim_outside_its_value():
+    """dim is read off the orbits once, when the partition is built, and
+    takes no part in equality, hash or repr."""
+    part = mm.monomial_partition(mm.klein_group())
+    again = MonomialOrbitPartition(part.group_order, part.orbits)
+    assert vars(part)["dim"] == again.dim == 3
+    assert part == again and hash(part) == hash(again)
+    assert repr(part) == ("MonomialOrbitPartition(group_order=4, "
+                          f"orbits={part.orbits!r})")
+
+
 def test_partition_validation():
     with pytest.raises(ValueError, match="disjoint"):
         MonomialOrbitPartition(2, ((frozenset({(1, 1, 1), (1, 2, 2)}), 1),

@@ -52,3 +52,13 @@ def test_import_graph_is_acyclic():
 
 def test_tensorfile_does_not_import_constructions():
     assert "constructions" not in GRAPH["tensorfile"]
+
+
+def test_transforms_takes_the_brent_check_from_tensor():
+    tree = MODULES["transforms"]
+    names = ({a.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for a in node.names}
+             | {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)})
+    assert "brent_failures" in names
+    assert not names & {"expansion", "monomial_key"}

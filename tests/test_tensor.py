@@ -159,6 +159,23 @@ def test_matmul_form_and_verification():
     assert not mm.is_matmul_tensor(Tensor(2, [mm.monomial_term(2, 1, 1, 1)]))
 
 
+def test_brent_failures_lists_the_broken_equations():
+    c = mm.classical(3)
+    assert mm.brent_failures(c) == []
+    short = Tensor(3, [tm for tm in c.terms
+                       if tm != mm.monomial_term(3, 1, 2, 3)])
+    assert mm.brent_failures(short) == [((1, 2), (2, 3), (3, 1))]
+    extra = mm.term(Matrix.unit(3, 1, 2), Matrix.unit(3, 3, 3).scale(
+        Fraction(1, 3)), Matrix.unit(3, 1, 1))
+    plus = Tensor(3, [*c.terms, extra])
+    assert mm.expansion(plus)[0] == 3
+    assert mm.brent_failures(plus) == [((1, 2), (3, 3), (1, 1))]
+    monomials = sorted(((i, j), (j, k), (k, i))
+                       for i, j, k in product(range(1, 4), repeat=3))
+    assert mm.brent_failures(mm.combine(c, 2, c, 0)) == monomials
+    assert mm.brent_failures(Tensor(3)) == monomials
+
+
 def test_coefficient_form_cancellation():
     tm = mm.monomial_term(2, 1, 1, 1)
     t = Tensor(2, [tm, tm.scaled(-1)])
@@ -415,3 +432,32 @@ def _near_misses(draw):
 def test_brent_check_on_near_misses(case):
     t, verdict = case
     assert mm.is_matmul_tensor(t) == _reference_verdict(t) == verdict
+
+
+@st.composite
+def _near_matmul(draw):
+    """classical(n) or nothing, plus terms with entries in {-1, 0, 1, 1/2}
+    and sometimes their negations, so some draws are multiplication tensors."""
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from([-1, 0, 1, Fraction(1, 2)])
+    mat = st.lists(st.lists(entry, min_size=n, max_size=n),
+                   min_size=n, max_size=n).map(Matrix)
+    extra = draw(st.lists(st.tuples(mat, mat, mat).map(
+        lambda ms: RankOneTerm(*ms)), max_size=4))
+    terms = list(mm.classical(n).terms) if draw(st.booleans()) else []
+    terms += extra
+    if draw(st.booleans()):
+        terms += [tm.scaled(-1) for tm in extra]
+    return Tensor(n, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_near_matmul())
+def test_brent_failures_are_where_the_form_differs(t):
+    form = mm.to_coefficient_form(t)
+    ref = mm.to_coefficient_form(mm.classical(t.dim))
+    differ = {k for k in form.keys() | ref.keys()
+              if form.get(k, 0) != ref.get(k, 0)}
+    failures = mm.brent_failures(t)
+    assert failures == sorted(differ)
+    assert mm.is_matmul_tensor(t) == (failures == [])
