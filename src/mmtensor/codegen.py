@@ -5,10 +5,21 @@ once, into a Schedule: the linear forms of a straight-line program, whose
 product p multiplies a form in the entries of A by a form in the entries
 of B and whose output entries are forms in the products.  op_count counts
 over those forms, emit_code prints them, and execution compiles them once
-per base tensor, with denominators cleared, into a generated Python
-function for one recursion level.  That function runs on flat int lists
-in block-recursive order, with a generated schoolbook kernel at the
-leaves.
+per base tensor, with denominators cleared, into two generated Python
+functions for one recursion level, down and up, and runs each level once
+over all its subproblems.
+
+Operands are flat int lists in digit-reversed order: the top level's
+block digit is the least significant, so block i of every subproblem of a
+level is the one strided slice X[i::n*n].  down applies each a and b form
+to those slices in one comprehension and concatenates the products'
+operands, the product index becoming the most significant digit of the
+next level's batch; up slices the product streams apart, applies the c
+forms and interleaves the n*n output blocks back into the layout down
+read.  A generated schoolbook kernel multiplies the whole batch of leaves
+at once.  Where the operands down returns would pass _BATCH_CAP entries,
+the level below runs on one product's contiguous slice at a time, which
+bounds memory.
 
 Convention note: with the trace pairing used throughout, the (1,2)
 contraction of a multiplication tensor yields the transposed product, i.e.
@@ -21,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from .matrix import Matrix
@@ -143,11 +155,15 @@ class MultiplyResult:
     scalar_multiplications: int
 
 
-# Execution runs on flat lists of ints in block-recursive order, where every
-# block at every level is one contiguous slice.  Each base tensor is verified
-# and compiled once; the product is divided out once at the end.
-# The benchmark's multiply workload uses 3 bases, 2 leaf sizes and 2
-# layouts, so each cache below holds 4 entries.
+# Each base tensor is verified and compiled once; the product is divided
+# out once at the end.  The benchmark's multiply workload uses 3 bases, 2
+# leaf sizes and 2 layouts, so each cache below holds 4 entries.
+
+# Entries the operands down returns may hold before the level below runs
+# one product at a time: at mul's largest size, 243 on laderman, this keeps
+# the peak about 20 MB above the inputs.
+_BATCH_CAP = 1 << 16
+
 
 def _form(terms, blocks: str, var: str) -> str:
     """Source of the list sum c*blocks[k] over (k, c) in terms, built in one
@@ -164,16 +180,18 @@ def _form(terms, blocks: str, var: str) -> str:
 
 @lru_cache(maxsize=4)
 def _compile(t: Tensor):
-    """(n, products, level, scale) for t's verified schedule.
+    """(n, products, down, up, scale) for t's verified schedule.
 
-    level(X, Y, q, rec) is one recursion level: X and Y hold n*n blocks of
-    q entries each, rec multiplies two blocks, and the result is the n*n
-    output blocks, scale times A.B.  The a and b forms are multiplied by
-    their own lcm denominators into ints; the c coefficients are divided
-    by those two and then cleared by scale, the lcm of their own
-    denominators.  Coefficients 1 go first in every form.  Raises
-    ValueError when t is not a multiplication tensor (lru_cache keeps no
-    result for that).
+    down(X, Y) takes a batch of subproblems, each n*n blocks with the block
+    digit least significant, and returns the products' a and b operands,
+    one batch per product with the product index most significant.
+    up(P) takes the products in that layout and returns the n*n output
+    blocks, interleaved back into the layout of X, scale times A.B.  The a
+    and b forms are multiplied by their own lcm denominators into ints; the
+    c coefficients are divided by those two and then cleared by scale, the
+    lcm of their own denominators.  Coefficients 1 go first in every form.
+    Raises ValueError when t is not a multiplication tensor (lru_cache
+    keeps no result for that).
     """
     s = extract_schedule(t)
 
@@ -184,54 +202,62 @@ def _compile(t: Tensor):
         return sorted(((k, int(v * d)) for k, v in form),
                       key=lambda kv: kv[1] != 1)
 
+    def stream(forms, blocks, var):
+        return ", ".join(f"*{_form(ints(f, den(f)), blocks, var)}"
+                         for f in forms)
+
     c = [tuple((p, v / (den(s.a[p]) * den(s.b[p]))) for p, v in form)
          for form in s.c]
     scale = lcm(*map(den, c))
-    products = ",\n         ".join(
-        f"rec({_form(ints(fa, den(fa)), 'X', 'x')}, "
-        f"{_form(ints(fb, den(fb)), 'Y', 'y')})"
-        for fa, fb in zip(s.a, s.b))
-    outputs = ",\n            ".join(f"*{_form(ints(form, scale), 'P', 'p')}"
-                                      for form in c)
-    env = {}
-    exec("def level(X, Y, q, rec):\n"
-         "    X = [X[i:i + q] for i in range(0, len(X), q)]\n"
-         "    Y = [Y[i:i + q] for i in range(0, len(Y), q)]\n"
-         f"    P = [{products}]\n"
-         f"    return [{outputs}]\n", env)
-    return s.dim, len(s.a), env["level"], scale
+    blocks = s.dim ** 2
+    outputs = ",\n                ".join(_form(ints(form, scale), "P", "p")
+                                       for form in c)
+    env = {"chain": chain}
+    exec("def down(X, Y):\n"
+         f"    X = [X[i::{blocks}] for i in range({blocks})]\n"
+         f"    Y = [Y[i::{blocks}] for i in range({blocks})]\n"
+         f"    return [{stream(s.a, 'X', 'x')}], [{stream(s.b, 'Y', 'y')}]\n"
+         "def up(P):\n"
+         f"    q = len(P) // {len(s.a)}\n"
+         "    P = [P[i:i + q] for i in range(0, len(P), q)]\n"
+         f"    return list(chain.from_iterable(zip({outputs})))\n", env)
+    return s.dim, len(s.a), env["down"], env["up"], scale
 
 
 @lru_cache(maxsize=4)
 def _leaf(m: int):
-    """Schoolbook product of two m x m row-major int lists.
-
-    The inner product over k is unrolled, so the source grows as m, not
-    m**3: row (x0..) of x meets column (y0..) of y as x0*y0 + x1*y1 + ...
-    """
+    """Schoolbook products of a batch of m x m row-major int lists laid end
+    to end, in one comprehension over the leaves, their rows and their
+    columns.  Inner products are unrolled, so the source grows as m, not
+    m**3."""
     xs = ", ".join(f"x{k}" for k in range(m)) + ","
     ys = xs.replace("x", "y")
     body = " + ".join(f"x{k}*y{k}" for k in range(m))
     env = {}
-    exec("def leaf(x, y):\n"
-         f"    cols = list(zip(*[y[i:i + {m}] "
-         f"for i in range(0, {m * m}, {m})]))\n"
-         f"    return [{body} for {xs} in zip(*[iter(x)] * {m})\n"
-         f"            for {ys} in cols]\n", env)
+    exec("def leaf(X, Y):\n"
+         f"    rows = zip(*[zip(*[iter(X)] * {m})] * {m})\n"
+         f"    cols = zip(*[zip(*[iter(Y[u::{m}])] * {m}) "
+         f"for u in range({m})])\n"
+         f"    return [{body} for R, C in zip(rows, cols)\n"
+         f"            for {xs} in R for {ys} in C]\n", env)
     return env["leaf"]
 
 
 @lru_cache(maxsize=4)
 def _order(padded: int, n: int, levels: int) -> tuple[int, ...]:
-    """Row-major indices of a padded x padded matrix in block-recursive
-    order: its n*n blocks in row-major order, each in this order itself,
-    down to row-major leaves of side padded // n**levels."""
-    m = padded // n ** levels
+    """Row-major indices of a padded x padded matrix in digit-reversed
+    order: position i + n*n*j holds position j, in this order itself, of
+    the top-level block i (row-major), down to row-major leaves of side
+    padded // n**levels.  So block i is the strided slice [i::n*n], the
+    leaf entry is the most significant digit, and the same holds for the
+    operands of every level: down puts each product's batch of subproblems
+    whole, one after another, above their block digits."""
+    m = side = padded // n ** levels
     order = [i * padded + j for i in range(m) for j in range(m)]
     for _ in range(levels):
-        order = [(bi * padded + bj) * m + k for bi in range(n)
-                 for bj in range(n) for k in order]
-        m *= n
+        order = [k + (bi * padded + bj) * side for k in order
+                 for bi in range(n) for bj in range(n)]
+        side *= n
     return tuple(order)
 
 
@@ -239,8 +265,11 @@ def blocking(t: Tensor, size: int, threshold: int = 1):
     """(padded, levels, m, multiplications) of recursive_multiply on size x
     size inputs: size zero-padded up to the next power of t.dim, split for
     as many levels as leave blocks of side m above the threshold, and the
-    entry-level multiplications that takes.  Raises ValueError when t is
-    not a multiplication tensor."""
+    entry-level multiplications that takes.  Level d runs on a batch of
+    products**d subproblems and the leaf kernel on products**levels pairs
+    of m x m blocks, each in one pass unless the batch cap splits a level
+    above it by product.  Raises ValueError when t is not a multiplication
+    tensor."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     n, padded, levels = t.dim, size, 0
@@ -268,10 +297,29 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
         raise ValueError("recursive_multiply expects square matrices of "
                          "equal size")
     padded, levels, m, count = blocking(t, a.rows, threshold)
-    n, _, level, scale = _compile(t)
-    run = _leaf(m)
-    for d in range(levels):
-        run = partial(level, q=(m * n ** d) ** 2, rec=run)
+    n, products, down, up, scale = _compile(t)
+
+    def run(X, Y, depth):
+        # Levels depth.. of X and Y: one down per level over the whole batch
+        # while it fits under the cap; past it the level below runs on one
+        # product's slice at a time.  Then one up per level descended.
+        top = depth
+        while depth < levels and len(X) * products <= _BATCH_CAP * n * n:
+            X, Y = down(X, Y)
+            depth += 1
+        if depth == levels:
+            P = _leaf(m)(X, Y)
+        else:
+            X, Y = down(X, Y)
+            depth += 1
+            q = len(X) // products
+            P = list(chain.from_iterable(run(X[i:i + q], Y[i:i + q], depth)
+                                         for i in range(0, len(X), q)))
+        del X, Y  # up's outputs need not share the peak with the operands
+        for _ in range(top, depth):
+            P = up(P)
+        return P
+
     order = _order(padded, n, levels)
 
     def blocked(x: Matrix):
@@ -281,7 +329,7 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
         return [flat[k] for k in order]
 
     flat = [0] * padded ** 2
-    for k, v in zip(order, run(blocked(a), blocked(b))):
+    for k, v in zip(order, run(blocked(a), blocked(b), 0)):
         flat[k] = v
     rows = [flat[i:i + a.cols] for i in range(0, a.rows * padded, padded)]
     return MultiplyResult(

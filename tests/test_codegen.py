@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import Matrix, contract12, emit_code, extract_schedule, op_count
+from mmtensor import (Matrix, codegen, contract12, emit_code,
+                      extract_schedule, op_count)
 from mmtensor.isotropy import signed_permutations
 
 from conftest import rand_matrix
@@ -347,15 +348,23 @@ COMPILED_BASES = [
 
 @pytest.mark.parametrize("make", [m for _, m in COMPILED_BASES],
                          ids=[name for name, _ in COMPILED_BASES])
-def test_compiled_schedule_sizes_and_thresholds(make):
-    """Every size 1-12 and threshold 1-3: the exact product, and one leaf
-    product of m**3 multiplications per product of every level."""
+def test_compiled_schedule_sizes_and_thresholds(make, monkeypatch):
+    """Every size 1-12 and threshold 1-3, and size 27 at threshold 9 (for
+    laderman a batch of 23 leaves of side 9): the exact product, and one
+    leaf product of m**3 multiplications per product of every level.  A
+    second pass caps every level's batch at one entry, so that each level
+    below the top runs one product at a time, and must agree."""
     t = make()
     n, products = t.dim, mm.decomposition_length(t)
     rng = random.Random(f"compiled:{n}:{products}")
-    for size in range(1, 13):
-        a, b = rand_matrix(rng, size), rand_matrix(rng, size)
-        for threshold in (1, 2, 3):
+    operands = {size: (rand_matrix(rng, size), rand_matrix(rng, size))
+                for size in [*range(1, 13), 27]}
+    shapes = [(size, threshold) for size in range(1, 13)
+              for threshold in (1, 2, 3)] + [(27, 9)]
+    for cap in (codegen._BATCH_CAP, 1):
+        monkeypatch.setattr(codegen, "_BATCH_CAP", cap)
+        for size, threshold in shapes:
+            a, b = operands[size]
             leaf, levels = size, 0
             if n > 1:
                 leaf = 1
