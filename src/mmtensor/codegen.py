@@ -272,7 +272,13 @@ def blocking(t: Tensor, size: int, threshold: int = 1):
     tensor."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    n, padded, levels = t.dim, size, 0
+    return _blocking(_compile(t), size, threshold)
+
+
+def _blocking(compiled, size: int, threshold: int):
+    """blocking for the _compile result of its tensor."""
+    n, products = compiled[:2]
+    padded, levels = size, 0
     if n > 1:
         padded = 1
         while padded < size:
@@ -281,7 +287,7 @@ def blocking(t: Tensor, size: int, threshold: int = 1):
     while n > 1 and m > threshold:
         m //= n
         levels += 1
-    return padded, levels, m, _compile(t)[1] ** levels * m ** 3
+    return padded, levels, m, products ** levels * m ** 3
 
 
 def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
@@ -296,8 +302,11 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("recursive_multiply expects square matrices of "
                          "equal size")
-    padded, levels, m, count = blocking(t, a.rows, threshold)
-    n, products, down, up, scale = _compile(t)
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    compiled = _compile(t)
+    padded, levels, m, count = _blocking(compiled, a.rows, threshold)
+    n, products, down, up, scale = compiled
 
     def run(X, Y, depth):
         # Levels depth.. of X and Y: one down per level over the whole batch

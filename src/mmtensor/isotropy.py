@@ -281,11 +281,68 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
 def signed_permutations(n: int) -> list[SignedPerm]:
     """All n! * 2^n signed permutations, in a fixed deterministic order
     that starts with the identity."""
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            out.append(SignedPerm(tuple(zip(perm, signs))))
-    return out
+    return list(_signed_perms(n)[0])
+
+
+@cache
+def _signed_perms(n: int):
+    """(signed_permutations(n) as a tuple, its product table): table[i][j]
+    is the index of the matrix product of elements i and j."""
+    sps = tuple(SignedPerm(tuple(zip(perm, signs)))
+                for perm in permutations(range(1, n + 1))
+                for signs in product((1, -1), repeat=n))
+    index = {sp.images: i for i, sp in enumerate(sps)}
+
+    def times(p, q):  # column j of PQ is P applied to column j of Q
+        return index[tuple((p[r - 1][0], s * p[r - 1][1]) for r, s in q)]
+
+    return sps, tuple(tuple(times(p.images, q.images) for q in sps)
+                      for p in sps)
+
+
+def _subgroup(table, member) -> set[int]:
+    """The indices of the subgroup H = {g : member(g)} of the group with
+    product table table, identity 0, calling member as few times as the
+    subgroup structure allows: a member joins the generators and the group
+    they generate needs no test, and a non-member g rules out g*h for
+    every h already known to lie in H."""
+    h, gens, out, reps = {0}, [], set(), []
+    for g in range(len(table)):
+        if g in h or g in out:
+            continue
+        if member(g):
+            gens.append(g)
+            todo = list(h)  # every element of <gens> is some x * gen
+            while todo:
+                x = todo.pop()
+                for s in gens:
+                    if (y := table[x][s]) not in h:
+                        h.add(y)
+                        todo.append(y)
+            out = {table[r][x] for r in reps for x in h}
+        else:
+            reps.append(g)
+            out.update(table[g][x] for x in h)
+    return h
+
+
+@cache
+def _f3_classes(n: int):
+    """classes[l][m]: the f3 of signed_permutations(n) grouped by what an
+    image entry reads off them, the flat key offset y n^2 + z n of their
+    1-based image rows y, z of l and m and the product of those images'
+    signs, as (offset, sign, bit mask of the f3): n at l = m, 2 n (n - 1)
+    otherwise, against n! 2^n candidates."""
+    n2 = n * n
+    classes = [[{} for _ in range(n)] for _ in range(n)]
+    for bit, f3 in enumerate(_signed_perms(n)[0]):
+        for (l, (y, sy)), (m, (z, sz)) in product(enumerate(f3.images),
+                                                  repeat=2):
+            group = classes[l][m]
+            key = (y * n2 + z * n, sy * sz)
+            group[key] = group.get(key, 0) | 1 << bit
+    return [[tuple((*key, bits) for key, bits in group.items())
+             for group in row] for row in classes]
 
 
 def _stabilizer_masks(t: Tensor):
@@ -306,7 +363,7 @@ def _stabilizer_masks(t: Tensor):
     if n > 3:
         raise ValueError("signed-perm search supports n <= 3")
     sums = expansion(t)[1]
-    sps = signed_permutations(n)
+    sps = _signed_perms(n)[0]
     n2, n3, n4 = n * n, n ** 3, n ** 4
     # Each entry's base-n key digits (i, j), (k, l), (m, nn), positions
     # into images; image rows are 1-based, so a key built from them is
@@ -315,16 +372,16 @@ def _stabilizer_masks(t: Tensor):
                 divmod(key % n2, n), v) for key, v in sums.items()]
     shift = sum(n ** p for p in range(6))
     full = (1 << len(sps)) - 1
+    classes = _f3_classes(n)
 
     @cache
     def f3_mask(base, l, m, want):
         """Bits of the f3 that give the image entry at flat key base plus
         f3's images of l and m the value want."""
         mask = 0
-        for bit, f3 in enumerate(sps):
-            (y, sy), (z, sz) = f3.images[l], f3.images[m]
-            if sums.get(base + y * n2 + z * n, 0) * sy * sz == want:
-                mask |= 1 << bit
+        for offset, sign, bits in classes[l][m]:
+            if sums.get(base + offset, 0) * sign == want:
+                mask |= bits
         return mask
 
     def pair_mask(f1, f2):
@@ -364,12 +421,22 @@ def monomial_stabilizer_count(t: Tensor) -> int:
 
     S is a subgroup, so each nonempty fibre of its projection to (f1, f2)
     is a coset of K3 = {f3 : (e, e, f3) in S}; one level down, each fibre
-    over f1 is a coset of K2 = {f2 : (e, f2, f3) in S for some f3}.  The
-    scan for pi1(S), the f1 with some partner f2, stops at the first one.
+    over f1 is a left coset f2 K2 of K2 = {f2 : (e, f2, f3) in S for some
+    f3}.  K2 and pi1(S), the f1 with some partner f2, are subgroups of the
+    signed permutations and are found by _subgroup; f1 is tested against
+    one f2 of each left coset of K2, since a coset holds a partner of f1
+    only if its every element is one.
     """
     sps, pair_mask = _stabilizer_masks(t)
+    table = _signed_perms(t.dim)[1]
     e = sps[0]
     k3 = pair_mask(e, e).bit_count()
-    k2 = sum(1 for f2 in sps if pair_mask(e, f2))
-    pi1 = sum(1 for f1 in sps if any(pair_mask(f1, f2) for f2 in sps))
-    return pi1 * k2 * k3
+    k2 = _subgroup(table, lambda g: pair_mask(e, sps[g]))
+    reps, seen = [], set()
+    for g in range(len(sps)):
+        if g not in seen:
+            reps.append(sps[g])
+            seen.update(table[g][x] for x in k2)
+    pi1 = _subgroup(table, lambda g: any(pair_mask(sps[g], f2)
+                                          for f2 in reps))
+    return len(pi1) * len(k2) * k3

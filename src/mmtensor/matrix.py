@@ -251,9 +251,8 @@ def projective_key(m: Matrix) -> tuple[int, ...]:
     with a positive lead, the first nonzero entry row-major (the shape alone
     if m = 0).  Nonzero matrices are proportional iff their keys agree."""
     flat = tuple(chain.from_iterable(m.num))
-    key = (m.rows, m.cols)
-    if g := gcd(*flat):
-        if next(filter(None, flat)) < 0:
-            g = -g
-        key += tuple(v // g for v in flat)
-    return key
+    if not (g := gcd(*flat)):
+        return m.rows, m.cols
+    if next(filter(None, flat)) < 0:
+        g = -g
+    return m.rows, m.cols, *(flat if g == 1 else (v // g for v in flat))

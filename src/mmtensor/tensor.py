@@ -233,33 +233,33 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
     """
-    return merge_keyed_terms(t.dim, [(tm, _factor_keys(tm))
-                                     for tm in t.nonzero_terms()])
+    units = {}
+    return merge_keyed_terms(t.dim, [(tm, _classes(tm, units))
+                                     for tm in t.nonzero_terms()], units)
 
 
-def _factor_keys(tm: RankOneTerm) -> tuple:
-    return projective_key(tm.a), projective_key(tm.b), projective_key(tm.c)
+def _classes(tm: RankOneTerm, units: dict) -> tuple[int, int, int]:
+    """The class numbers of tm's factors in units, a dict from projective
+    keys to class numbers; a key not yet in units gets the next number."""
+    return tuple(units.setdefault(projective_key(f), len(units))
+                 for f in (tm.a, tm.b, tm.c))
 
 
-def merge_keyed_terms(dim: int, keyed) -> Tensor:
-    """merge_shared_factors for keyed, the pairs (tm, keys) over the terms
-    of a dimension-dim tensor in order, each tm nonzero and keys the
-    projective keys of tm.a, tm.b and tm.c.  Input terms are neither keyed
-    nor tested for zero here; only the terms that a merge rebuilds are.
+def merge_keyed_terms(dim: int, keyed, units: dict) -> Tensor:
+    """merge_shared_factors for keyed, the pairs (tm, classes) over the
+    terms of a dimension-dim tensor in order, each tm nonzero and classes
+    the class numbers in units of the projective keys of tm.a, tm.b and
+    tm.c, as _classes gives them.  Input terms are neither keyed nor
+    tested for zero here; only the terms that a merge rebuilds are, and
+    their keys are numbered in units too.
 
-    Each factor key gets a class number, each factor pair the key (pair,
-    class number, class number).  Two terms merge iff they share a pair
-    key, so a step scans the live terms in slot order and merges the least
-    (first slot, later slot) pair met under one key.
+    Each factor pair gets the key (pair, class number, class number), all
+    ints.  Two terms merge iff they share a pair key, so a step scans
+    the live terms in slot order and merges the least (first slot, later
+    slot) pair met under one key.
     """
-    units = {}  # projective key of a factor -> its class number
-
-    def pairs(factor_keys):  # (pair, class, class) per factor pair
-        n = [units.setdefault(k, len(units)) for k in factor_keys]
-        return [(p, n[x], n[y]) for p, (x, y) in enumerate(_PAIRS)]
-
     terms = [tm for tm, _ in keyed]
-    pair_keys = [pairs(factor_keys) for _, factor_keys in keyed]
+    pair_keys = [_pair_keys(classes) for _, classes in keyed]
     while True:
         first = {}  # pair key -> first live slot holding it
         least = min(((i, j) for j, slot in enumerate(pair_keys) for k in slot
@@ -272,8 +272,15 @@ def merge_keyed_terms(dim: int, keyed) -> Tensor:
         if new.is_zero():
             terms[i], pair_keys[i] = None, ()
         else:
-            terms[i], pair_keys[i] = new, pairs(_factor_keys(new))
+            terms[i], pair_keys[i] = new, _pair_keys(_classes(new, units))
     return Tensor(dim, [tm for tm in terms if tm is not None])
+
+
+def _pair_keys(classes) -> tuple[tuple[int, int, int], ...]:
+    """The keys (pair, class number, class number) of the factor pairs
+    (a,b), (a,c), (b,c)."""
+    a, b, c = classes
+    return (0, a, b), (1, a, c), (2, b, c)
 
 
 def _merge_pair(u: RankOneTerm, ku, v: RankOneTerm, kv) -> RankOneTerm:

@@ -26,10 +26,12 @@ term of three matrices (group files list the identity first).
 from __future__ import annotations
 
 import re
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import RATIONAL, Matrix, as_fraction, parse_int, parse_rational
+from .matrix import (INTEGER, MAX_DIGITS, Matrix, as_fraction, parse_int,
+                     parse_rational)
 from .tensor import MAX_CLASSICAL_SIZE, RankOneTerm, Tensor
 
 
@@ -37,25 +39,26 @@ class TensorFileError(ValueError):
     pass
 
 
-# One matrix row: whitespace-separated entries p or p/q.
-_ROW = re.compile(rf"{RATIONAL.pattern}(?:\s+{RATIONAL.pattern})*")
+# One matrix entry p or p/q, q != 0: RATIONAL with a nonzero digit in q.
+_ENTRY = re.compile(
+    rf"{INTEGER.pattern}(?:/(?=0*[1-9])[0-9]{{1,{MAX_DIGITS}}})?")
 
 
-def _read_row(lineno: int, line: str, dim: int) -> list[tuple[int, int]]:
-    """The (p, q) pairs, q >= 1, of a row of dim entries p or p/q; tokens
-    are matched one by one only to name the first malformed one."""
-    row_ok = _ROW.fullmatch(line)
-    row = []
-    for tok in line.split():
-        p, _, q = tok.partition("/")
-        q = int(q or 1) if row_ok or RATIONAL.fullmatch(tok) else 0
-        if not q:
-            raise TensorFileError(f"line {lineno}: malformed rational {tok!r}")
-        row.append((int(p), q))
-    if len(row) != dim:
-        raise TensorFileError(f"line {lineno}: ragged matrix, expected {dim} "
-                              f"entries, got {len(row)}")
-    return row
+@cache
+def _row_pattern(dim: int) -> re.Pattern:
+    """A row of exactly dim whitespace-separated entries p or p/q, q != 0."""
+    return re.compile(rf"{_ENTRY.pattern}(?:\s+{_ENTRY.pattern}){{{dim - 1}}}")
+
+
+def _row_error(lineno: int, line: str, dim: int) -> TensorFileError:
+    """The error of a row that _row_pattern(dim) refuses: its first token
+    that is no entry p or p/q with q != 0, else its entry count."""
+    tokens = line.split()
+    bad = next((tok for tok in tokens if not _ENTRY.fullmatch(tok)), None)
+    if bad is not None:
+        return TensorFileError(f"line {lineno}: malformed rational {bad!r}")
+    return TensorFileError(f"line {lineno}: ragged matrix, expected {dim} "
+                           f"entries, got {len(tokens)}")
 
 
 def _parse_count(lineno: int, line: str, key: str, minimum: int,
@@ -93,9 +96,18 @@ def write_tensor_file(t: Tensor, lam=None) -> str:
     for tm in t.terms:
         out.append("term")
         for m in (tm.a, tm.b, tm.c):
-            for row in m.row_list():
-                out.append(" ".join(map(str, row)))
+            out.extend(_format_rows(m))
     return "\n".join(out) + "\n"
+
+
+def _format_rows(m: Matrix):
+    """m's rows as canonical entries p or p/q, read off num and den: entry
+    v is (v/g)/(den/g), g = gcd(v, den), written p alone when den/g is 1."""
+    den = m.den
+    if den == 1:
+        return [" ".join(map(str, row)) for row in m.num]
+    return [" ".join(f"{v // g}/{q}" if (q := den // (g := gcd(v, den))) != 1
+                     else str(v // g) for v in row) for row in m.num]
 
 
 def read_tensor_file(text: str) -> Tensor:
@@ -110,6 +122,7 @@ def read_tensor_file(text: str) -> Tensor:
     # dim is bounded like builtin:classical-N, for census's n**3 projections.
     dim = _parse_count(*next_line(), "dim", minimum=1,
                        maximum=MAX_CLASSICAL_SIZE)
+    row_ok = _row_pattern(dim).fullmatch
     lineno, line = next_line()
     key, *value = line.split(None, 1)
     if key == "lambda":
@@ -130,14 +143,30 @@ def read_tensor_file(text: str) -> Tensor:
             raise TensorFileError(f"line {lineno}: expected 'term'")
         mats = []
         for _ in range(3):
-            rows = [_read_row(*next_line(), dim) for _ in range(dim)]
-            den = lcm(*(q for row in rows for _, q in row))
-            mats.append(Matrix.from_ints(den, [[p * (den // q) for p, q in row]
-                                               for row in rows]))
+            rows = []
+            for _ in range(dim):
+                lineno, line = next_line()
+                if not row_ok(line):
+                    raise _row_error(lineno, line, dim)
+                rows.append(line)
+            mats.append(_factor(rows))
         terms.append(RankOneTerm(*mats))
     for lineno, _ in lines:
         raise TensorFileError(f"line {lineno}: trailing content")
     return Tensor(dim, terms)
+
+
+def _factor(rows) -> Matrix:
+    """The matrix of rows, lines of entries p or p/q with q != 0: ints
+    read by int() over den 1 unless some line has a '/'."""
+    if not any("/" in row for row in rows):
+        return Matrix.from_ints(1, [list(map(int, row.split()))
+                                    for row in rows])
+    rows = [[(int(p), int(q or 1)) for p, _, q in
+             (tok.partition("/") for tok in row.split())] for row in rows]
+    den = lcm(*(q for row in rows for _, q in row))
+    return Matrix.from_ints(den, [[p * (den // q) for p, q in row]
+                                  for row in rows])
 
 
 def write_group_file(group: IsotropyGroup) -> str:

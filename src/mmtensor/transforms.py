@@ -8,7 +8,8 @@ n x n multiplication tensors to their (n-1) x (n-1) projections.
 from __future__ import annotations
 
 import warnings
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .matrix import Matrix, projective_key
 from .tensor import (RankOneTerm, Tensor, brent_failures, is_matmul_tensor,
@@ -80,11 +81,13 @@ def projection_census(t: Tensor):
     avoid those lines; the (n-1)-monomials are exactly the surviving
     n-monomials.  So p verifies iff no failure of t survives (i, j, k).
 
-    Each factor is projected and keyed once per (row, column) cell, and
-    zero projections are dropped there: projection (i, j, k) hands
-    merge_keyed_terms only the terms whose a, b and c projections at (i, j),
-    (j, k) and (k, i) are all nonzero, the terms merge_shared_factors keeps,
-    with the keys of those projections."""
+    Each factor is projected and keyed once per (row, column) cell, cut
+    from its flat entries by one itemgetter per cell, and zero projections
+    are dropped there: projection (i, j, k) hands merge_keyed_terms only
+    the terms whose a, b and c projections at (i, j), (j, k) and (k, i)
+    are all nonzero, the terms merge_shared_factors keeps, with the class
+    numbers of those projections' keys in one units dict that all n^3
+    merges share."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
@@ -92,16 +95,39 @@ def projection_census(t: Tensor):
     # per failure: the i, the j and the k whose lines it meets
     bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
            for a, b, c in brent_failures(t)]
-    proj = [[{rc: (pm, projective_key(pm)) for rc in cells
-              if not (pm := matrix_project(m, *rc)).is_zero()}
-             for m in (tm.a, tm.b, tm.c)] for tm in t.nonzero_terms()]
+    units = {}
+    cuts = [(rc, _cut(n, *rc)) for rc in cells]
+    proj = [[_projections(m, cuts, units) for m in (tm.a, tm.b, tm.c)]
+            for tm in t.nonzero_terms()]
     for i, j, k in product(range(1, n + 1), repeat=3):
         p = merge_keyed_terms(n - 1, [
             (RankOneTerm(a[0], b[0], c[0]), (a[1], b[1], c[1]))
             for pa, pb, pc in proj if (a := pa.get((i, j)))
-            and (b := pb.get((j, k))) and (c := pc.get((k, i)))])
+            and (b := pb.get((j, k))) and (c := pc.get((k, i)))], units)
         yield (i, j, k), p, not any(i not in x and j not in y and k not in z
                                     for x, y, z in bad)
+
+
+def _cut(n: int, i: int, j: int):
+    """The function from the flat row-major entries of an n x n matrix to
+    the flat entries of its projection at (i, j), one itemgetter."""
+    get = itemgetter(*(r * n + c for r in range(n) if r != i - 1
+                       for c in range(n) if c != j - 1))
+    return get if n > 2 else lambda flat: (get(flat),)
+
+
+def _projections(m: Matrix, cuts, units: dict) -> dict:
+    """{(i, j): (projection of m at (i, j), class number of its key in
+    units)} over cuts, the (cell, _cut) pairs, for the nonzero projections."""
+    flat = tuple(chain.from_iterable(m.num))
+    k = m.rows - 1
+    out = {}
+    for rc, cut in cuts:
+        if any(vals := cut(flat)):
+            pm = Matrix.from_ints(m.den, [vals[r:r + k]
+                                          for r in range(0, k * k, k)])
+            out[rc] = pm, units.setdefault(projective_key(pm), len(units))
+    return out
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
+from mmtensor import isotropy
 from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
                       Tensor, act, compose, inverse)
 from mmtensor.isotropy import (SignedPerm, monomial_stabilizer_count,
@@ -478,6 +479,73 @@ def test_stabilizer_count_is_coset_product(make, factors):
         len(pi1) * len(k2) * len(k3)
     if factors is not None:
         assert (len(pi1), len(k2), len(k3)) == factors
+
+
+def _counting_pair_masks(monkeypatch):
+    """Patch _stabilizer_masks so each pair_mask call is logged; returns
+    the log."""
+    calls = []
+    masks = isotropy._stabilizer_masks
+
+    def spy(t):
+        sps, pair_mask = masks(t)
+        return sps, lambda f1, f2: calls.append((f1, f2)) or pair_mask(f1, f2)
+
+    monkeypatch.setattr(isotropy, "_stabilizer_masks", spy)
+    return calls
+
+
+def test_stabilizer_count_tests_generators_only(monkeypatch):
+    """Every signed-permutation triple fixes the 3x3 multiplication form,
+    so K3, K2 and pi1(S) are all of G: one mask for K3, then one per
+    generator that _subgroup meets for K2 and pi1(S), where a scan of G
+    would take 48 for K2 and at least 48 more for pi1(S)."""
+    calls = _counting_pair_masks(monkeypatch)
+    assert monomial_stabilizer_count(mm.laderman()) == 110592
+    assert len(calls) <= 12
+    calls.clear()
+    assert monomial_stabilizer_count(mm.Tensor(
+        3, mm.laderman().terms[1:])) == 128
+    assert len(calls) < 48 * 48
+
+
+def _closure(gens):
+    """The group generated by the signed permutations gens, by matrix
+    products."""
+    group = {Matrix.identity(gens[0].rows)}
+    todo = list(group)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if (y := x @ g) not in group:
+                group.add(y)
+                todo.append(y)
+    return group
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 47), min_size=1, max_size=2))
+def test_subgroup_finds_generated_subgroups(gens):
+    """_subgroup, told only which elements are members, returns the
+    subgroup of signed_permutations(3) that 1 or 2 elements generate."""
+    sps = signed_permutations(3)
+    mats = [sp.to_matrix() for sp in sps]
+    want = _closure([mats[g] for g in gens])
+    table = isotropy._signed_perms(3)[1]
+    tested = []
+    found = isotropy._subgroup(
+        table, lambda g: tested.append(g) or mats[g] in want)
+    assert {mats[g] for g in found} == want
+    assert len(found) == len(want)
+    assert len(tested) == len(set(tested)) < len(sps)
+
+
+def test_signed_perm_product_table_is_matrix_product():
+    sps, table = isotropy._signed_perms(3)
+    assert list(sps) == signed_permutations(3)
+    for i, j in product(range(len(sps)), repeat=2):
+        assert (sps[table[i][j]].to_matrix()
+                == sps[i].to_matrix() @ sps[j].to_matrix())
 
 
 def test_stabilizer_search_refuses_n4():

@@ -226,6 +226,51 @@ def test_non_canonical_tokens_read_as_fractions(rows):
     assert tm.a == mm.Matrix([[value for _, value in row] for row in rows])
 
 
+_LONG = "-" + "7" * 640  # the longest digit run the format takes
+
+
+@st.composite
+def _spelled_factor(draw, n):
+    """n rows of n tokens each, spelled as _token does or 640 digits long,
+    joined by runs of spaces and tabs."""
+    gap = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+    token = _token().map(lambda tv: tv[0]) | st.just(_LONG)
+    rows = []
+    for _ in range(n):
+        first, *rest = draw(st.lists(token, min_size=n, max_size=n))
+        rows.append(first + "".join(draw(gap) + tok for tok in rest))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(_spelled_factor(n), min_size=3, max_size=3)))
+def test_read_matches_plain_fraction_parse(factors):
+    """Each entry reads as Fraction(token) does: integer-only factors and
+    factors that mix ints with p/q, any whitespace between tokens."""
+    n = len(factors[0])
+    body = "\n".join(row for rows in factors for row in rows)
+    (tm,) = read_tensor_file(f"dim {n}\nterms 1\nterm\n{body}\n").terms
+    for m, rows in zip((tm.a, tm.b, tm.c), factors):
+        assert m.row_list() == [[Fraction(tok) for tok in row.split()]
+                                for row in rows]
+
+
+@pytest.mark.parametrize("rows, lineno, token", [
+    (["1 2", "3 1/0"], 5, "1/0"),
+    (["1/2 2", "3 -1/00", "x"], 5, "-1/00"),
+    (["1 2 3", "4 5 6", "7 1/0", "1 2"], 6, "1/0"),
+    (["1 2", "1 2", "1/3 4", "5 6", "7 8/0"], 8, "8/0")])
+def test_zero_denominator_on_a_later_row_is_named(rows, lineno, token):
+    """A row with a zero denominator is refused as it is read, naming the
+    token, before the rows that follow it are looked at."""
+    n = len(rows[0].split())
+    text = f"dim {n}\nterms 1\nterm\n" + "\n".join(rows) + "\n"
+    with pytest.raises(TensorFileError, match=re.escape(
+            f"line {lineno}: malformed rational '{token}'")):
+        read_tensor_file(text)
+
+
 def test_group_file_roundtrip():
     K = mm.klein_group()
     text = write_group_file(K)
