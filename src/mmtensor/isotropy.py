@@ -281,23 +281,30 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
 def signed_permutations(n: int) -> list[SignedPerm]:
     """All n! * 2^n signed permutations, in a fixed deterministic order
     that starts with the identity."""
-    return list(_signed_perms(n)[0])
+    out = []
+    for perm in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            out.append(SignedPerm(tuple(zip(perm, signs))))
+    return out
 
 
 @cache
-def _signed_perms(n: int):
-    """(signed_permutations(n) as a tuple, its product table): table[i][j]
-    is the index of the matrix product of elements i and j."""
-    sps = tuple(SignedPerm(tuple(zip(perm, signs)))
-                for perm in permutations(range(1, n + 1))
-                for signs in product((1, -1), repeat=n))
+def _signed_perms(n: int) -> tuple[SignedPerm, ...]:
+    """signed_permutations(n), kept for the stabilizer code (n <= 3)."""
+    return tuple(signed_permutations(n))
+
+
+@cache
+def _product_table(n: int):
+    """table[i][j]: the index in signed_permutations(n) of the matrix
+    product of its elements i and j."""
+    sps = _signed_perms(n)
     index = {sp.images: i for i, sp in enumerate(sps)}
 
     def times(p, q):  # column j of PQ is P applied to column j of Q
         return index[tuple((p[r - 1][0], s * p[r - 1][1]) for r, s in q)]
 
-    return sps, tuple(tuple(times(p.images, q.images) for q in sps)
-                      for p in sps)
+    return tuple(tuple(times(p.images, q.images) for q in sps) for p in sps)
 
 
 def _subgroup(table, member) -> set[int]:
@@ -312,7 +319,7 @@ def _subgroup(table, member) -> set[int]:
             continue
         if member(g):
             gens.append(g)
-            todo = list(h)  # every element of <gens> is some x * gen
+            todo = list(h)  # close h under right products by gens
             while todo:
                 x = todo.pop()
                 for s in gens:
@@ -335,7 +342,7 @@ def _f3_classes(n: int):
     otherwise, against n! 2^n candidates."""
     n2 = n * n
     classes = [[{} for _ in range(n)] for _ in range(n)]
-    for bit, f3 in enumerate(_signed_perms(n)[0]):
+    for bit, f3 in enumerate(_signed_perms(n)):
         for (l, (y, sy)), (m, (z, sz)) in product(enumerate(f3.images),
                                                   repeat=2):
             group = classes[l][m]
@@ -363,7 +370,7 @@ def _stabilizer_masks(t: Tensor):
     if n > 3:
         raise ValueError("signed-perm search supports n <= 3")
     sums = expansion(t)[1]
-    sps = _signed_perms(n)[0]
+    sps = _signed_perms(n)
     n2, n3, n4 = n * n, n ** 3, n ** 4
     # Each entry's base-n key digits (i, j), (k, l), (m, nn), positions
     # into images; image rows are 1-based, so a key built from them is
@@ -428,7 +435,7 @@ def monomial_stabilizer_count(t: Tensor) -> int:
     only if its every element is one.
     """
     sps, pair_mask = _stabilizer_masks(t)
-    table = _signed_perms(t.dim)[1]
+    table = _product_table(t.dim)
     e = sps[0]
     k3 = pair_mask(e, e).bit_count()
     k2 = _subgroup(table, lambda g: pair_mask(e, sps[g]))

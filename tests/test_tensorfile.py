@@ -152,7 +152,12 @@ def _pq_tensors(draw):
 @settings(max_examples=100, deadline=None)
 @given(_pq_tensors())
 def test_write_read_roundtrip_pq(t):
-    assert read_tensor_file(write_tensor_file(t)) == t
+    text = write_tensor_file(t)
+    assert read_tensor_file(text) == t
+    # each row is written as str() of its Fractions
+    assert [line for line in text.splitlines()[2:] if line != "term"] == [
+        " ".join(map(str, row)) for tm in t.terms
+        for m in (tm.a, tm.b, tm.c) for row in m.row_list()]
 
 
 # Lines of the format, near misses of them, and other text.
