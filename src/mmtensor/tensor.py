@@ -11,6 +11,7 @@ merge_shared_factors collapses terms that share two factors up to scale.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,7 +131,21 @@ def expansion(t: Tensor) -> tuple[int, dict[int, int]]:
     fa n^4 + fb n^2 + fc.  Terms with a zero factor are skipped.  A term's
     products are weighted by L // (da db dc), L the lcm of da db dc over
     the terms, and summed; sums that cancel are dropped, and L and the
-    sums are divided by their gcd to give D and the sums."""
+    sums are divided by their gcd to give D and the sums.  The sums are
+    accumulated one product at a time, or Kronecker-packed for dense
+    input (_packs)."""
+    n2 = t.dim ** 2
+    big_d, cleared = _cleared(t)
+    sums = (_packed_sums(big_d, cleared, n2) if _packs(cleared, n2)
+            else _direct_sums(big_d, cleared))
+    g = gcd(big_d, *sums.values())
+    return big_d // g, {key: v // g for key, v in sums.items() if v}
+
+
+def _cleared(t: Tensor):
+    """(L, cleared): cleared holds (da db dc, a, b, c) per term with no
+    zero factor, each factor as its (weighted flat index, num) pairs of
+    nonzero entries, a's indices times n^4 and b's times n^2."""
     n2 = t.dim ** 2
     cleared, big_d = [], 1
     for tm in t.terms:
@@ -140,6 +155,22 @@ def expansion(t: Tensor) -> tuple[int, dict[int, int]]:
             d = tm.a.den * tm.b.den * tm.c.den
             big_d = lcm(big_d, d)
             cleared.append((d, a, b, c))
+    return big_d, cleared
+
+
+def _packs(cleared, n2: int) -> bool:
+    """True when packing costs fewer steps than the direct loop: one
+    multiply-add per (a, b) entry pair, one pack per c entry and one
+    unpack per lane of each (a, b) accumulator, against one dict update
+    per (a, b, c) entry triple."""
+    ab = sum(len(a) * len(b) for _, a, b, _ in cleared)
+    packed = ab + sum(len(c) for *_, c in cleared) + n2 * min(ab, n2 * n2)
+    return packed < sum(len(a) * len(b) * len(c) for _, a, b, c in cleared)
+
+
+def _direct_sums(big_d: int, cleared) -> dict[int, int]:
+    """The sums of _cleared's products times L, one dict update per
+    product; zero sums are kept."""
     sums = {}
     for d, a, b, c in cleared:
         w = big_d // d
@@ -150,18 +181,63 @@ def expansion(t: Tensor) -> tuple[int, dict[int, int]]:
                 for kc, vc in c:
                     key = kab + kc
                     sums[key] = sums.get(key, 0) + wab * vc
-    g = gcd(big_d, *sums.values())
-    return big_d // g, {key: v // g for key, v in sums.items() if v}
+    return sums
+
+
+def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
+    """_direct_sums without its zero sums, by Kronecker substitution.
+
+    Each term's c is packed into one int with n^2 signed lanes of s bits,
+    c's entry at lane fc, and added, times w va vb, to the accumulator of
+    each (a, b) entry pair.  A lane sums one product per term, so no lane
+    or partial sum passes B = sum of w max|a| max|b| max|c| over the
+    terms; s is the least multiple of 64 with 2^(s-1) > B.  Adding
+    2^(s-1) to every lane makes each lane nonnegative and below 2^s, so
+    the accumulators' bytes, in host order, are the lanes' s/64 words."""
+    bound = sum(big_d // d * max(abs(v) for _, v in a)
+                * max(abs(v) for _, v in b) * max(abs(v) for _, v in c)
+                for d, a, b, c in cleared)
+    words = (bound.bit_length() + 64) // 64
+    s = 64 * words
+    accs = {}
+    for d, a, b, c in cleared:
+        w = big_d // d
+        packed = sum(vc << s * kc for kc, vc in c)
+        for ka, va in a:
+            wa = w * va
+            for kb, vb in b:
+                kab = ka + kb
+                accs[kab] = accs.get(kab, 0) + wa * vb * packed
+    half = 1 << s - 1
+    offset = sum(half << s * k for k in range(n2))
+    little = sys.byteorder == "little"
+    parts = [(acc + offset).to_bytes(n2 * s // 8, sys.byteorder)
+             for acc in accs.values()]
+    lanes = memoryview(b"".join(parts if little else parts[::-1])
+                       ).cast("Q").tolist()
+    if not little:
+        lanes.reverse()
+    if words > 1:
+        lanes = [sum(x << 64 * j for j, x in enumerate(lanes[i:i + words]))
+                 for i in range(0, len(lanes), words)]
+    keys = (kab + fc for kab in accs for fc in range(n2))
+    return {key: v - half for key, v in zip(keys, lanes) if v != half}
+
+
+def _decoder(n: int):
+    """The function from a flat expansion key of dimension n to its index
+    pairs ((i,j),(k,l),(m,n))."""
+    n2, pos = n * n, list(product(range(1, n + 1), repeat=2))
+    return lambda key: (pos[key // n2 // n2], pos[key // n2 % n2],
+                        pos[key % n2])
 
 
 def to_coefficient_form(t: Tensor) -> CoefficientForm:
     """The sparse 6-index coefficient table, read out of the expansion:
     its flat keys split back into index pairs, each sum divided by D."""
-    n2 = t.dim ** 2
     big_d, sums = expansion(t)
-    pos = list(product(range(1, t.dim + 1), repeat=2))
-    return {(pos[key // n2 // n2], pos[key // n2 % n2], pos[key % n2]):
-            Fraction(v, big_d) for key, v in sums.items()}
+    decode = _decoder(t.dim)
+    return {decode(key): Fraction(v, big_d) for key, v in sums.items()}
 
 
 def brent_failures(t: Tensor) -> list:
@@ -170,12 +246,11 @@ def brent_failures(t: Tensor) -> list:
     sums) is not D on a monomial a_ij b_jk c_ki (missing counts) or not 0
     elsewhere; in lowest terms, so empty iff t is a multiplication tensor."""
     n = t.dim
-    n2, pos = n * n, list(product(range(1, n + 1), repeat=2))
     big_d, sums = expansion(t)
     want = dict.fromkeys((monomial_key(n, *m) for m in
                           product(range(1, n + 1), repeat=3)), big_d)
-    return sorted((pos[key // n2 // n2], pos[key // n2 % n2], pos[key % n2])
-                  for key in sums.keys() | want.keys()
+    decode = _decoder(n)
+    return sorted(decode(key) for key in sums.keys() | want.keys()
                   if sums.get(key, 0) != want.get(key, 0))
 
 

@@ -87,7 +87,9 @@ def projection_census(t: Tensor):
     the terms whose a, b and c projections at (i, j), (j, k) and (k, i)
     are all nonzero, the terms merge_shared_factors keeps, with the class
     numbers of those projections' keys in one units dict that all n^3
-    merges share."""
+    merges share.  Equal cuts share one projection: a memo over all terms,
+    factor positions and cells maps (den, cut entries) to the projection
+    and its class number, so each distinct one is built and keyed once."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
@@ -95,9 +97,9 @@ def projection_census(t: Tensor):
     # per failure: the i, the j and the k whose lines it meets
     bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
            for a, b, c in brent_failures(t)]
-    units = {}
+    units, memo = {}, {}
     cuts = [(rc, _cut(n, *rc)) for rc in cells]
-    proj = [[_projections(m, cuts, units) for m in (tm.a, tm.b, tm.c)]
+    proj = [[_projections(m, cuts, units, memo) for m in (tm.a, tm.b, tm.c)]
             for tm in t.nonzero_terms()]
     for i, j, k in product(range(1, n + 1), repeat=3):
         p = merge_keyed_terms(n - 1, [
@@ -116,17 +118,22 @@ def _cut(n: int, i: int, j: int):
     return get if n > 2 else lambda flat: (get(flat),)
 
 
-def _projections(m: Matrix, cuts, units: dict) -> dict:
+def _projections(m: Matrix, cuts, units: dict, memo: dict) -> dict:
     """{(i, j): (projection of m at (i, j), class number of its key in
-    units)} over cuts, the (cell, _cut) pairs, for the nonzero projections."""
+    units)} over cuts, the (cell, _cut) pairs, for the nonzero projections;
+    memo maps (den, cut entries) to those pairs, built on a miss."""
     flat = tuple(chain.from_iterable(m.num))
     k = m.rows - 1
     out = {}
     for rc, cut in cuts:
         if any(vals := cut(flat)):
-            pm = Matrix.from_ints(m.den, [vals[r:r + k]
-                                          for r in range(0, k * k, k)])
-            out[rc] = pm, units.setdefault(projective_key(pm), len(units))
+            key = m.den, vals
+            if (hit := memo.get(key)) is None:
+                pm = Matrix.from_ints(m.den, [vals[r:r + k]
+                                              for r in range(0, k * k, k)])
+                hit = memo[key] = pm, units.setdefault(projective_key(pm),
+                                                       len(units))
+            out[rc] = hit
     return out
 
 

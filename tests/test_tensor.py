@@ -2,13 +2,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import Isotropy, Matrix, RankOneTerm, Tensor
+from mmtensor import Isotropy, Matrix, RankOneTerm, Tensor, tensor
 from mmtensor.codegen import _compile
 from mmtensor.isotropy import monomial_stabilizer_count
 
@@ -386,6 +386,76 @@ def test_dense_laderman_image_pinned():
                       *t.terms[1:]])
     assert not mm.is_matmul_tensor(near)
     assert _exact_form(near) != reference_form(mm.classical(3))
+
+
+# -- packed against direct accumulation ---------------------------------------
+
+def _both_sums(t):
+    """(L, direct, packed): expansion's sums of t times L, one product at a
+    time with the zero sums dropped, and Kronecker-packed."""
+    big_d, cleared = tensor._cleared(t)
+    direct = tensor._direct_sums(big_d, cleared)
+    return (big_d, {key: v for key, v in direct.items() if v},
+            tensor._packed_sums(big_d, cleared, t.dim ** 2))
+
+
+@st.composite
+def _packing_tensors(draw):
+    """Tensors of dimension 1-4 with 1-5 terms, sparse (most entries 0)
+    or dense (few), of small ints or also of p/q with p and q up to 2^80,
+    so that the lanes span one to several 64-bit words."""
+    n = draw(st.integers(1, 4))
+    zeros = draw(st.sampled_from([1, 6]))  # in 10 entries
+    value = st.integers(-3, 3)
+    if draw(st.booleans()):
+        value |= st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
+                           st.integers(1, 2 ** 80))
+    entry = st.integers(0, 9).flatmap(
+        lambda z: st.just(0) if z < zeros else value)
+    mat = st.lists(st.lists(entry, min_size=n, max_size=n),
+                   min_size=n, max_size=n).map(Matrix)
+    return Tensor(n, draw(st.lists(st.builds(RankOneTerm, mat, mat, mat),
+                                   min_size=1, max_size=5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_packing_tensors())
+def test_packed_sums_equal_direct_sums(t):
+    """Both accumulations give the same nonzero sums, and expansion, on
+    whichever path it takes, gives them over L in lowest terms."""
+    big_d, direct, packed = _both_sums(t)
+    assert packed == direct
+    d, sums = mm.expansion(t)
+    assert gcd(d, *sums.values()) == 1
+    assert ({key: Fraction(v, d) for key, v in sums.items()}
+            == {key: Fraction(v, big_d) for key, v in direct.items()})
+
+
+@pytest.mark.parametrize("values", [
+    [2 ** 63 - 1], [-(2 ** 63 - 1)], [2 ** 63], [-2 ** 63],
+    [2 ** 62, 2 ** 62 - 1], [2 ** 62, 2 ** 62], [-2 ** 62, -2 ** 62],
+    [2 ** 63, -2 ** 63], [2 ** 127 - 1], [-2 ** 127]])
+def test_packed_lanes_at_the_bound(values):
+    """Sums at +-B for B just below and at 2^63 (one word a lane, then
+    two) and at 2^127, in adjacent lanes of opposite signs."""
+    signs = [[1, -1], [-1, 1]]
+    for t in (Tensor(1, [mm.term([[v]], [[1]], [[1]]) for v in values]),
+              Tensor(2, [mm.term([[v, 0], [0, 0]], [[1, 0], [0, 0]], signs)
+                         for v in values])):
+        _, direct, packed = _both_sums(t)
+        assert packed == direct
+
+
+@pytest.mark.parametrize("make, packs", [
+    (mm.laderman, False),
+    (lambda: mm.laderman_variant(Fraction(3, 4)), False),
+    (lambda: mm.classical(6), False),
+    (lambda: mm.act(DENSE_ISOTROPY, mm.laderman()), True)])
+def test_expansion_path_by_density(make, packs):
+    """Sparse tensors take the direct loop; a dense L U image of laderman
+    is packed."""
+    t = make()
+    assert tensor._packs(tensor._cleared(t)[1], t.dim ** 2) == packs
 
 
 def _reference_verdict(t):

@@ -136,8 +136,9 @@ def test_projection_census_needs_dimension_two():
 
 @pytest.mark.parametrize("name", ["laderman", "dense"])
 def test_census_keys_each_projected_factor_once(name, monkeypatch):
-    """In a census, projective_key runs once per nonzero projected factor
-    and once per factor of each nonzero term that a merge rebuilds, and
+    """In a census, projective_key runs once per distinct nonzero projected
+    factor, told apart by (den, entries) of the cut, and once per factor of
+    each nonzero term that a merge rebuilds, and
     RankOneTerm.is_zero runs on t's own terms and on the merge results only,
     never on a term handed to the merge."""
     t = _CENSUS_TENSORS[name]()
@@ -158,9 +159,11 @@ def test_census_keys_each_projected_factor_once(name, monkeypatch):
     monkeypatch.undo()
 
     cells = list(product(range(1, 4), repeat=2))
-    assert len(projected) == len({id(m) for m in projected}) == sum(
-        not mm.matrix_project(m, *rc).is_zero() for tm in t.terms
-        for m in (tm.a, tm.b, tm.c) for rc in cells)
+    cuts = {(m.den, tuple(v for r, row in enumerate(m.num, 1) if r != i
+                          for c, v in enumerate(row, 1) if c != j))
+            for tm in t.terms for m in (tm.a, tm.b, tm.c) for i, j in cells
+            if not mm.matrix_project(m, i, j).is_zero()}
+    assert len(projected) == len({id(m) for m in projected}) == len(cuts)
     kept = [tm for tm in built if not tm.is_zero()]
     assert built and len(rekeyed) == 3 * len(kept)
     assert all(x is y for x, y in zip(
