@@ -17,10 +17,9 @@ from .transforms import (matrix_lift, matrix_project, matrix_zero,
                          projection_census, tensor_lift, tensor_project,
                          tensor_zero, zeroing_family_sum)
 from .isotropy import (Isotropy, IsotropyGroup, MonomialOrbitPartition,
-                       SignedPerm, act, compose, inverse, is_form_stabilized,
-                       is_term_stabilizer, monomial_partition,
-                       monomial_stabilizer_search, orbit_partition_sum,
-                       orbit_sum)
+                       SignedPerm, act, compose, inverse, is_term_stabilizer,
+                       monomial_partition, monomial_stabilizer_search,
+                       orbit_partition_sum, orbit_sum)
 from .constructions import (CorrectionResult, builtin, classical,
                             correction_term, cyclic_partition, klein_group,
                             klein_orbit_sum_winograd, laderman,

@@ -29,7 +29,7 @@ from functools import cache
 from itertools import permutations, product
 
 from .matrix import Matrix, as_fraction, projective_key
-from .tensor import Tensor, expansion, form_equal, map_factors, monomial_term
+from .tensor import Tensor, expansion, map_factors, monomial_term
 
 Monomial = tuple[int, int, int]
 
@@ -54,13 +54,6 @@ class SignedPerm:
                 or len({r for r, _ in images}) != g.cols):
             return None
         return SignedPerm(tuple(images))
-
-    def to_matrix(self) -> Matrix:
-        n = len(self.images)
-        rows = [[0] * n for _ in range(n)]
-        for j, (r, s) in enumerate(self.images):
-            rows[r - 1][j] = s
-        return Matrix.from_ints(1, rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,11 +172,6 @@ def orbit_sum(group: IsotropyGroup, t: Tensor) -> Tensor:
     for g in group:
         terms.extend(act(g, t).terms)
     return Tensor(t.dim, terms)
-
-
-def is_form_stabilized(g: Isotropy, t: Tensor) -> bool:
-    """True iff acting by g leaves the trilinear form unchanged."""
-    return form_equal(act(g, t), t)
 
 
 def is_term_stabilizer(group: IsotropyGroup, t: Tensor) -> bool:

@@ -225,9 +225,6 @@ class Matrix:
         return Matrix.from_ints(det, [[self.den * v for v in row[n:]]
                                       for row in a])
 
-    def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.rows
-
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

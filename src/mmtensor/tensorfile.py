@@ -26,7 +26,7 @@ term of three matrices (group files list the identity first).
 from __future__ import annotations
 
 import re
-from functools import cache
+from itertools import islice
 from math import gcd, lcm
 
 from .isotropy import Isotropy, IsotropyGroup
@@ -44,21 +44,17 @@ _ENTRY = re.compile(
     rf"{INTEGER.pattern}(?:/(?=0*[1-9])[0-9]{{1,{MAX_DIGITS}}})?")
 
 
-@cache
-def _row_pattern(dim: int) -> re.Pattern:
-    """A row of exactly dim whitespace-separated entries p or p/q, q != 0."""
-    return re.compile(rf"{_ENTRY.pattern}(?:\s+{_ENTRY.pattern}){{{dim - 1}}}")
-
-
-def _row_error(lineno: int, line: str, dim: int) -> TensorFileError:
-    """The error of a row that _row_pattern(dim) refuses: its first token
-    that is no entry p or p/q with q != 0, else its entry count."""
+def _row_error(lineno: int, line: str, dim: int) -> TensorFileError | None:
+    """The error of a row, None if it has none: its first token that is no
+    entry p or p/q with q != 0, else a token count other than dim."""
     tokens = line.split()
     bad = next((tok for tok in tokens if not _ENTRY.fullmatch(tok)), None)
     if bad is not None:
         return TensorFileError(f"line {lineno}: malformed rational {bad!r}")
-    return TensorFileError(f"line {lineno}: ragged matrix, expected {dim} "
-                           f"entries, got {len(tokens)}")
+    if len(tokens) != dim:
+        return TensorFileError(f"line {lineno}: ragged matrix, expected "
+                               f"{dim} entries, got {len(tokens)}")
+    return None
 
 
 def _parse_count(lineno: int, line: str, key: str, minimum: int,
@@ -78,13 +74,6 @@ def _parse_count(lineno: int, line: str, key: str, minimum: int,
         raise TensorFileError(
             f"line {lineno}: '{key}' must be at most {maximum}, got {value}")
     return value
-
-
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def write_tensor_file(t: Tensor, lam=None) -> str:
@@ -111,19 +100,27 @@ def _format_rows(m: Matrix):
 
 
 def read_tensor_file(text: str) -> Tensor:
-    """Parse the tensor file format; exact inverse of write_tensor_file."""
-    lines = _logical_lines(text)
+    """Parse the tensor file format; exact inverse of write_tensor_file.
 
-    def next_line():
-        for item in lines:
-            return item
+    The body is read in bulk: logical lines, entries, one regex match and
+    int() per distinct entry, one factor per dim**2 entries.  A refused
+    file names its first line at fault."""
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.split("#", 1)[0] for line in raw]
+    numbered = ((lineno, line) for lineno, part in enumerate(raw, 1)
+                if (line := part.strip()))
+    head = list(islice(numbered, 3))
+
+    def line_at(k):
+        if k < len(head):
+            return head[k]
         raise TensorFileError("unexpected end of file")
 
     # dim is bounded like builtin:classical-N, for census's n**3 projections.
-    dim = _parse_count(*next_line(), "dim", minimum=1,
+    dim = _parse_count(*line_at(0), "dim", minimum=1,
                        maximum=MAX_CLASSICAL_SIZE)
-    row_ok = _row_pattern(dim).fullmatch
-    lineno, line = next_line()
+    lineno, line = line_at(1)
     key, *value = line.split(None, 1)
     if key == "lambda":
         if not value:
@@ -133,40 +130,56 @@ def read_tensor_file(text: str) -> Tensor:
         except (ValueError, ZeroDivisionError):
             raise TensorFileError(
                 f"line {lineno}: malformed rational {value[0]!r}")
-        lineno, line = next_line()
-    nterms = _parse_count(lineno, line, "terms", minimum=0)
+    start = 3 if key == "lambda" else 2
+    nterms = _parse_count(*line_at(start - 1), "terms", minimum=0)
 
-    terms = []
-    for _ in range(nterms):
-        lineno, line = next_line()
-        if line != "term":
-            raise TensorFileError(f"line {lineno}: expected 'term'")
-        mats = []
-        for _ in range(3):
-            rows = []
-            for _ in range(dim):
-                lineno, line = next_line()
-                if not row_ok(line):
-                    raise _row_error(lineno, line, dim)
-                rows.append(line)
-            mats.append(_factor(rows))
-        terms.append(RankOneTerm(*mats))
-    for lineno, _ in lines:
-        raise TensorFileError(f"line {lineno}: trailing content")
-    return Tensor(dim, terms)
+    step = 1 + 3 * dim
+    body = list(filter(None, map(str.strip, raw)))[start:]
+    if len(body) == nterms * step and all(map("term".__eq__, body[::step])):
+        del body[::step]
+        tokens = " ".join(body).split()
+        entries = set(tokens)
+        if (all(map(dim.__eq__, map(len, map(str.split, body))))
+                and all(map(_ENTRY.fullmatch, entries))):
+            return Tensor(dim, _terms(tokens, entries, dim))
+    raise _body_error(head[start:] + list(numbered), nterms, dim)
 
 
-def _factor(rows) -> Matrix:
-    """The matrix of rows, lines of entries p or p/q with q != 0: ints
-    read by int() over den 1 unless some line has a '/'."""
-    if not any("/" in row for row in rows):
-        return Matrix.from_ints(1, [list(map(int, row.split()))
-                                    for row in rows])
-    rows = [[(int(p), int(q or 1)) for p, _, q in
-             (tok.partition("/") for tok in row.split())] for row in rows]
-    den = lcm(*(q for row in rows for _, q in row))
-    return Matrix.from_ints(den, [[p * (den // q) for p, q in row]
-                                  for row in rows])
+def _terms(tokens, entries, dim: int):
+    """The rank-one terms of a body's tokens, entries p or p/q with q != 0,
+    and of their set entries: each distinct token parsed once, each factor
+    dim**2 tokens over the lcm of their q's."""
+    if not any("/" in tok for tok in entries):
+        nums = map({tok: int(tok) for tok in entries}.__getitem__, tokens)
+        rows = list(zip(*[nums] * dim))
+        mats = [Matrix.from_ints(1, rows[k:k + dim])
+                for k in range(0, len(rows), dim)]
+    else:
+        ratio = {tok: (int(p), int(q or 1)) for tok in entries
+                 for p, _, q in [tok.partition("/")]}
+        nums, dens = zip(*map(ratio.__getitem__, tokens))
+        size, mats = dim * dim, []
+        for k in range(0, len(nums), size):
+            num, qs = nums[k:k + size], dens[k:k + size]
+            if (den := lcm(*qs)) != 1:
+                num = [p * (den // q) for p, q in zip(num, qs)]
+            mats.append(Matrix.from_ints(den, list(zip(*[iter(num)] * dim))))
+    return [RankOneTerm(*mats[k:k + 3]) for k in range(0, len(mats), 3)]
+
+
+def _body_error(body, nterms: int, dim: int) -> TensorFileError:
+    """The first error, in file order, of a refused body: the (lineno, line)
+    logical lines after 'terms'."""
+    step = 1 + 3 * dim
+    for k, (lineno, line) in enumerate(body[:nterms * step]):
+        if k % step == 0:
+            if line != "term":
+                return TensorFileError(f"line {lineno}: expected 'term'")
+        elif error := _row_error(lineno, line, dim):
+            return error
+    if len(body) < nterms * step:
+        return TensorFileError("unexpected end of file")
+    return TensorFileError(f"line {body[nterms * step][0]}: trailing content")
 
 
 def write_group_file(group: IsotropyGroup) -> str:

@@ -11,6 +11,7 @@ from mmtensor import (Matrix, codegen, contract12, emit_code,
 from mmtensor.isotropy import signed_permutations
 
 from conftest import rand_matrix
+from oracles import perm_matrix
 
 STRASSEN_T_LINES = [
     "p1 = (a11 + a22) * (b11 + b22)",
@@ -318,7 +319,7 @@ def test_recursive_multiply_property(data, n, name, lam, negate, threshold):
                for v in row)
 
 
-_SIGNED_PERMS = [sp.to_matrix() for sp in signed_permutations(3)]
+_SIGNED_PERMS = [perm_matrix(sp) for sp in signed_permutations(3)]
 _lambdas = st.builds(Fraction, st.integers(-3, 3).filter(bool),
                      st.integers(1, 3))
 _bases = st.one_of(

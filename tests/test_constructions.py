@@ -13,6 +13,7 @@ from mmtensor.isotropy import signed_permutations
 from mmtensor.tensor import monomial_key
 
 from conftest import DENSE_ISOTROPY, canonical_terms, three_cycle_group
+from oracles import is_form_stabilized, perm_matrix
 
 
 LADERMAN_TYPE = Counter({(2, 2, 2): 4, (1, 3, 1): 2, (3, 1, 1): 2,
@@ -333,7 +334,7 @@ def test_correction_term_read_off_identity(source, corner):
                        1, res.tensor, -1)
     assert mm.form_equal(total, mm.classical(n))
     if isinstance(source, mm.IsotropyGroup):
-        assert all(mm.is_form_stabilized(g, res.tensor) for g in source)
+        assert all(is_form_stabilized(g, res.tensor) for g in source)
     assert (res.corner_coefficient, res.corner_total_weight) == corner
 
 
@@ -410,7 +411,7 @@ def _differential_groups():
     then 20 seeded groups of order <= 16 generated by two signed triples."""
     sps = signed_permutations(3)
     perms = [p for p in sps if all(s == 1 for _, s in p.images)]
-    triple = lambda fs: mm.Isotropy(*(f.to_matrix() for f in fs))
+    triple = lambda fs: mm.Isotropy(*(perm_matrix(f) for f in fs))
     yield from (_generated_group([triple(fs)], 6)
                 for fs in product(perms, repeat=3))
     rng, found = random.Random(7), 0

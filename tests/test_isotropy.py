@@ -17,6 +17,7 @@ from mmtensor.isotropy import (SignedPerm, monomial_stabilizer_count,
                                signed_permutations)
 
 from conftest import canonical_terms, rand_matrix, three_cycle_group
+from oracles import is_form_stabilized, is_invertible, perm_matrix
 
 
 # Orbits of the four-group of row/column-12 swaps acting on the 27
@@ -51,7 +52,7 @@ def test_act_preserves_form_of_matmul_tensor(rng):
         factors = []
         while len(factors) < 3:
             m = rand_matrix(rng, 2)
-            if m.is_invertible():
+            if is_invertible(m):
                 factors.append(m)
         g = Isotropy(*factors)
         assert mm.form_equal(act(g, mm.strassen()), mm.strassen())
@@ -62,7 +63,7 @@ def test_act_is_left_action(rng):
     gs = []
     while len(gs) < 2:
         ms = [rand_matrix(rng, 2) for _ in range(3)]
-        if all(m.is_invertible() for m in ms):
+        if all(is_invertible(m) for m in ms):
             gs.append(Isotropy(*ms))
     g, h = gs
     assert act(compose(g, h), t) == act(g, act(h, t))
@@ -76,7 +77,7 @@ def test_adjunction(rng):
     ms = []
     while len(ms) < 3:
         m = rand_matrix(rng, 2)
-        if m.is_invertible():
+        if is_invertible(m):
             ms.append(m)
     g = Isotropy(*ms)
     a, b, c = (rand_matrix(rng, 2) for _ in range(3))
@@ -93,7 +94,7 @@ def test_type_invariance(rng):
     ms = []
     while len(ms) < 3:
         m = rand_matrix(rng, 3)
-        if m.is_invertible():
+        if is_invertible(m):
             ms.append(m)
     g = Isotropy(*ms)
     assert mm.tensor_type(act(g, t)) == mm.tensor_type(t)
@@ -133,7 +134,7 @@ def test_form_vs_term_stabilizer():
     # the Winograd sandwiching triple fixes Strassen's form but shuffles
     # its decomposition into different rank-one terms
     g = mm.winograd_isotropy(2)
-    assert mm.is_form_stabilized(g, mm.strassen())
+    assert is_form_stabilized(g, mm.strassen())
     assert canonical_terms(act(g, mm.strassen())) != \
         canonical_terms(mm.strassen())
     # the Klein group permutes the classical terms outright
@@ -153,7 +154,7 @@ def _sandwich(g, t):
 def test_relabeling_act_equals_rational_formula(data):
     n = data.draw(st.sampled_from([2, 3]))
     sps = signed_permutations(n)
-    g = Isotropy(*(data.draw(st.sampled_from(sps)).to_matrix()
+    g = Isotropy(*(perm_matrix(data.draw(st.sampled_from(sps)))
                    for _ in range(3)))
     entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2),
                              Fraction(3, 5)])
@@ -315,7 +316,7 @@ def test_orbit_partition_sum_writes_monomial_order():
 
 
 def _isotropy(tri):
-    return Isotropy(*(f.to_matrix() for f in tri))
+    return Isotropy(*(perm_matrix(f) for f in tri))
 
 
 def test_signed_triple_sends_monomial_term_to_image_term():
@@ -334,11 +335,11 @@ def test_signed_triple_sends_monomial_term_to_image_term():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_signed_perm_from_matrix_roundtrip(n):
     for sp in signed_permutations(n):
-        assert SignedPerm.from_matrix(sp.to_matrix()) == sp
+        assert SignedPerm.from_matrix(perm_matrix(sp)) == sp
 
 
 def test_signed_perm_from_matrix_refuses_others():
-    p = signed_permutations(3)[5].to_matrix()
+    p = perm_matrix(signed_permutations(3)[5])
     assert SignedPerm.from_matrix(p.scale(2)) is None
     # one 1 in each column, but row 1 holds two of them
     assert SignedPerm.from_matrix(Matrix([[1, 1, 0], [0, 0, 1],
@@ -371,7 +372,7 @@ def test_stabilizer_search_discriminates_non_matmul():
     assert len(found) == 4 ** 3
     # agreement with the direct definition on a sample
     for tri in found[:10]:
-        assert mm.is_form_stabilized(_isotropy(tri), t)
+        assert is_form_stabilized(_isotropy(tri), t)
 
 
 def test_stabilizer_search_agrees_with_direct_check():
@@ -383,8 +384,8 @@ def test_stabilizer_search_agrees_with_direct_check():
     for f1 in sps:
         for f2 in sps:
             for f3 in sps:
-                g = Isotropy(f1.to_matrix(), f2.to_matrix(), f3.to_matrix())
-                if mm.is_form_stabilized(g, t):
+                g = Isotropy(perm_matrix(f1), perm_matrix(f2), perm_matrix(f3))
+                if is_form_stabilized(g, t):
                     direct.add((f1, f2, f3))
     assert found == direct
 
@@ -421,14 +422,14 @@ def test_stabilizer_search_pinned_n3(make, count):
     keys = [tuple(index[f] for f in tri) for tri in found]
     assert keys == sorted(set(keys))
     for tri in found[::count // 5]:
-        assert mm.is_form_stabilized(_isotropy(tri), t)
+        assert is_form_stabilized(_isotropy(tri), t)
     # candidates next to the found ones that the search rejected
     found_keys = set(keys)
     for a, b, c in keys[::count // 5]:
         c2 = (c + 1) % len(sps)
         if (a, b, c2) not in found_keys:
             tri = (sps[a], sps[b], sps[c2])
-            assert not mm.is_form_stabilized(_isotropy(tri), t)
+            assert not is_form_stabilized(_isotropy(tri), t)
 
 
 def test_stabilizer_search_three_cycle_checked_in_full():
@@ -437,7 +438,7 @@ def test_stabilizer_search_three_cycle_checked_in_full():
     t = _scaled_monomials(((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1))
     found = mm.monomial_stabilizer_search(t)
     assert len(found) == 3072 == monomial_stabilizer_count(t)
-    assert all(mm.is_form_stabilized(_isotropy(tri), t) for tri in found)
+    assert all(is_form_stabilized(_isotropy(tri), t) for tri in found)
 
 
 def _signed_monomial_sum(n, seed):
@@ -471,7 +472,7 @@ def test_stabilizer_count_is_coset_product(make, factors):
     t = make()
     found = mm.monomial_stabilizer_search(t)
     e = signed_permutations(t.dim)[0]
-    assert e.to_matrix() == Matrix.identity(t.dim)
+    assert perm_matrix(e) == Matrix.identity(t.dim)
     pi1 = {f1 for f1, _, _ in found}
     k2 = {f2 for f1, f2, _ in found if f1 == e}
     k3 = {f3 for f1, f2, f3 in found if f1 == f2 == e}
@@ -529,7 +530,7 @@ def test_subgroup_finds_generated_subgroups(gens):
     """_subgroup, told only which elements are members, returns the
     subgroup of signed_permutations(3) that 1 or 2 elements generate."""
     sps = signed_permutations(3)
-    mats = [sp.to_matrix() for sp in sps]
+    mats = [perm_matrix(sp) for sp in sps]
     want = _closure([mats[g] for g in gens])
     table = isotropy._product_table(3)
     tested = []
@@ -543,8 +544,8 @@ def test_subgroup_finds_generated_subgroups(gens):
 def test_signed_perm_product_table_is_matrix_product():
     sps, table = signed_permutations(3), isotropy._product_table(3)
     for i, j in product(range(len(sps)), repeat=2):
-        assert (sps[table[i][j]].to_matrix()
-                == sps[i].to_matrix() @ sps[j].to_matrix())
+        assert (perm_matrix(sps[table[i][j]])
+                == perm_matrix(sps[i]) @ perm_matrix(sps[j]))
 
 
 def test_stabilizer_search_refuses_n4():
@@ -577,7 +578,7 @@ def test_stabilizer_search_equals_exhaustive_check_n2(terms):
         for tri in product(sps, repeat=3):
             _ISOTROPIES_N2[tri] = _isotropy(tri)
     direct = [tri for tri, g in _ISOTROPIES_N2.items()
-              if mm.is_form_stabilized(g, t)]
+              if is_form_stabilized(g, t)]
     assert mm.monomial_stabilizer_search(t) == direct
     assert monomial_stabilizer_count(t) == len(direct)
 
@@ -610,8 +611,8 @@ def test_stabilizer_search_is_conjugation_equivariant(case, data):
     while (p := compose(_isotropy(h), powers[-1])).key() != powers[0].key():
         powers.append(p)
     t = mm.orbit_sum(IsotropyGroup(powers), t0)
-    conj = [{sp: SignedPerm.from_matrix(f.to_matrix() @ sp.to_matrix()
-                                        @ f.to_matrix().transpose())
+    conj = [{sp: SignedPerm.from_matrix(perm_matrix(f) @ perm_matrix(sp)
+                                        @ perm_matrix(f).transpose())
              for sp in signed_permutations(t.dim)} for f in g]
     found = mm.monomial_stabilizer_search(t)
     moved = mm.monomial_stabilizer_search(act(_isotropy(g), t))
@@ -621,7 +622,7 @@ def test_stabilizer_search_is_conjugation_equivariant(case, data):
                           for tri in found}
     assert len(moved) == len(found)
     x, y = (data.draw(st.sampled_from(found)) for _ in range(2))
-    assert tuple(SignedPerm.from_matrix(a.to_matrix() @ b.to_matrix())
+    assert tuple(SignedPerm.from_matrix(perm_matrix(a) @ perm_matrix(b))
                  for a, b in zip(x, y)) in members
 
 

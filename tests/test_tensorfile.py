@@ -10,6 +10,8 @@ from mmtensor import (TensorFileError, read_group_file, read_isotropy_file,
                       read_tensor_file, write_group_file, write_tensor_file)
 from mmtensor.cli import run
 
+from oracles import read_tensor_file_by_lines
+
 
 def test_write_read_roundtrip_builtins():
     for t in (mm.classical(1), mm.classical(3), mm.strassen(),
@@ -274,6 +276,94 @@ def test_zero_denominator_on_a_later_row_is_named(rows, lineno, token):
     with pytest.raises(TensorFileError, match=re.escape(
             f"line {lineno}: malformed rational '{token}'")):
         read_tensor_file(text)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0 x", "malformed rational 'x'"),
+    ("0 1 1", "ragged matrix, expected 2 entries, got 3"),
+    ("1/0 1", "malformed rational '1/0'")])
+@pytest.mark.parametrize("later", ["missing-term", "trailing-content"])
+def test_bad_row_is_named_before_a_later_fault(bad, message, later):
+    """A bad row at line 5 is the error, also when the body is refused as
+    a whole: its second 'term' is missing, or content trails it."""
+    term = ["term", "1 0", "0 1", "1 0", "0 1", "1 0", "0 1"]
+    lines = ["dim 2", "terms 2", *term, *term]
+    lines[4] = bad
+    if later == "missing-term":
+        del lines[9]
+    else:
+        lines.append("leftover")
+    with pytest.raises(TensorFileError,
+                       match=re.escape(f"line 5: {message}")):
+        read_tensor_file("\n".join(lines))
+
+
+def test_short_body_is_unexpected_end():
+    lines = write_tensor_file(mm.classical(2)).splitlines()
+    for cut in (3, 4, 10, len(lines) - 1):
+        with pytest.raises(TensorFileError,
+                           match="^unexpected end of file$"):
+            read_tensor_file("\n".join(lines[:cut]) + "\n# end\n")
+
+
+def test_classical_9_roundtrip():
+    """729 terms of 9 x 9 factors, 19683 rows, int and p/q, read back."""
+    t = mm.classical(9)
+    for u in (t, mm.Tensor(9, [tm.scaled(Fraction(-2, 3)) for tm in t.terms])):
+        assert read_tensor_file(write_tensor_file(u)) == u
+
+
+def _outcome(read, text):
+    """read(text), or the type and message of the exception it raised."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Tokens at the edges of the entry grammar: 640 digits is the longest run.
+_EDGE_TOKEN = st.sampled_from([
+    "7" * 640, "-" + "7" * 640, "7" * 641, "1/" + "9" * 640,
+    "1/" + "9" * 641, "1/0", "-3/00", "1/-2", "1/+2", "+0/7", "x"])
+
+
+@st.composite
+def _respelled_files(draw):
+    """A written file of dim 1-4 (zero factors and 'terms 0' included),
+    maybe with one word swapped for an edge token, respelled: lines
+    indented, commented or apart by blank lines, words apart by spaces,
+    tabs or NBSP, LF or CRLF endings."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2) | _FRACTION
+    mat = (st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n,
+                    max_size=n).map(mm.Matrix) | st.just(mm.Matrix.zeros(n)))
+    terms = st.lists(st.builds(mm.RankOneTerm, mat, mat, mat), max_size=3)
+    text = write_tensor_file(mm.Tensor(n, draw(terms)),
+                             draw(st.none() | _FRACTION))
+    lines = [line.split(" ") for line in text.splitlines()]
+    if draw(st.booleans()):
+        words = lines[draw(st.integers(0, len(lines) - 1))]
+        words[draw(st.integers(0, len(words) - 1))] = draw(_EDGE_TOKEN)
+    gap = st.sampled_from([" ", "  ", "\t", "\u00a0", " \t\u00a0"])
+    pad = st.sampled_from(["", " ", "\t ", "\u00a0"])
+    tail = st.sampled_from(["", " ", "  # note", "#"])
+    extra = st.sampled_from(["", "   ", "# comment", "\t# x"])
+    out = []
+    for words in lines:
+        if draw(st.booleans()):
+            out.append(draw(extra))
+        out.append(draw(pad) + draw(gap).join(words) + draw(tail))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_edited_files(), _respelled_files()))
+def test_read_agrees_with_line_reader(text):
+    """The bulk reader reads every text as a line-by-line reader does: an
+    equal Tensor, or the same exception type and message."""
+    assert (_outcome(read_tensor_file, text)
+            == _outcome(read_tensor_file_by_lines, text))
 
 
 def test_group_file_roundtrip():

@@ -10,6 +10,7 @@ from mmtensor.isotropy import signed_permutations
 from mmtensor.matrix import projective_key
 
 from conftest import DENSE_ISOTROPY, rand_matrix
+from oracles import perm_matrix
 
 
 def test_matrix_zero():
@@ -205,8 +206,7 @@ def _dense_matrix(draw):
     return Matrix(low) @ Matrix(up)
 
 
-_SIGNED = st.sampled_from(signed_permutations(3)).map(
-    lambda sp: sp.to_matrix())
+_SIGNED = st.sampled_from(signed_permutations(3)).map(perm_matrix)
 
 
 def _change_entry(t, data):
