@@ -142,10 +142,11 @@ def read_tensor_file(text: str) -> Tensor:
         if (all(map(dim.__eq__, map(len, map(str.split, body))))
                 and all(map(_ENTRY.fullmatch, entries))):
             return Tensor(dim, _terms(tokens, entries, dim))
+    # numbered resumes at the logical line after the three in head.
     raise _body_error(head[start:] + list(numbered), nterms, dim)
 
 
-def _terms(tokens, entries, dim: int):
+def _terms(tokens, entries, dim: int) -> list[RankOneTerm]:
     """The rank-one terms of a body's tokens, entries p or p/q with q != 0,
     and of their set entries: each distinct token parsed once, each factor
     dim**2 tokens over the lcm of their q's."""
