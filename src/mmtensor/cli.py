@@ -218,9 +218,9 @@ def _cmd_stabilizer_search(args) -> int:
 
 def _cmd_census(args) -> int:
     all_ok = True
-    for (i, j, k), p, ok in projection_census(args.tensor):
+    for (i, j, k), length, ok in projection_census(args.tensor):
         all_ok = all_ok and ok
-        print(f"({i},{j},{k}) terms {len(p.terms)} "
+        print(f"({i},{j},{k}) terms {length} "
               f"{'VERIFIED' if ok else 'FAILED'}")
     return 0 if all_ok else 1
 

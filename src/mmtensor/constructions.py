@@ -36,6 +36,7 @@ def classical(n: int) -> Tensor:
                       for k in range(1, n + 1)))
 
 
+@lru_cache(maxsize=1)
 def strassen() -> Tensor:
     """Strassen's seven-term 2x2 multiplication tensor."""
     T = lambda a, b, c: RankOneTerm(Matrix(a), Matrix(b), Matrix(c))

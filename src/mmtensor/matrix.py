@@ -248,8 +248,15 @@ def projective_key(m: Matrix) -> tuple[int, ...]:
     with a positive lead, the first nonzero entry row-major (the shape alone
     if m = 0).  Nonzero matrices are proportional iff their keys agree."""
     flat = tuple(chain.from_iterable(m.num))
+    return flat_projective_key(m.rows, m.cols, flat)
+
+
+def flat_projective_key(rows: int, cols: int, flat: tuple) -> tuple[int, ...]:
+    """projective_key of num / den for any positive den, num the rows x
+    cols matrix of the row-major ints flat: one gcd and a tuple, no
+    Matrix built."""
     if not (g := gcd(*flat)):
-        return m.rows, m.cols
+        return rows, cols
     if next(filter(None, flat)) < 0:
         g = -g
-    return m.rows, m.cols, *(flat if g == 1 else (v // g for v in flat))
+    return rows, cols, *(flat if g == 1 else (v // g for v in flat))

@@ -308,9 +308,12 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
     """
+    terms = t.nonzero_terms()
     units = {}
-    return merge_keyed_terms(t.dim, [(tm, _classes(tm, units))
-                                     for tm in t.nonzero_terms()], units)
+    live = merge_keyed_terms([_classes(tm, units) for tm in terms],
+                             terms.__getitem__, units)
+    return Tensor(t.dim, [terms[s] if tm is None else tm
+                          for s, tm in live.items()])
 
 
 def _classes(tm: RankOneTerm, units: dict) -> tuple[int, int, int]:
@@ -320,35 +323,40 @@ def _classes(tm: RankOneTerm, units: dict) -> tuple[int, int, int]:
                  for f in (tm.a, tm.b, tm.c))
 
 
-def merge_keyed_terms(dim: int, keyed, units: dict) -> Tensor:
-    """merge_shared_factors for keyed, the pairs (tm, classes) over the
-    terms of a dimension-dim tensor in order, each tm nonzero and classes
-    the class numbers in units of the projective keys of tm.a, tm.b and
-    tm.c, as _classes gives them.  Input terms are neither keyed nor
-    tested for zero here; only the terms that a merge rebuilds are, and
-    their keys are numbered in units too.
+def merge_keyed_terms(classes, term, units: dict) -> dict:
+    """The merge of merge_shared_factors over slots 0, 1, ... of a list of
+    nonzero terms, given as classes, the class numbers in units of the
+    projective keys of each slot's a, b and c (as _classes gives them),
+    and term, the function from a slot to its term.  Returns {slot: the
+    term a merge rebuilt there, or None for the slot's own term} over the
+    surviving slots, in slot order.
 
-    Each factor pair gets the key (pair, class number, class number), all
-    ints.  Two terms merge iff they share a pair key, so a step scans
-    the live terms in slot order and merges the least (first slot, later
-    slot) pair met under one key.
+    term runs only on the slots a merge folds, once each, and only the
+    terms a merge rebuilds are keyed, numbered in units, and tested for
+    zero: a list with no shared pair key builds no term.  Each factor
+    pair gets the key (pair, class number, class number), all ints.  Two
+    terms merge iff they share a pair key, so a step scans the live slots
+    in order and merges the least (first slot, later slot) pair met under
+    one key.
     """
-    terms = [tm for tm, _ in keyed]
-    pair_keys = [_pair_keys(classes) for _, classes in keyed]
+    pair_keys = [_pair_keys(c) for c in classes]
+    live = dict.fromkeys(range(len(pair_keys)))
     while True:
         first = {}  # pair key -> first live slot holding it
         least = min(((i, j) for j, slot in enumerate(pair_keys) for k in slot
                      if (i := first.setdefault(k, j)) < j), default=None)
         if least is None:
-            break
+            return live
         i, j = least
-        new = _merge_pair(terms[i], pair_keys[i], terms[j], pair_keys[j])
-        terms[j], pair_keys[j] = None, ()
+        u, v = (term(s) if live[s] is None else live[s] for s in least)
+        new = _merge_pair(u, pair_keys[i], v, pair_keys[j])
+        del live[j]
+        pair_keys[j] = ()
         if new.is_zero():
-            terms[i], pair_keys[i] = None, ()
+            del live[i]
+            pair_keys[i] = ()
         else:
-            terms[i], pair_keys[i] = new, _pair_keys(_classes(new, units))
-    return Tensor(dim, [tm for tm in terms if tm is not None])
+            live[i], pair_keys[i] = new, _pair_keys(_classes(new, units))
 
 
 def _pair_keys(classes) -> tuple[tuple[int, int, int], ...]:

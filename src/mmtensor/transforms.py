@@ -11,7 +11,7 @@ import warnings
 from itertools import chain, product
 from operator import itemgetter
 
-from .matrix import Matrix, projective_key
+from .matrix import Matrix, flat_projective_key
 from .tensor import (RankOneTerm, Tensor, brent_failures, is_matmul_tensor,
                      map_factors, merge_keyed_terms)
 
@@ -71,8 +71,9 @@ def tensor_project(t: Tensor, idx: IndexTriple) -> Tensor:
 
 
 def projection_census(t: Tensor):
-    """Yield (idx, p, is_matmul_tensor(p)), p = merge_shared_factors(
-    tensor_project(t, idx)), for idx in {1..n}^3 in lexicographic order.
+    """Yield (idx, length, verified) for idx in {1..n}^3 in lexicographic
+    order: length is len(p.terms) and verified is is_matmul_tensor(p) for
+    p = merge_shared_factors(tensor_project(t, idx)).
 
     The verdicts come from one brent_failures(t), not from one check per
     projection.  Projection (i, j, k) deletes row i and column j of each a,
@@ -81,15 +82,17 @@ def projection_census(t: Tensor):
     avoid those lines; the (n-1)-monomials are exactly the surviving
     n-monomials.  So p verifies iff no failure of t survives (i, j, k).
 
-    Each factor is projected and keyed once per (row, column) cell, cut
-    from its flat entries by one itemgetter per cell, and zero projections
-    are dropped there: projection (i, j, k) hands merge_keyed_terms only
-    the terms whose a, b and c projections at (i, j), (j, k) and (k, i)
-    are all nonzero, the terms merge_shared_factors keeps, with the class
-    numbers of those projections' keys in one units dict that all n^3
-    merges share.  Equal cuts share one projection: a memo over all terms,
-    factor positions and cells maps (den, cut entries) to the projection
-    and its class number, so each distinct one is built and keyed once."""
+    The lengths count merge_keyed_terms's surviving slots.  Each factor
+    is cut once per (row, column) cell from its flat entries, by one
+    itemgetter per cell, and zero cuts are dropped there: projection
+    (i, j, k) hands merge_keyed_terms only the terms whose a, b and c cuts
+    at (i, j), (j, k) and (k, i) are all nonzero, the terms
+    merge_shared_factors keeps, with the class numbers of those cuts in
+    one units dict that all n^3 merges share.  A memo over all terms,
+    factor positions and cells maps (den, cut entries) to the class
+    number, read off the ints by flat_projective_key once per distinct
+    cut; a cut's Matrix is built only when a merge first reads a term
+    that holds it, so a projection with no shared pair key builds none."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
@@ -97,17 +100,26 @@ def projection_census(t: Tensor):
     # per failure: the i, the j and the k whose lines it meets
     bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
            for a, b, c in brent_failures(t)]
-    units, memo = {}, {}
+    units, memo, matrices = {}, {}, {}
     cuts = [(rc, _cut(n, *rc)) for rc in cells]
     proj = [[_projections(m, cuts, units, memo) for m in (tm.a, tm.b, tm.c)]
             for tm in t.nonzero_terms()]
+
+    def matrix(cut):
+        if (pm := matrices.get(cut)) is None:
+            den, vals = cut
+            pm = matrices[cut] = Matrix.from_ints(
+                den, [vals[r:r + n - 1] for r in range(0, len(vals), n - 1)])
+        return pm
+
     for i, j, k in product(range(1, n + 1), repeat=3):
-        p = merge_keyed_terms(n - 1, [
-            (RankOneTerm(a[0], b[0], c[0]), (a[1], b[1], c[1]))
-            for pa, pb, pc in proj if (a := pa.get((i, j)))
-            and (b := pb.get((j, k))) and (c := pc.get((k, i)))], units)
-        yield (i, j, k), p, not any(i not in x and j not in y and k not in z
-                                    for x, y, z in bad)
+        slots = [(a, b, c) for pa, pb, pc in proj if (a := pa.get((i, j)))
+                 and (b := pb.get((j, k))) and (c := pc.get((k, i)))]
+        live = merge_keyed_terms(
+            [(a[1], b[1], c[1]) for a, b, c in slots],
+            lambda s: RankOneTerm(*(matrix(f[0]) for f in slots[s])), units)
+        yield (i, j, k), len(live), not any(
+            i not in x and j not in y and k not in z for x, y, z in bad)
 
 
 def _cut(n: int, i: int, j: int):
@@ -119,9 +131,9 @@ def _cut(n: int, i: int, j: int):
 
 
 def _projections(m: Matrix, cuts, units: dict, memo: dict) -> dict:
-    """{(i, j): (projection of m at (i, j), class number of its key in
-    units)} over cuts, the (cell, _cut) pairs, for the nonzero projections;
-    memo maps (den, cut entries) to those pairs, built on a miss."""
+    """{(i, j): ((den, cut entries), class number of the cut in units)}
+    over cuts, the (cell, _cut) pairs, for the nonzero cuts of m; memo
+    maps (den, cut entries) to that pair, made on a miss."""
     flat = tuple(chain.from_iterable(m.num))
     k = m.rows - 1
     out = {}
@@ -129,10 +141,8 @@ def _projections(m: Matrix, cuts, units: dict, memo: dict) -> dict:
         if any(vals := cut(flat)):
             key = m.den, vals
             if (hit := memo.get(key)) is None:
-                pm = Matrix.from_ints(m.den, [vals[r:r + k]
-                                              for r in range(0, k * k, k)])
-                hit = memo[key] = pm, units.setdefault(projective_key(pm),
-                                                       len(units))
+                hit = memo[key] = key, units.setdefault(
+                    flat_projective_key(k, k, vals), len(units))
             out[rc] = hit
     return out
 

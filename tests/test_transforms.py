@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import mmtensor as mm
 from mmtensor import Matrix, tensor, transforms
 from mmtensor.isotropy import signed_permutations
-from mmtensor.matrix import projective_key
 
 from conftest import DENSE_ISOTROPY, rand_matrix
 from oracles import perm_matrix
@@ -113,19 +112,21 @@ _CENSUS_TENSORS = {
 
 @pytest.mark.parametrize("name", _CENSUS_TENSORS)
 def test_projection_census_matches_reference_loop(name):
-    """The census projects each factor once; term for term it must equal
-    merging each tensor_project, with the verdict of the Fraction table."""
+    """The census projects each factor once; its lengths must equal those
+    of merging each tensor_project, with the verdict of is_matmul_tensor
+    and of the Fraction table."""
     t = _CENSUS_TENSORS[name]()
     n = t.dim
     census = list(mm.projection_census(t))
     assert [idx for idx, _, _ in census] == list(product(range(1, n + 1),
                                                          repeat=3))
-    for idx, merged, ok in census:
+    target = mm.to_coefficient_form(mm.classical(n - 1))
+    for idx, length, ok in census:
         ref = mm.merge_shared_factors(mm.tensor_project(t, idx))
-        assert merged.dim == ref.dim == n - 1
-        assert merged.terms == ref.terms, idx
-        assert ok == (mm.to_coefficient_form(ref)
-                      == mm.to_coefficient_form(mm.classical(n - 1)))
+        assert ref.dim == n - 1
+        assert length == len(ref.terms), idx
+        assert ok == mm.is_matmul_tensor(ref) == (
+            mm.to_coefficient_form(ref) == target)
     verdicts = [ok for _, _, ok in census]
     assert all(verdicts) == (name != "laderman-minus-one")
 
@@ -135,55 +136,150 @@ def test_projection_census_needs_dimension_two():
         list(mm.projection_census(mm.classical(1)))
 
 
+_ENTRY = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1),
+                          Fraction(2), Fraction(1, 2)])
+_SCALE = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1, 2),
+                          Fraction(3)])
+
+
+@st.composite
+def _planted_tensor(draw):
+    """A few random terms of dimension 2..4 plus planted merges: rescaled
+    copies (alpha a, beta b, c / (alpha beta)), negated copies that merge
+    to a zero term, and chains (a, b, c1), (x a, b / x, c2),
+    (a2, b, c1 + c2), whose first merge then merges with the third term."""
+    n = draw(st.integers(2, 4))
+    matrix = st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                      min_size=n, max_size=n).map(Matrix)
+    terms = [mm.RankOneTerm(*draw(st.tuples(matrix, matrix, matrix)))
+             for _ in range(draw(st.integers(1, 4)))]
+    for plant in draw(st.lists(st.sampled_from(["scale", "negate", "chain"]),
+                               max_size=4)):
+        tm = terms[draw(st.integers(0, len(terms) - 1))]
+        if plant == "scale":
+            x, y = draw(_SCALE), draw(_SCALE)
+            terms.append(mm.RankOneTerm(tm.a.scale(x), tm.b.scale(y),
+                                        tm.c.scale(1 / (x * y))))
+        elif plant == "negate":
+            terms.append(tm.scaled(-1))
+        else:
+            c2, a2 = draw(matrix), draw(matrix)
+            x = draw(_SCALE)
+            terms += [mm.RankOneTerm(tm.a.scale(x), tm.b.scale(1 / x), c2),
+                      mm.RankOneTerm(a2, tm.b, tm.c + c2)]
+    return mm.Tensor(n, draw(st.permutations(terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_tensor())
+def test_census_equals_reference_loop_on_planted_merges(t):
+    """Every census line equals (idx, length, verdict) of merging each
+    tensor_project, on random tensors with planted merges."""
+    ref = []
+    for idx in product(range(1, t.dim + 1), repeat=3):
+        p = mm.merge_shared_factors(mm.tensor_project(t, idx))
+        ref.append((idx, len(p.terms), mm.is_matmul_tensor(p)))
+    assert list(mm.projection_census(t)) == ref
+
+
+def _logged(fn, log):
+    """fn, appending each call's first argument (self for a method) to log."""
+    return lambda x, *args: log.append(x) or fn(x, *args)
+
+
+def _merges_logged(log):
+    """tensor._merge_pair, appending each call's (u, v, result) to log."""
+    def merge_pair(u, ku, v, kv, f=tensor._merge_pair):
+        log.append((u, v, f(u, ku, v, kv)))
+        return log[-1][2]
+    return merge_pair
+
+
+def _identical(xs, ys):
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_builds_no_term_without_shared_pair_key(n, monkeypatch):
+    """No projection of classical(n) holds a shared pair key, so its
+    census builds no RankOneTerm and no Matrix."""
+    t = mm.classical(n)
+    built, matrices = [], []
+    monkeypatch.setattr(mm.RankOneTerm, "__post_init__",
+                        _logged(mm.RankOneTerm.__post_init__, built))
+    monkeypatch.setattr(Matrix, "from_ints",
+                        staticmethod(_logged(Matrix.from_ints, matrices)))
+    lengths = [length for _, length, _ in mm.projection_census(t)]
+    assert lengths == [(n - 1) ** 3] * n ** 3
+    assert built == matrices == []
+
+
 @pytest.mark.parametrize("name", ["laderman", "dense"])
-def test_census_keys_each_projected_factor_once(name, monkeypatch):
-    """In a census, projective_key runs once per distinct nonzero projected
-    factor, told apart by (den, entries) of the cut, and once per factor of
-    each nonzero term that a merge rebuilds, and
-    RankOneTerm.is_zero runs on t's own terms and on the merge results only,
-    never on a term handed to the merge."""
+def test_census_builds_terms_only_for_folded_slots(name, monkeypatch):
+    """A census builds a RankOneTerm for each merge result and, once
+    each, for the slots that a merge folds, and for no other slot; its
+    merges read and give the terms that merge_shared_factors reads and
+    gives on each tensor_project.  Each distinct nonzero (den, cut
+    entries) is keyed once, and equal cuts of built terms share one
+    Matrix.  RankOneTerm.is_zero runs on t's own terms and on the merge
+    results only."""
     t = _CENSUS_TENSORS[name]()
-    projected, rekeyed, tested, built = [], [], [], []
+    ref, folded = [], []
+    for idx in product(range(1, 4), repeat=3):
+        p = mm.tensor_project(t, idx)
+        start = len(ref)
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_merge_pair", _merges_logged(ref))
+            mm.merge_shared_factors(p)
+        folded += [x for u, v, _ in ref[start:] for x in (u, v)
+                   if any(x is tm for tm in p.terms)]
 
-    def spy(log, fn):
-        return lambda x, *args: log.append(x) or fn(x, *args)
-
-    monkeypatch.setattr(transforms, "projective_key",
-                        spy(projected, projective_key))
-    monkeypatch.setattr(tensor, "projective_key", spy(rekeyed, projective_key))
+    merges, built, keyed, tested = [], [], [], []
+    monkeypatch.setattr(tensor, "_merge_pair", _merges_logged(merges))
+    monkeypatch.setattr(mm.RankOneTerm, "__post_init__",
+                        _logged(mm.RankOneTerm.__post_init__, built))
+    monkeypatch.setattr(transforms, "flat_projective_key",
+                        _logged(transforms.flat_projective_key, keyed))
     monkeypatch.setattr(mm.RankOneTerm, "is_zero",
-                        spy(tested, mm.RankOneTerm.is_zero))
-    monkeypatch.setattr(tensor, "_merge_pair",
-                        lambda *args, f=tensor._merge_pair:
-                        built.append(f(*args)) or built[-1])
+                        _logged(mm.RankOneTerm.is_zero, tested))
     list(mm.projection_census(t))
     monkeypatch.undo()
+
+    outputs = [new for *_, new in merges]
+    is_output = lambda x: any(x is y for y in outputs)
+    fresh = [x for u, v, _ in merges for x in (u, v) if not is_output(x)]
+    assert merges and outputs == [new for *_, new in ref]
+    assert fresh == folded
+    assert _identical([x for x in built if is_output(x)], outputs)
+    assert _identical([x for x in built if not is_output(x)], fresh)
+    factors = [f for tm in fresh for f in (tm.a, tm.b, tm.c)]
+    assert len({id(f) for f in factors}) == len(
+        {(f.den, f.num) for f in factors})
 
     cells = list(product(range(1, 4), repeat=2))
     cuts = {(m.den, tuple(v for r, row in enumerate(m.num, 1) if r != i
                           for c, v in enumerate(row, 1) if c != j))
             for tm in t.terms for m in (tm.a, tm.b, tm.c) for i, j in cells
             if not mm.matrix_project(m, i, j).is_zero()}
-    assert len(projected) == len({id(m) for m in projected}) == len(cuts)
-    kept = [tm for tm in built if not tm.is_zero()]
-    assert built and len(rekeyed) == 3 * len(kept)
-    assert all(x is y for x, y in zip(
-        rekeyed, [f for tm in kept for f in (tm.a, tm.b, tm.c)]))
-    assert len(tested) == len(t.terms) + len(built)
-    assert all(x is y for x, y in zip(tested, t.terms + tuple(built)))
+    assert len(keyed) == len(cuts)
+    assert _identical(tested, t.terms + tuple(outputs))
 
 
 # -- census verdicts read off the parent's expansion ----------------------------
 
 def _census_verdicts(t):
-    """Each census verdict checked against is_matmul_tensor of its merged
-    projection and against the Fraction table of tensor_project; returns
-    the verdicts in census order."""
+    """Each census length checked against len(ref.terms) and each verdict
+    against is_matmul_tensor(ref), ref the merge of tensor_project, and
+    against the Fraction table of tensor_project; returns the verdicts in
+    census order."""
     target = mm.to_coefficient_form(mm.classical(t.dim - 1))
     verdicts = []
-    for idx, p, ok in mm.projection_census(t):
-        ref = mm.to_coefficient_form(mm.tensor_project(t, idx)) == target
-        assert ok == mm.is_matmul_tensor(p) == ref, idx
+    for idx, length, ok in mm.projection_census(t):
+        p = mm.tensor_project(t, idx)
+        ref = mm.merge_shared_factors(p)
+        assert length == len(ref.terms), idx
+        assert ok == mm.is_matmul_tensor(ref) == (
+            mm.to_coefficient_form(p) == target), idx
         verdicts.append(ok)
     return verdicts
 
