@@ -16,9 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from .matrix import Matrix, Rational, as_fraction, projective_key
+from .matrix import (Matrix, Rational, as_fraction, flat_projective_key,
+                     projective_key)
 
 # Readout of the expansion: {((i,j),(k,l),(m,n)): Fraction}, zeros absent.
 CoefficientForm = dict[tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
@@ -67,7 +68,7 @@ class RankOneTerm:
 
 def _lead(m: Matrix) -> Fraction:
     """The first nonzero entry of the nonzero matrix m, row-major."""
-    return Fraction(next(filter(None, chain.from_iterable(m.num))), m.den)
+    return Fraction(_first(chain.from_iterable(m.num)), m.den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,39 +308,49 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     are dropped.  Runs to a fixed point in deterministic order: each step
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
+
+    The merge runs on flat factors: each distinct (den, entries) of a
+    nonzero term is keyed once, a term no merge rebuilds is returned as
+    it is, and Matrix and RankOneTerm are built for the rebuilt ones only.
     """
+    n = t.dim
     terms = t.nonzero_terms()
-    units = {}
-    live = merge_keyed_terms([_classes(tm, units) for tm in terms],
-                             terms.__getitem__, units)
-    return Tensor(t.dim, [terms[s] if tm is None else tm
-                          for s, tm in live.items()])
-
-
-def _classes(tm: RankOneTerm, units: dict) -> tuple[int, int, int]:
-    """The class numbers of tm's factors in units, a dict from projective
-    keys to class numbers; a key not yet in units gets the next number."""
-    return tuple(units.setdefault(projective_key(f), len(units))
-                 for f in (tm.a, tm.b, tm.c))
+    flats = [tuple((m.den, tuple(chain.from_iterable(m.num)))
+                   for m in (tm.a, tm.b, tm.c)) for tm in terms]
+    units, memo = {}, {}  # memo: (den, entries) -> class number in units
+    for f in chain.from_iterable(flats):
+        if f not in memo:
+            memo[f] = units.setdefault(flat_projective_key(n, n, f[1]),
+                                       len(units))
+    live = merge_keyed_terms([tuple(map(memo.get, fs)) for fs in flats],
+                             flats.__getitem__, units)
+    return Tensor(n, [terms[s] if fs is None else RankOneTerm(*(
+        Matrix.from_ints(den, [num[r:r + n] for r in range(0, n * n, n)])
+        for den, num in fs)) for s, fs in live.items()])
 
 
 def merge_keyed_terms(classes, term, units: dict) -> dict:
     """The merge of merge_shared_factors over slots 0, 1, ... of a list of
-    nonzero terms, given as classes, the class numbers in units of the
-    projective keys of each slot's a, b and c (as _classes gives them),
-    and term, the function from a slot to its term.  Returns {slot: the
-    term a merge rebuilt there, or None for the slot's own term} over the
-    surviving slots, in slot order.
+    nonzero terms, given as classes, the class numbers in units, a dict
+    from flat_projective_key keys, of each slot's a, b and c, and term,
+    the function from a slot to its factors, each a flat factor (den,
+    row-major int entries) of a square matrix num / den, den > 0, in
+    lowest terms or not.  Returns {slot: the factors a merge rebuilt
+    there, the folded one in lowest terms, or None for the slot's own}
+    over the surviving slots, in slot order.
 
-    term runs only on the slots a merge folds, once each, and only the
-    terms a merge rebuilds are keyed, numbered in units, and tested for
-    zero: a list with no shared pair key builds no term.  Each factor
-    pair gets the key (pair, class number, class number), all ints.  Two
-    terms merge iff they share a pair key, so a step scans the live slots
-    in order and merges the least (first slot, later slot) pair met under
-    one key.
+    term runs only on the slots a merge folds, once each.  A fold is int
+    arithmetic on the flat factors, and only the factor it rebuilds is
+    keyed and numbered in units; the two shared factors keep their class
+    numbers.  Each factor pair gets the key (pair, class number, class
+    number), all ints.  Two terms merge iff they share a pair key, so a
+    step scans the live slots in order and merges the least (first slot,
+    later slot) pair met under one key.  There is no second index: a heap
+    of least pairs costs more to build than the one scan in a list with
+    no shared key, which most census projections are.
     """
-    pair_keys = [_pair_keys(c) for c in classes]
+    classes = list(classes)
+    pair_keys = list(map(_pair_keys, classes))
     live = dict.fromkeys(range(len(pair_keys)))
     while True:
         first = {}  # pair key -> first live slot holding it
@@ -349,14 +360,18 @@ def merge_keyed_terms(classes, term, units: dict) -> dict:
             return live
         i, j = least
         u, v = (term(s) if live[s] is None else live[s] for s in least)
-        new = _merge_pair(u, pair_keys[i], v, pair_keys[j])
+        z, (den, num) = _merge_pair(u, pair_keys[i], v, pair_keys[j])
         del live[j]
         pair_keys[j] = ()
-        if new.is_zero():
+        if not any(num):
             del live[i]
             pair_keys[i] = ()
         else:
-            live[i], pair_keys[i] = new, _pair_keys(_classes(new, units))
+            k = isqrt(len(num))
+            new, c = list(v), list(classes[j])
+            new[z] = den, num
+            c[z] = units.setdefault(flat_projective_key(k, k, num), len(units))
+            live[i], classes[i], pair_keys[i] = tuple(new), c, _pair_keys(c)
 
 
 def _pair_keys(classes) -> tuple[tuple[int, int, int], ...]:
@@ -366,15 +381,26 @@ def _pair_keys(classes) -> tuple[tuple[int, int, int], ...]:
     return (0, a, b), (1, a, c), (2, b, c)
 
 
-def _merge_pair(u: RankOneTerm, ku, v: RankOneTerm, kv) -> RankOneTerm:
-    """Fold u into v along the first factor pair whose keys in ku and kv
-    agree; u's scales, read off the leads, go into its third factor."""
+def _merge_pair(u, ku, v, kv):
+    """(z, w): fold the flat factors u into v along the first factor pair
+    (x, y) whose keys in ku and kv agree, w = u_z (lead(u_x) / lead(v_x))
+    (lead(u_y) / lead(v_y)) + v_z as (den, entries) in lowest terms,
+    den > 0, each lead the first nonzero entry over its den."""
     x, y = next(pair for pair, k, l in zip(_PAIRS, ku, kv) if k == l)
     z = 3 - x - y
-    fu, fv = (u.a, u.b, u.c), [v.a, v.b, v.c]
-    scale = _lead(fu[x]) / _lead(fv[x]) * (_lead(fu[y]) / _lead(fv[y]))
-    fv[z] = fu[z].scale(scale) + fv[z]
-    return RankOneTerm(*fv)
+    (dux, ux), (duy, uy), (duz, uz) = u[x], u[y], u[z]
+    (dvx, vx), (dvy, vy), (dvz, vz) = v[x], v[y], v[z]
+    p = _first(ux) * dvx * _first(uy) * dvy * dvz
+    q = dux * _first(vx) * duy * _first(vy) * duz
+    num = [a * p + b * q for a, b in zip(uz, vz)]
+    den = q * dvz
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    return z, (den // g, tuple(a // g for a in num))
+
+
+def _first(flat) -> int:
+    """The first nonzero int of flat."""
+    return next(filter(None, flat))
 
 
 def form_equal(t1: Tensor, t2: Tensor) -> bool:

@@ -12,8 +12,8 @@ from itertools import chain, product
 from operator import itemgetter
 
 from .matrix import Matrix, flat_projective_key
-from .tensor import (RankOneTerm, Tensor, brent_failures, is_matmul_tensor,
-                     map_factors, merge_keyed_terms)
+from .tensor import (Tensor, brent_failures, is_matmul_tensor, map_factors,
+                     merge_keyed_terms)
 
 IndexTriple = tuple[int, int, int]
 
@@ -91,8 +91,8 @@ def projection_census(t: Tensor):
     one units dict that all n^3 merges share.  A memo over all terms,
     factor positions and cells maps (den, cut entries) to the class
     number, read off the ints by flat_projective_key once per distinct
-    cut; a cut's Matrix is built only when a merge first reads a term
-    that holds it, so a projection with no shared pair key builds none."""
+    cut, and the merges fold those (den, cut entries) as they are: a
+    census builds no Matrix and no rank-one term."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
@@ -100,24 +100,16 @@ def projection_census(t: Tensor):
     # per failure: the i, the j and the k whose lines it meets
     bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
            for a, b, c in brent_failures(t)]
-    units, memo, matrices = {}, {}, {}
+    units, memo = {}, {}
     cuts = [(rc, _cut(n, *rc)) for rc in cells]
     proj = [[_projections(m, cuts, units, memo) for m in (tm.a, tm.b, tm.c)]
             for tm in t.nonzero_terms()]
-
-    def matrix(cut):
-        if (pm := matrices.get(cut)) is None:
-            den, vals = cut
-            pm = matrices[cut] = Matrix.from_ints(
-                den, [vals[r:r + n - 1] for r in range(0, len(vals), n - 1)])
-        return pm
-
     for i, j, k in product(range(1, n + 1), repeat=3):
         slots = [(a, b, c) for pa, pb, pc in proj if (a := pa.get((i, j)))
                  and (b := pb.get((j, k))) and (c := pc.get((k, i)))]
         live = merge_keyed_terms(
             [(a[1], b[1], c[1]) for a, b, c in slots],
-            lambda s: RankOneTerm(*(matrix(f[0]) for f in slots[s])), units)
+            lambda s: tuple(f[0] for f in slots[s]), units)
         yield (i, j, k), len(live), not any(
             i not in x and j not in y and k not in z for x, y, z in bad)
 

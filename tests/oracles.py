@@ -6,6 +6,11 @@ factor parsed per dim rows.  It shares the entry grammar and the header
 parse of `mmtensor.tensorfile`, so a differential test against it checks
 the bulk body parse of `read_tensor_file` and the order in which it finds
 errors.
+
+`merge_reference` is the greedy merge of `merge_shared_factors` run on
+`Matrix` factors: keys by `projective_key`, leads as Fractions and each
+fold by `Matrix.scale` and `+`, so a differential test against it checks
+the flat-int fold of `mmtensor.tensor`.
 """
 
 import re
@@ -13,7 +18,7 @@ from functools import cache
 from math import lcm
 
 from mmtensor import Matrix, RankOneTerm, Tensor, act, form_equal
-from mmtensor.matrix import parse_rational
+from mmtensor.matrix import parse_rational, projective_key
 from mmtensor.tensor import MAX_CLASSICAL_SIZE
 from mmtensor.tensorfile import _ENTRY, TensorFileError, _parse_count
 
@@ -29,6 +34,51 @@ def perm_matrix(sp) -> Matrix:
     for j, (r, s) in enumerate(sp.images):
         rows[r - 1][j] = s
     return Matrix.from_ints(1, rows)
+
+
+def merge_reference(t: Tensor) -> Tensor:
+    """merge_shared_factors(t) on RankOneTerms: each step scans the live
+    terms in order and folds the least pair (i, j) met under one key
+    (pair, class, class) into position i, dropping it if it is zero."""
+    units = {}
+
+    def pair_keys(tm):
+        a, b, c = (units.setdefault(projective_key(f), len(units))
+                   for f in (tm.a, tm.b, tm.c))
+        return (0, a, b), (1, a, c), (2, b, c)
+
+    terms = list(t.nonzero_terms())
+    keys = list(map(pair_keys, terms))
+    while True:
+        first = {}
+        least = min(((i, j) for j, ks in enumerate(keys) for k in ks
+                     if (i := first.setdefault(k, j)) < j), default=None)
+        if least is None:
+            return Tensor(t.dim, [tm for tm in terms if tm is not None])
+        i, j = least
+        new = _merge_pair(terms[i], keys[i], terms[j], keys[j])
+        terms[j], keys[j] = None, ()
+        if new.is_zero():
+            terms[i], keys[i] = None, ()
+        else:
+            terms[i], keys[i] = new, pair_keys(new)
+
+
+def _merge_pair(u: RankOneTerm, ku, v: RankOneTerm, kv) -> RankOneTerm:
+    """Fold u into v along the first factor pair whose keys in ku and kv
+    agree; u's scales, read off the leads, go into its third factor."""
+    x, y = next(pair for pair, k, l in zip(((0, 1), (0, 2), (1, 2)), ku, kv)
+                if k == l)
+    z = 3 - x - y
+    fu, fv = (u.a, u.b, u.c), [v.a, v.b, v.c]
+    scale = _lead(fu[x]) / _lead(fv[x]) * (_lead(fu[y]) / _lead(fv[y]))
+    fv[z] = fu[z].scale(scale) + fv[z]
+    return RankOneTerm(*fv)
+
+
+def _lead(m: Matrix):
+    """The first nonzero entry of m, row-major, as a Fraction."""
+    return next(v for _, _, v in m.entries())
 
 
 def is_form_stabilized(g, t: Tensor) -> bool:

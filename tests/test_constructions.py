@@ -12,8 +12,9 @@ from mmtensor import Matrix, Tensor
 from mmtensor.isotropy import signed_permutations
 from mmtensor.tensor import monomial_key
 
-from conftest import DENSE_ISOTROPY, canonical_terms, three_cycle_group
-from oracles import is_form_stabilized, perm_matrix
+from conftest import (DENSE_ISOTROPY, canonical_terms, planted_tensor,
+                      three_cycle_group)
+from oracles import is_form_stabilized, merge_reference, perm_matrix
 
 
 LADERMAN_TYPE = Counter({(2, 2, 2): 4, (1, 3, 1): 2, (3, 1, 1): 2,
@@ -170,6 +171,64 @@ def test_merge_equals_restart_scan_on_constructions():
            mm.tensor_project(mm.laderman(), (2, 1, 3))]
     for t in raw:
         assert mm.merge_shared_factors(t).terms == _restart_scan_merge(t).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_tensor())
+def test_merge_equals_reference_on_planted_merges(t):
+    """The flat-int merge gives the reference merge on Matrix factors,
+    term for term and in order."""
+    assert mm.merge_shared_factors(t).terms == merge_reference(t).terms
+
+
+def _variant_sum(lam):
+    """laderman_variant(lam) before its merge."""
+    group = mm.klein_group()
+    base = mm.orbit_sum(group, Tensor(3, [mm.monomial_term(3, 1, 1, 1)]))
+    bulk = mm.orbit_sum(group, mm.lifted_winograd(lam))
+    corr = mm.correction_term(mm.monomial_partition(group)).tensor
+    return mm.combine(mm.combine(base, 1, bulk, 1), 1, corr, -1)
+
+
+def _results_logged(fn, log):
+    """fn, appending each call's result to log."""
+    return lambda *args: log.append(fn(*args)) or log[-1]
+
+
+@pytest.mark.parametrize("name", ["variant-3/4", "classical-3"])
+def test_merge_builds_only_what_it_returns(name, monkeypatch):
+    """merge_shared_factors returns the input term of each slot that no
+    merge rebuilt, the same object, where the reference merge keeps it
+    too, and builds Matrix and RankOneTerm only for the rebuilt slots."""
+    if name == "classical-3":
+        t = mm.classical(3)
+    else:
+        t = _variant_sum(Fraction(3, 4))
+    ref = merge_reference(t)
+    built, matrices = [], []
+    post_init = mm.RankOneTerm.__post_init__
+    monkeypatch.setattr(mm.RankOneTerm, "__post_init__",
+                        lambda tm: built.append(tm) or post_init(tm))
+    monkeypatch.setattr(Matrix, "from_ints", staticmethod(
+        _results_logged(Matrix.from_ints, matrices)))
+    merged = mm.merge_shared_factors(t)
+    monkeypatch.undo()
+
+    assert merged.terms == ref.terms
+    is_input = lambda x: any(x is tm for tm in t.terms)
+    for out, want in zip(merged.terms, ref.terms):
+        assert is_input(out) == is_input(want)
+        assert out is want or not is_input(out)
+    rebuilt = [tm for tm in merged.terms if not is_input(tm)]
+    factors = {id(f) for tm in rebuilt for f in (tm.a, tm.b, tm.c)}
+    assert len(built) == len(rebuilt)
+    assert all(any(x is tm for tm in rebuilt) for x in built)
+    assert {id(m) for m in matrices} <= factors
+    if name == "classical-3":
+        assert merged.terms == t.terms and built == matrices == []
+    else:
+        assert merged.terms == mm.laderman_variant(Fraction(3, 4)).terms
+        assert rebuilt and matrices
 
 
 _E11, _E12, _E21, _E22 = (Matrix.unit(2, i, j)

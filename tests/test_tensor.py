@@ -532,3 +532,27 @@ def test_brent_failures_are_where_the_form_differs(t):
     failures = mm.brent_failures(t)
     assert failures == sorted(differ)
     assert mm.is_matmul_tensor(t) == (failures == [])
+
+
+def _flat(m, k=1):
+    """m as a flat factor (den, row-major entries), both times k > 0."""
+    return m.den * k, tuple(v * k for row in m.num for v in row)
+
+
+@pytest.mark.parametrize("s", [Fraction(-3, 7), Fraction(2), Fraction(-1, 6)])
+@pytest.mark.parametrize("cancel", [False, True])
+def test_merge_pair_folds_flat_factors_to_lowest_terms(s, cancel):
+    """u = (s a, b / 2, c) folds into v = (a, b, d) along (a,b) to
+    (s / 2) c + d in lowest terms with den > 0, from factors held out of
+    lowest terms; a fold that cancels gives (1, zeros)."""
+    a = Matrix([[0, -2], [1, 3]])
+    b = Matrix([[Fraction(1, 2), 1], [0, -1]])
+    c = Matrix([[1, Fraction(-2, 3)], [0, 5]])
+    d = c.scale(-s / 2) if cancel else Matrix([[Fraction(3, 4), 0], [-1, 2]])
+    u = (_flat(a.scale(s), 3), _flat(b.scale(Fraction(1, 2)), 5), _flat(c, 2))
+    v = (_flat(a), _flat(b, 7), _flat(d))
+    ku, kv = ((0, 0, 1), (1, 0, 2), (2, 1, 2)), ((0, 0, 1), (1, 0, 3),
+                                                 (2, 1, 3))
+    want = c.scale(s / 2) + d
+    assert tensor._merge_pair(u, ku, v, kv) == (2, _flat(want))
+    assert want.is_zero() == cancel

@@ -8,8 +8,8 @@ import mmtensor as mm
 from mmtensor import Matrix, tensor, transforms
 from mmtensor.isotropy import signed_permutations
 
-from conftest import DENSE_ISOTROPY, rand_matrix
-from oracles import perm_matrix
+from conftest import DENSE_ISOTROPY, planted_tensor, rand_matrix
+from oracles import merge_reference, perm_matrix
 
 
 def test_matrix_zero():
@@ -136,48 +136,14 @@ def test_projection_census_needs_dimension_two():
         list(mm.projection_census(mm.classical(1)))
 
 
-_ENTRY = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1),
-                          Fraction(2), Fraction(1, 2)])
-_SCALE = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1, 2),
-                          Fraction(3)])
-
-
-@st.composite
-def _planted_tensor(draw):
-    """A few random terms of dimension 2..4 plus planted merges: rescaled
-    copies (alpha a, beta b, c / (alpha beta)), negated copies that merge
-    to a zero term, and chains (a, b, c1), (x a, b / x, c2),
-    (a2, b, c1 + c2), whose first merge then merges with the third term."""
-    n = draw(st.integers(2, 4))
-    matrix = st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
-                      min_size=n, max_size=n).map(Matrix)
-    terms = [mm.RankOneTerm(*draw(st.tuples(matrix, matrix, matrix)))
-             for _ in range(draw(st.integers(1, 4)))]
-    for plant in draw(st.lists(st.sampled_from(["scale", "negate", "chain"]),
-                               max_size=4)):
-        tm = terms[draw(st.integers(0, len(terms) - 1))]
-        if plant == "scale":
-            x, y = draw(_SCALE), draw(_SCALE)
-            terms.append(mm.RankOneTerm(tm.a.scale(x), tm.b.scale(y),
-                                        tm.c.scale(1 / (x * y))))
-        elif plant == "negate":
-            terms.append(tm.scaled(-1))
-        else:
-            c2, a2 = draw(matrix), draw(matrix)
-            x = draw(_SCALE)
-            terms += [mm.RankOneTerm(tm.a.scale(x), tm.b.scale(1 / x), c2),
-                      mm.RankOneTerm(a2, tm.b, tm.c + c2)]
-    return mm.Tensor(n, draw(st.permutations(terms)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(_planted_tensor())
+@given(planted_tensor())
 def test_census_equals_reference_loop_on_planted_merges(t):
-    """Every census line equals (idx, length, verdict) of merging each
-    tensor_project, on random tensors with planted merges."""
+    """Every census line equals (idx, length, verdict) of the reference
+    merge of each tensor_project, on random tensors with planted merges."""
     ref = []
     for idx in product(range(1, t.dim + 1), repeat=3):
-        p = mm.merge_shared_factors(mm.tensor_project(t, idx))
+        p = merge_reference(mm.tensor_project(t, idx))
         ref.append((idx, len(p.terms), mm.is_matmul_tensor(p)))
     assert list(mm.projection_census(t)) == ref
 
@@ -187,82 +153,45 @@ def _logged(fn, log):
     return lambda x, *args: log.append(x) or fn(x, *args)
 
 
-def _merges_logged(log):
-    """tensor._merge_pair, appending each call's (u, v, result) to log."""
-    def merge_pair(u, ku, v, kv, f=tensor._merge_pair):
-        log.append((u, v, f(u, ku, v, kv)))
-        return log[-1][2]
-    return merge_pair
-
-
 def _identical(xs, ys):
     return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_census_builds_no_term_without_shared_pair_key(n, monkeypatch):
-    """No projection of classical(n) holds a shared pair key, so its
-    census builds no RankOneTerm and no Matrix."""
-    t = mm.classical(n)
-    built, matrices = [], []
+@pytest.mark.parametrize("name", [3, 4, "laderman", "dense"])
+def test_census_builds_no_term_without_shared_pair_key(name, monkeypatch):
+    """A census folds its merges on (den, cut entries) and builds no
+    RankOneTerm and no Matrix: not for classical(n), whose projections
+    hold no shared pair key, nor for laderman and its dense image, whose
+    projections merge.  Each distinct nonzero (den, cut entries) is keyed
+    once, and RankOneTerm.is_zero runs on t's own terms only."""
+    t = mm.classical(name) if name in (3, 4) else _CENSUS_TENSORS[name]()
+    n = t.dim
+    folds, built, matrices, keyed, tested = [], [], [], [], []
+    monkeypatch.setattr(tensor, "_merge_pair",
+                        _logged(tensor._merge_pair, folds))
     monkeypatch.setattr(mm.RankOneTerm, "__post_init__",
                         _logged(mm.RankOneTerm.__post_init__, built))
     monkeypatch.setattr(Matrix, "from_ints",
                         staticmethod(_logged(Matrix.from_ints, matrices)))
-    lengths = [length for _, length, _ in mm.projection_census(t)]
-    assert lengths == [(n - 1) ** 3] * n ** 3
-    assert built == matrices == []
-
-
-@pytest.mark.parametrize("name", ["laderman", "dense"])
-def test_census_builds_terms_only_for_folded_slots(name, monkeypatch):
-    """A census builds a RankOneTerm for each merge result and, once
-    each, for the slots that a merge folds, and for no other slot; its
-    merges read and give the terms that merge_shared_factors reads and
-    gives on each tensor_project.  Each distinct nonzero (den, cut
-    entries) is keyed once, and equal cuts of built terms share one
-    Matrix.  RankOneTerm.is_zero runs on t's own terms and on the merge
-    results only."""
-    t = _CENSUS_TENSORS[name]()
-    ref, folded = [], []
-    for idx in product(range(1, 4), repeat=3):
-        p = mm.tensor_project(t, idx)
-        start = len(ref)
-        with monkeypatch.context() as m:
-            m.setattr(tensor, "_merge_pair", _merges_logged(ref))
-            mm.merge_shared_factors(p)
-        folded += [x for u, v, _ in ref[start:] for x in (u, v)
-                   if any(x is tm for tm in p.terms)]
-
-    merges, built, keyed, tested = [], [], [], []
-    monkeypatch.setattr(tensor, "_merge_pair", _merges_logged(merges))
-    monkeypatch.setattr(mm.RankOneTerm, "__post_init__",
-                        _logged(mm.RankOneTerm.__post_init__, built))
     monkeypatch.setattr(transforms, "flat_projective_key",
                         _logged(transforms.flat_projective_key, keyed))
     monkeypatch.setattr(mm.RankOneTerm, "is_zero",
                         _logged(mm.RankOneTerm.is_zero, tested))
-    list(mm.projection_census(t))
+    lengths = [length for _, length, _ in mm.projection_census(t)]
     monkeypatch.undo()
 
-    outputs = [new for *_, new in merges]
-    is_output = lambda x: any(x is y for y in outputs)
-    fresh = [x for u, v, _ in merges for x in (u, v) if not is_output(x)]
-    assert merges and outputs == [new for *_, new in ref]
-    assert fresh == folded
-    assert _identical([x for x in built if is_output(x)], outputs)
-    assert _identical([x for x in built if not is_output(x)], fresh)
-    factors = [f for tm in fresh for f in (tm.a, tm.b, tm.c)]
-    assert len({id(f) for f in factors}) == len(
-        {(f.den, f.num) for f in factors})
-
-    cells = list(product(range(1, 4), repeat=2))
+    assert built == matrices == []
+    if name in (3, 4):
+        assert folds == [] and lengths == [(n - 1) ** 3] * n ** 3
+    else:
+        assert folds
+    cells = list(product(range(1, n + 1), repeat=2))
     cuts = {(m.den, tuple(v for r, row in enumerate(m.num, 1) if r != i
                           for c, v in enumerate(row, 1) if c != j))
             for tm in t.terms for m in (tm.a, tm.b, tm.c) for i, j in cells
             if not mm.matrix_project(m, i, j).is_zero()}
     assert len(keyed) == len(cuts)
-    assert _identical(tested, t.terms + tuple(outputs))
+    assert _identical(tested, t.terms)
 
 
 # -- census verdicts read off the parent's expansion ----------------------------
@@ -276,7 +205,7 @@ def _census_verdicts(t):
     verdicts = []
     for idx, length, ok in mm.projection_census(t):
         p = mm.tensor_project(t, idx)
-        ref = mm.merge_shared_factors(p)
+        ref = merge_reference(p)
         assert length == len(ref.terms), idx
         assert ok == mm.is_matmul_tensor(ref) == (
             mm.to_coefficient_form(p) == target), idx
