@@ -309,49 +309,58 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
 
-    The merge runs on flat factors: each distinct (den, entries) of a
-    nonzero term is keyed once, a term no merge rebuilds is returned as
-    it is, and Matrix and RankOneTerm are built for the rebuilt ones only.
+    The merge runs on flat factors, each classed once by one classifier():
+    a term no merge rebuilds is returned as it is, and Matrix and
+    RankOneTerm are built for the rebuilt ones only.
     """
     n = t.dim
     terms = t.nonzero_terms()
-    flats = [tuple((m.den, tuple(chain.from_iterable(m.num)))
+    classify = classifier()
+    slots = [tuple(classify((m.den, tuple(chain.from_iterable(m.num))))
                    for m in (tm.a, tm.b, tm.c)) for tm in terms]
-    units, memo = {}, {}  # memo: (den, entries) -> class number in units
-    for f in chain.from_iterable(flats):
-        if f not in memo:
-            memo[f] = units.setdefault(flat_projective_key(n, n, f[1]),
-                                       len(units))
-    live = merge_keyed_terms([tuple(map(memo.get, fs)) for fs in flats],
-                             flats.__getitem__, units)
-    return Tensor(n, [terms[s] if fs is None else RankOneTerm(*(
+    live = merge_keyed_terms(slots, classify)
+    return Tensor(n, [terms[s] if fs is slots[s] else RankOneTerm(*(
         Matrix.from_ints(den, [num[r:r + n] for r in range(0, n * n, n)])
-        for den, num in fs)) for s, fs in live.items()])
+        for (den, num), _ in fs)) for s, fs in live.items()])
 
 
-def merge_keyed_terms(classes, term, units: dict) -> dict:
-    """The merge of merge_shared_factors over slots 0, 1, ... of a list of
-    nonzero terms, given as classes, the class numbers in units, a dict
-    from flat_projective_key keys, of each slot's a, b and c, and term,
-    the function from a slot to its factors, each a flat factor (den,
+def classifier():
+    """classify(f) -> (f, class number) for a flat factor f = (den,
     row-major int entries) of a square matrix num / den, den > 0, in
-    lowest terms or not.  Returns {slot: the factors a merge rebuilt
-    there, the folded one in lowest terms, or None for the slot's own}
-    over the surviving slots, in slot order.
+    lowest terms or not.  Two factors get one class number iff their
+    matrices are proportional (or both zero): the numbers count the
+    distinct flat_projective_key keys met so far, and each distinct f is
+    keyed once."""
+    units, memo = {}, {}  # memo: f -> (f, class number in units)
 
-    term runs only on the slots a merge folds, once each.  A fold is int
-    arithmetic on the flat factors, and only the factor it rebuilds is
-    keyed and numbered in units; the two shared factors keep their class
-    numbers.  Each factor pair gets the key (pair, class number, class
-    number), all ints.  Two terms merge iff they share a pair key, so a
-    step scans the live slots in order and merges the least (first slot,
-    later slot) pair met under one key.  There is no second index: a heap
-    of least pairs costs more to build than the one scan in a list with
-    no shared key, which most census projections are.
+    def classify(f):
+        if (hit := memo.get(f)) is None:
+            k = isqrt(len(f[1]))
+            hit = memo[f] = f, units.setdefault(
+                flat_projective_key(k, k, f[1]), len(units))
+        return hit
+    return classify
+
+
+def merge_keyed_terms(slots, classify) -> dict:
+    """The merge of merge_shared_factors over slots 0, 1, ... of a list of
+    nonzero terms, each slot the triple of classify results, (flat
+    factor, class number), of its a, b and c.  Returns {slot: triple}
+    over the surviving slots, in slot order: the slot's own triple, or
+    the triple a merge rebuilt there.
+
+    A fold is int arithmetic on the flat factors, and only the factor it
+    rebuilds, in lowest terms, goes through classify; the two shared
+    factors keep their classes.  Each factor pair gets the key (pair,
+    class number, class number), all ints.  Two terms merge iff they
+    share a pair key, so a step scans the live slots in order and merges
+    the least (first slot, later slot) pair met under one key.  There is
+    no second index: a heap of least pairs costs more to build than the
+    one scan in a list with no shared key, which most census projections
+    are.
     """
-    classes = list(classes)
-    pair_keys = list(map(_pair_keys, classes))
-    live = dict.fromkeys(range(len(pair_keys)))
+    pair_keys = list(map(_pair_keys, slots))
+    live = dict(enumerate(slots))
     while True:
         first = {}  # pair key -> first live slot holding it
         least = min(((i, j) for j, slot in enumerate(pair_keys) for k in slot
@@ -359,37 +368,35 @@ def merge_keyed_terms(classes, term, units: dict) -> dict:
         if least is None:
             return live
         i, j = least
-        u, v = (term(s) if live[s] is None else live[s] for s in least)
-        z, (den, num) = _merge_pair(u, pair_keys[i], v, pair_keys[j])
-        del live[j]
+        z, w = _merge_pair(live[i], live[j])
+        new = list(live.pop(j))
         pair_keys[j] = ()
-        if not any(num):
+        if not any(w[1]):
             del live[i]
             pair_keys[i] = ()
         else:
-            k = isqrt(len(num))
-            new, c = list(v), list(classes[j])
-            new[z] = den, num
-            c[z] = units.setdefault(flat_projective_key(k, k, num), len(units))
-            live[i], classes[i], pair_keys[i] = tuple(new), c, _pair_keys(c)
+            new[z] = classify(w)
+            live[i] = tuple(new)
+            pair_keys[i] = _pair_keys(new)
 
 
-def _pair_keys(classes) -> tuple[tuple[int, int, int], ...]:
+def _pair_keys(slot) -> tuple[tuple[int, int, int], ...]:
     """The keys (pair, class number, class number) of the factor pairs
-    (a,b), (a,c), (b,c)."""
-    a, b, c = classes
+    (a,b), (a,c), (b,c) of a triple of classify results."""
+    (_, a), (_, b), (_, c) = slot
     return (0, a, b), (1, a, c), (2, b, c)
 
 
-def _merge_pair(u, ku, v, kv):
-    """(z, w): fold the flat factors u into v along the first factor pair
-    (x, y) whose keys in ku and kv agree, w = u_z (lead(u_x) / lead(v_x))
+def _merge_pair(u, v):
+    """(z, w): fold u into v, triples of classify results, along the first
+    factor pair (x, y) whose classes agree, w = u_z (lead(u_x) / lead(v_x))
     (lead(u_y) / lead(v_y)) + v_z as (den, entries) in lowest terms,
     den > 0, each lead the first nonzero entry over its den."""
-    x, y = next(pair for pair, k, l in zip(_PAIRS, ku, kv) if k == l)
+    x, y = next((x, y) for x, y in _PAIRS
+                if u[x][1] == v[x][1] and u[y][1] == v[y][1])
     z = 3 - x - y
-    (dux, ux), (duy, uy), (duz, uz) = u[x], u[y], u[z]
-    (dvx, vx), (dvy, vy), (dvz, vz) = v[x], v[y], v[z]
+    (dux, ux), (duy, uy), (duz, uz) = u[x][0], u[y][0], u[z][0]
+    (dvx, vx), (dvy, vy), (dvz, vz) = v[x][0], v[y][0], v[z][0]
     p = _first(ux) * dvx * _first(uy) * dvy * dvz
     q = dux * _first(vx) * duy * _first(vy) * duz
     num = [a * p + b * q for a, b in zip(uz, vz)]

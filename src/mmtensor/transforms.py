@@ -11,9 +11,9 @@ import warnings
 from itertools import chain, product
 from operator import itemgetter
 
-from .matrix import Matrix, flat_projective_key
-from .tensor import (Tensor, brent_failures, is_matmul_tensor, map_factors,
-                     merge_keyed_terms)
+from .matrix import Matrix
+from .tensor import (Tensor, brent_failures, classifier, is_matmul_tensor,
+                     map_factors, merge_keyed_terms)
 
 IndexTriple = tuple[int, int, int]
 
@@ -84,15 +84,14 @@ def projection_census(t: Tensor):
 
     The lengths count merge_keyed_terms's surviving slots.  Each factor
     is cut once per (row, column) cell from its flat entries, by one
-    itemgetter per cell, and zero cuts are dropped there: projection
-    (i, j, k) hands merge_keyed_terms only the terms whose a, b and c cuts
-    at (i, j), (j, k) and (k, i) are all nonzero, the terms
-    merge_shared_factors keeps, with the class numbers of those cuts in
-    one units dict that all n^3 merges share.  A memo over all terms,
-    factor positions and cells maps (den, cut entries) to the class
-    number, read off the ints by flat_projective_key once per distinct
-    cut, and the merges fold those (den, cut entries) as they are: a
-    census builds no Matrix and no rank-one term."""
+    itemgetter per cell, and zero cuts are dropped there; each nonzero
+    (den, cut entries) goes through one classifier() that all n^3 merges
+    share, so each distinct cut is keyed once.  Projection (i, j, k)
+    hands merge_keyed_terms as slots the classed a, b and c cuts at
+    (i, j), (j, k) and (k, i) of the terms whose three cuts are all
+    nonzero, the terms merge_shared_factors keeps, and the merges fold
+    those ints as they are: a census builds no Matrix and no rank-one
+    term."""
     n = t.dim
     if n < 2:
         raise ValueError("census needs dimension >= 2")
@@ -100,17 +99,14 @@ def projection_census(t: Tensor):
     # per failure: the i, the j and the k whose lines it meets
     bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
            for a, b, c in brent_failures(t)]
-    units, memo = {}, {}
+    classify = classifier()
     cuts = [(rc, _cut(n, *rc)) for rc in cells]
-    proj = [[_projections(m, cuts, units, memo) for m in (tm.a, tm.b, tm.c)]
+    proj = [[_projections(m, cuts, classify) for m in (tm.a, tm.b, tm.c)]
             for tm in t.nonzero_terms()]
     for i, j, k in product(range(1, n + 1), repeat=3):
         slots = [(a, b, c) for pa, pb, pc in proj if (a := pa.get((i, j)))
                  and (b := pb.get((j, k))) and (c := pc.get((k, i)))]
-        live = merge_keyed_terms(
-            [(a[1], b[1], c[1]) for a, b, c in slots],
-            lambda s: tuple(f[0] for f in slots[s]), units)
-        yield (i, j, k), len(live), not any(
+        yield (i, j, k), len(merge_keyed_terms(slots, classify)), not any(
             i not in x and j not in y and k not in z for x, y, z in bad)
 
 
@@ -122,21 +118,12 @@ def _cut(n: int, i: int, j: int):
     return get if n > 2 else lambda flat: (get(flat),)
 
 
-def _projections(m: Matrix, cuts, units: dict, memo: dict) -> dict:
-    """{(i, j): ((den, cut entries), class number of the cut in units)}
-    over cuts, the (cell, _cut) pairs, for the nonzero cuts of m; memo
-    maps (den, cut entries) to that pair, made on a miss."""
+def _projections(m: Matrix, cuts, classify) -> dict:
+    """{(i, j): classify((den, cut entries))} over cuts, the (cell, _cut)
+    pairs, for the nonzero cuts of m."""
     flat = tuple(chain.from_iterable(m.num))
-    k = m.rows - 1
-    out = {}
-    for rc, cut in cuts:
-        if any(vals := cut(flat)):
-            key = m.den, vals
-            if (hit := memo.get(key)) is None:
-                hit = memo[key] = key, units.setdefault(
-                    flat_projective_key(k, k, vals), len(units))
-            out[rc] = hit
-    return out
+    return {rc: classify((m.den, vals)) for rc, cut in cuts
+            if any(vals := cut(flat))}
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:

@@ -54,11 +54,22 @@ def test_tensorfile_does_not_import_constructions():
     assert "constructions" not in GRAPH["tensorfile"]
 
 
+def _names(module) -> set[str]:
+    """The names that module imports or reads."""
+    tree = MODULES[module]
+    return ({a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+            | {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name)})
+
+
 def test_transforms_takes_the_brent_check_from_tensor():
-    tree = MODULES["transforms"]
-    names = ({a.name for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom) for a in node.names}
-             | {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)})
+    names = _names("transforms")
     assert "brent_failures" in names
     assert not names & {"expansion", "monomial_key"}
+
+
+def test_transforms_classes_its_cuts_through_the_tensor_classifier():
+    names = _names("transforms")
+    assert "classifier" in names
+    assert "flat_projective_key" not in names

@@ -11,6 +11,7 @@ import mmtensor as mm
 from mmtensor import Isotropy, Matrix, RankOneTerm, Tensor, tensor
 from mmtensor.codegen import _compile
 from mmtensor.isotropy import monomial_stabilizer_count
+from mmtensor.matrix import projective_key
 
 from conftest import DENSE_ISOTROPY, rand_matrix
 
@@ -551,8 +552,45 @@ def test_merge_pair_folds_flat_factors_to_lowest_terms(s, cancel):
     d = c.scale(-s / 2) if cancel else Matrix([[Fraction(3, 4), 0], [-1, 2]])
     u = (_flat(a.scale(s), 3), _flat(b.scale(Fraction(1, 2)), 5), _flat(c, 2))
     v = (_flat(a), _flat(b, 7), _flat(d))
-    ku, kv = ((0, 0, 1), (1, 0, 2), (2, 1, 2)), ((0, 0, 1), (1, 0, 3),
-                                                 (2, 1, 3))
+    # classed triples: a and b share classes 0 and 1, c and d differ
+    u, v = tuple(zip(u, (0, 1, 2))), tuple(zip(v, (0, 1, 3)))
     want = c.scale(s / 2) + d
-    assert tensor._merge_pair(u, ku, v, kv) == (2, _flat(want))
+    assert tensor._merge_pair(u, v) == (2, _flat(want))
     assert want.is_zero() == cancel
+
+
+@st.composite
+def _flat_factor_pair(draw):
+    """Two flat factors of one size and their matrices: the second is the
+    first times (den, entries) multipliers (k, k), (1, -1) or (k, -k),
+    out of lowest terms, or a matrix of its own."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+
+    def matrix():
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return Matrix.from_ints(draw(st.integers(1, 3)), rows)
+
+    ma = matrix()
+    if draw(st.booleans()):
+        mb, k = ma, draw(st.integers(1, 4))
+        kd, ke = draw(st.sampled_from([(k, k), (1, -1), (k, -k)]))
+    else:
+        mb, kd, ke = matrix(), 1, 1
+    return ((ma, _flat(ma)),
+            (mb, (mb.den * kd, tuple(v * ke for row in mb.num for v in row))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_factor_pair())
+def test_classifier_classes_are_projective_keys(pair):
+    """classify gives two flat factors one class number iff projective_key
+    of their matrices agree, whether or not a factor is in lowest terms or
+    negated, and returns each factor with its class."""
+    (ma, fa), (mb, fb) = pair
+    classify = tensor.classifier()
+    (ga, ca), (gb, cb) = classify(fa), classify(fb)
+    assert (ga, gb) == (fa, fb)
+    assert (ca == cb) == (projective_key(ma) == projective_key(mb))
+    assert classify(fb)[1] == cb

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmtensor as mm
-from mmtensor import Matrix, tensor, transforms
+from mmtensor import Matrix, tensor
 from mmtensor.isotropy import signed_permutations
 
 from conftest import DENSE_ISOTROPY, planted_tensor, rand_matrix
@@ -162,19 +163,21 @@ def test_census_builds_no_term_without_shared_pair_key(name, monkeypatch):
     """A census folds its merges on (den, cut entries) and builds no
     RankOneTerm and no Matrix: not for classical(n), whose projections
     hold no shared pair key, nor for laderman and its dense image, whose
-    projections merge.  Each distinct nonzero (den, cut entries) is keyed
-    once, and RankOneTerm.is_zero runs on t's own terms only."""
+    projections merge.  Each distinct nonzero (den, cut entries), and each
+    distinct nonzero fold, is keyed by flat_projective_key once, and
+    RankOneTerm.is_zero runs on t's own terms only."""
     t = mm.classical(name) if name in (3, 4) else _CENSUS_TENSORS[name]()
     n = t.dim
     folds, built, matrices, keyed, tested = [], [], [], [], []
-    monkeypatch.setattr(tensor, "_merge_pair",
-                        _logged(tensor._merge_pair, folds))
+    merge_pair, key = tensor._merge_pair, tensor.flat_projective_key
+    monkeypatch.setattr(tensor, "_merge_pair", lambda u, v: folds.append(
+        merge_pair(u, v)) or folds[-1])
     monkeypatch.setattr(mm.RankOneTerm, "__post_init__",
                         _logged(mm.RankOneTerm.__post_init__, built))
     monkeypatch.setattr(Matrix, "from_ints",
                         staticmethod(_logged(Matrix.from_ints, matrices)))
-    monkeypatch.setattr(transforms, "flat_projective_key",
-                        _logged(transforms.flat_projective_key, keyed))
+    monkeypatch.setattr(tensor, "flat_projective_key",
+                        lambda *args: keyed.append(args[2]) or key(*args))
     monkeypatch.setattr(mm.RankOneTerm, "is_zero",
                         _logged(mm.RankOneTerm.is_zero, tested))
     lengths = [length for _, length, _ in mm.projection_census(t)]
@@ -190,7 +193,10 @@ def test_census_builds_no_term_without_shared_pair_key(name, monkeypatch):
                           for c, v in enumerate(row, 1) if c != j))
             for tm in t.terms for m in (tm.a, tm.b, tm.c) for i, j in cells
             if not mm.matrix_project(m, i, j).is_zero()}
-    assert len(keyed) == len(cuts)
+    factors = cuts | {w for _, w in folds if any(w[1])}
+    # keyed sees entries only: each distinct (den, entries) adds them once
+    assert Counter(keyed) == Counter(entries for _, entries in factors)
+    assert {entries for _, entries in cuts} <= set(keyed)
     assert _identical(tested, t.terms)
 
 
