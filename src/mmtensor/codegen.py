@@ -87,7 +87,8 @@ def extract_schedule(t: Tensor) -> Schedule:
     terms = t.nonzero_terms()
 
     def form(m: Matrix) -> Form:
-        return tuple(((i - 1) * n + j - 1, v) for i, j, v in m.entries())
+        return tuple((k, Fraction(v, m.den))
+                     for k, v in enumerate(m.num) if v)
 
     c = [[] for _ in range(n * n)]
     for p, tm in enumerate(terms):
@@ -244,10 +245,11 @@ def _leaf(m: int):
 
 
 @lru_cache(maxsize=4)
-def _order(padded: int, n: int, levels: int) -> tuple[int, ...]:
-    """Row-major indices of a padded x padded matrix in digit-reversed
-    order: position i + n*n*j holds position j, in this order itself, of
-    the top-level block i (row-major), down to row-major leaves of side
+def _order(size: int, padded: int, n: int, levels: int) -> tuple[int, ...]:
+    """Row-major indices of a size x size matrix zero-padded to padded x
+    padded, in digit-reversed order, size**2 at each padding position:
+    position i + n*n*j holds position j, in this order itself, of the
+    top-level block i (row-major), down to row-major leaves of side
     padded // n**levels.  So block i is the strided slice [i::n*n], the
     leaf entry is the most significant digit, and the same holds for the
     operands of every level: down puts each product's batch of subproblems
@@ -258,7 +260,8 @@ def _order(padded: int, n: int, levels: int) -> tuple[int, ...]:
         order = [k + (bi * padded + bj) * side for k in order
                  for bi in range(n) for bj in range(n)]
         side *= n
-    return tuple(order)
+    return tuple(r * size + c if r < size and c < size else size * size
+                 for r, c in (divmod(k, padded) for k in order))
 
 
 def blocking(t: Tensor, size: int, threshold: int = 1):
@@ -329,18 +332,16 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
             P = up(P)
         return P
 
-    order = _order(padded, n, levels)
+    order = _order(a.rows, padded, n, levels)
 
     def blocked(x: Matrix):
-        flat = [0] * padded ** 2
-        for i, row in enumerate(x.num):
-            flat[i * padded:i * padded + x.cols] = row
-        return [flat[k] for k in order]
+        num = x.num + (0,)  # read at padding positions
+        return [num[k] for k in order]
 
-    flat = [0] * padded ** 2
+    num = [0] * (a.rows ** 2 + 1)  # the last entry takes the padding
     for k, v in zip(order, run(blocked(a), blocked(b), 0)):
-        flat[k] = v
-    rows = [flat[i:i + a.cols] for i in range(0, a.rows * padded, padded)]
+        num[k] = v
     return MultiplyResult(
-        product=Matrix.from_ints(a.den * b.den * scale ** levels, rows),
+        product=Matrix.from_ints(a.den * b.den * scale ** levels, a.rows,
+                                 num[:-1]),
         scalar_multiplications=count)

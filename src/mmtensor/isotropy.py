@@ -106,12 +106,11 @@ class Isotropy:
 def _relabel(m: Matrix, p: SignedPerm, q: SignedPerm) -> Matrix:
     """P m Q^T."""
     n = m.rows
-    rows = [[0] * n for _ in range(n)]
-    p, q = p.images, q.images
-    for (r, s), row in zip(p, m.num):
-        for (c, u), v in zip(q, row):
-            rows[r - 1][c - 1] = v if s == u else -v
-    return Matrix.from_ints(m.den, rows)
+    num = [0] * (n * n)
+    for k, (r, s) in zip(range(0, n * n, n), p.images):
+        for (c, u), v in zip(q.images, m.num[k:k + n]):
+            num[(r - 1) * n + c - 1] = v if s == u else -v
+    return Matrix.from_ints(m.den, n, num)
 
 
 def act(g: Isotropy, t: Tensor) -> Tensor:

@@ -1,16 +1,15 @@
 """Exact rational matrices with 1-based indexing.
 
-A Matrix is num / den: ``den`` a positive int, ``num`` a tuple of int rows,
-in lowest terms (gcd(den, *entries) == 1), so equal matrices have equal
-fields.  Arithmetic runs on the ints; m[i, j], entries() and row_list() give
-Fractions.  Indexing is 1-based to keep a_11..a_33 coordinates readable.
+A Matrix is num / den: ``den`` a positive int, ``num`` a tuple of row-major
+ints, in lowest terms (gcd(den, *num) == 1), so equal matrices have equal
+fields and (m.den, m.num) is the flat factor.  Arithmetic runs on the ints;
+m[i, j], entries() and row_list() give Fractions, 1-based as in a_11..a_33.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -53,7 +52,7 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
+def _eliminate(a: list, ncols: int) -> tuple[int, int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of the int rows a in
     place, pivoting in the first ncols columns; returns (rank, last pivot).
     Entries stay int minors of the input, so each division is exact; at
@@ -91,23 +90,23 @@ class Matrix:
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         den = lcm(*(v.denominator for row in rows for v in row))
-        return Matrix.from_ints(den, [[v.numerator * (den // v.denominator)
-                                       for v in row] for row in rows])
+        return Matrix.from_ints(den, len(rows[0]), [
+            v.numerator * (den // v.denominator) for row in rows for v in row])
 
     @staticmethod
-    def from_ints(den: int, num) -> "Matrix":
-        """num / den for a nonzero int den and int rows num, in lowest terms
-        with den > 0: every Matrix is built here."""
+    def from_ints(den: int, cols: int, num) -> "Matrix":
+        """num / den for a nonzero int den and row-major ints num, cols to a
+        row, in lowest terms with den > 0: every Matrix is built here."""
         if den < 0:
-            den, num = -den, [[-v for v in row] for row in num]
-        if den != 1 and (g := gcd(den, *chain.from_iterable(num))) != 1:
+            den, num = -den, [-v for v in num]
+        if den != 1 and (g := gcd(den, *num)) != 1:
             den //= g
-            num = [[v // g for v in row] for row in num]
+            num = [v // g for v in num]
         m = object.__new__(Matrix)
-        _set_rows(m, len(num))
-        _set_cols(m, len(num[0]))
+        _set_rows(m, len(num) // cols)
+        _set_cols(m, cols)
         _set_den(m, den)
-        _set_num(m, tuple(map(tuple, num)))
+        _set_num(m, tuple(num))
         return m
 
     def __setattr__(self, name, value):
@@ -117,21 +116,21 @@ class Matrix:
 
     @staticmethod
     def zeros(n: int) -> "Matrix":
-        return Matrix.from_ints(1, [[0] * n for _ in range(n)])
+        return Matrix.from_ints(1, n, [0] * (n * n))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_ints(1, [[int(i == j) for j in range(n)]
-                                    for i in range(n)])
+        return Matrix.from_ints(1, n, [int(i == j) for i in range(n)
+                                       for j in range(n)])
 
     @staticmethod
     def unit(n: int, i: int, j: int) -> "Matrix":
         """The matrix e^i_j: single 1 at row i, column j (1-based)."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"unit index ({i},{j}) out of range for n={n}")
-        rows = [[0] * n for _ in range(n)]
-        rows[i - 1][j - 1] = 1
-        return Matrix.from_ints(1, rows)
+        num = [0] * (n * n)
+        num[(i - 1) * n + j - 1] = 1
+        return Matrix.from_ints(1, n, num)
 
     # -- access ---------------------------------------------------------------
 
@@ -140,22 +139,26 @@ class Matrix:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"index ({i},{j}) out of range "
                              f"for {self.rows}x{self.cols} matrix")
-        return Fraction(self.num[i - 1][j - 1], self.den)
+        return Fraction(self.num[(i - 1) * self.cols + j - 1], self.den)
+
+    def _row_slices(self) -> list[tuple[int, ...]]:
+        """The rows of num, one slice each."""
+        num, c = self.num, self.cols
+        return [num[k:k + c] for k in range(0, len(num), c)]
 
     def row_list(self) -> list[list[Fraction]]:
         d = self.den
-        return [[Fraction(v, d) for v in row] for row in self.num]
+        return [[Fraction(v, d) for v in row] for row in self._row_slices()]
 
     def entries(self):
         """Yield (i, j, value) for nonzero entries, row-major."""
-        d = self.den
-        for i, row in enumerate(self.num, start=1):
-            for j, v in enumerate(row, start=1):
-                if v:
-                    yield i, j, Fraction(v, d)
+        d, c = self.den, self.cols
+        for k, v in enumerate(self.num):
+            if v:
+                yield k // c + 1, k % c + 1, Fraction(v, d)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.num))
+        return not any(self.num)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -168,8 +171,8 @@ class Matrix:
             raise ValueError("matrix shape mismatch")
         d = lcm(self.den, other.den)
         x, y = d // self.den, sign * (d // other.den)
-        return Matrix.from_ints(d, [[x * a + y * b for a, b in zip(r1, r2)]
-                                    for r1, r2 in zip(self.num, other.num)])
+        return Matrix.from_ints(d, self.cols, [
+            x * a + y * b for a, b in zip(self.num, other.num)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, 1)
@@ -178,38 +181,37 @@ class Matrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix.from_ints(self.den, [[-a for a in r] for r in self.num])
+        return Matrix.from_ints(self.den, self.cols, [-a for a in self.num])
 
     def scale(self, s: Rational) -> "Matrix":
         s = as_fraction(s)
         p = s.numerator
-        return Matrix.from_ints(self.den * s.denominator,
-                                [[p * a for a in r] for r in self.num])
+        return Matrix.from_ints(self.den * s.denominator, self.cols,
+                                [p * a for a in self.num])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matrix product dimension mismatch")
-        bt = list(zip(*other.num))
-        return Matrix.from_ints(self.den * other.den,
-                                [[sum(map(mul, row, col)) for col in bt]
-                                 for row in self.num])
+        cols = [other.num[j::other.cols] for j in range(other.cols)]
+        return Matrix.from_ints(self.den * other.den, other.cols, [
+            sum(map(mul, r, c)) for r in self._row_slices() for c in cols])
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_ints(self.den, list(zip(*self.num)))
+        return Matrix.from_ints(self.den, self.rows, [
+            v for col in zip(*self._row_slices()) for v in col])
 
     def trace_pair(self, other: "Matrix") -> Fraction:
         """trace(self^T . other), the entrywise pairing."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shape mismatch")
-        return Fraction(sum(map(mul, chain.from_iterable(self.num),
-                                chain.from_iterable(other.num))),
+        return Fraction(sum(map(mul, self.num, other.num)),
                         self.den * other.den)
 
     # -- exact linear algebra -------------------------------------------------
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""
-        return _eliminate(list(map(list, self.num)), self.cols)[0]
+        return _eliminate(self._row_slices(), self.cols)[0]
 
     def inverse(self) -> "Matrix":
         """Exact inverse by fraction-free Gauss-Jordan on [num | I], which
@@ -217,13 +219,13 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        a = [list(row) + [int(i == j) for j in range(n)]
-             for i, row in enumerate(self.num)]
+        a = [row + tuple(int(i == j) for j in range(n))
+             for i, row in enumerate(self._row_slices())]
         rank, det = _eliminate(a, n)
         if rank < n:
             raise ValueError("singular matrix")
-        return Matrix.from_ints(det, [[self.den * v for v in row[n:]]
-                                      for row in a])
+        return Matrix.from_ints(det, n, [self.den * v for row in a
+                                         for v in row[n:]])
 
     # -- misc -----------------------------------------------------------------
 
@@ -244,17 +246,15 @@ _set_rows, _set_cols, _set_den, _set_num = (  # past __setattr__
 
 
 def projective_key(m: Matrix) -> tuple[int, ...]:
-    """m's shape and the flat int rows of its primitive integer multiple
+    """m's shape and the row-major ints of its primitive integer multiple
     with a positive lead, the first nonzero entry row-major (the shape alone
     if m = 0).  Nonzero matrices are proportional iff their keys agree."""
-    flat = tuple(chain.from_iterable(m.num))
-    return flat_projective_key(m.rows, m.cols, flat)
+    return flat_projective_key(m.rows, m.cols, m.num)
 
 
 def flat_projective_key(rows: int, cols: int, flat: tuple) -> tuple[int, ...]:
-    """projective_key of num / den for any positive den, num the rows x
-    cols matrix of the row-major ints flat: one gcd and a tuple, no
-    Matrix built."""
+    """projective_key of any flat factor (den, flat) of a rows x cols
+    matrix, den > 0, flat its row-major ints: one gcd and a tuple."""
     if not (g := gcd(*flat)):
         return rows, cols
     if next(filter(None, flat)) < 0:

@@ -6,7 +6,8 @@ coefficient table of the associated trilinear form as ints over one
 denominator, in lowest terms, so two tensors are equal as trilinear forms
 iff their expansions are equal.  Every check compares expansions, the one
 Brent check brent_failures too; the Fraction table is only read out of one.
-merge_shared_factors collapses terms that share two factors up to scale.
+The expansion and merge_shared_factors, which collapses terms sharing two
+factors up to scale, read each factor m as its flat factor (m.den, m.num).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .matrix import (Matrix, Rational, as_fraction, flat_projective_key,
@@ -68,7 +69,7 @@ class RankOneTerm:
 
 def _lead(m: Matrix) -> Fraction:
     """The first nonzero entry of the nonzero matrix m, row-major."""
-    return Fraction(_first(chain.from_iterable(m.num)), m.den)
+    return Fraction(_first(m.num), m.den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +151,8 @@ def _cleared(t: Tensor):
     n2 = t.dim ** 2
     cleared, big_d = [], 1
     for tm in t.terms:
-        a, b, c = ([(f * w, v) for f, v in enumerate(chain.from_iterable(m.num))
-                    if v] for m, w in ((tm.a, n2 * n2), (tm.b, n2), (tm.c, 1)))
+        a, b, c = ([(f * w, v) for f, v in enumerate(m.num) if v]
+                   for m, w in ((tm.a, n2 * n2), (tm.b, n2), (tm.c, 1)))
         if a and b and c:
             d = tm.a.den * tm.b.den * tm.c.den
             big_d = lcm(big_d, d)
@@ -309,24 +310,24 @@ def merge_shared_factors(t: Tensor) -> Tensor:
     merges the lexicographically first mergeable pair of positions i < j
     into position i, trying the pairs (a,b), (a,c), (b,c) in that order.
 
-    The merge runs on flat factors, each classed once by one classifier():
-    a term no merge rebuilds is returned as it is, and Matrix and
-    RankOneTerm are built for the rebuilt ones only.
+    The merge runs on the flat factors (m.den, m.num), each classed once by
+    one classifier(): a term no merge rebuilds is returned as it is, and a
+    rebuilt factor is one Matrix.from_ints of its folded (den, num).
     """
     n = t.dim
     terms = t.nonzero_terms()
     classify = classifier()
-    slots = [tuple(classify((m.den, tuple(chain.from_iterable(m.num))))
-                   for m in (tm.a, tm.b, tm.c)) for tm in terms]
+    slots = [tuple(classify((m.den, m.num)) for m in (tm.a, tm.b, tm.c))
+             for tm in terms]
     live = merge_keyed_terms(slots, classify)
     return Tensor(n, [terms[s] if fs is slots[s] else RankOneTerm(*(
-        Matrix.from_ints(den, [num[r:r + n] for r in range(0, n * n, n)])
-        for (den, num), _ in fs)) for s, fs in live.items()])
+        Matrix.from_ints(den, n, num) for (den, num), _ in fs))
+        for s, fs in live.items()])
 
 
 def classifier():
     """classify(f) -> (f, class number) for a flat factor f = (den,
-    row-major int entries) of a square matrix num / den, den > 0, in
+    row-major ints) of a square matrix, (m.den, m.num) or a census cut, in
     lowest terms or not.  Two factors get one class number iff their
     matrices are proportional (or both zero): the numbers count the
     distinct flat_projective_key keys met so far, and each distinct f is

@@ -90,13 +90,14 @@ def write_tensor_file(t: Tensor, lam=None) -> str:
 
 
 def _format_rows(m: Matrix):
-    """m's rows as canonical entries p or p/q, read off num and den: entry
-    v is (v/g)/(den/g), g = gcd(v, den), written p alone when den/g is 1."""
-    den = m.den
+    """m's rows, slices of num, as canonical entries p or p/q over den:
+    entry v is (v/g)/(den/g), g = gcd(v, den), p alone when den/g is 1."""
+    den, num, c = m.den, m.num, m.cols
+    rows = [num[k:k + c] for k in range(0, len(num), c)]
     if den == 1:
-        return [" ".join(map(str, row)) for row in m.num]
+        return [" ".join(map(str, row)) for row in rows]
     return [" ".join(f"{v // g}/{q}" if (q := den // (g := gcd(v, den))) != 1
-                     else str(v // g) for v in row) for row in m.num]
+                     else str(v // g) for v in row) for row in rows]
 
 
 def read_tensor_file(text: str) -> Tensor:
@@ -149,22 +150,22 @@ def read_tensor_file(text: str) -> Tensor:
 def _terms(tokens, entries, dim: int) -> list[RankOneTerm]:
     """The rank-one terms of a body's tokens, entries p or p/q with q != 0,
     and of their set entries: each distinct token parsed once, each factor
-    dim**2 tokens over the lcm of their q's."""
+    the row-major ints of its dim**2 tokens over the lcm of their q's."""
+    size = dim * dim
     if not any("/" in tok for tok in entries):
-        nums = map({tok: int(tok) for tok in entries}.__getitem__, tokens)
-        rows = list(zip(*[nums] * dim))
-        mats = [Matrix.from_ints(1, rows[k:k + dim])
-                for k in range(0, len(rows), dim)]
+        nums = [*map({tok: int(tok) for tok in entries}.__getitem__, tokens)]
+        mats = [Matrix.from_ints(1, dim, nums[k:k + size])
+                for k in range(0, len(nums), size)]
     else:
         ratio = {tok: (int(p), int(q or 1)) for tok in entries
                  for p, _, q in [tok.partition("/")]}
         nums, dens = zip(*map(ratio.__getitem__, tokens))
-        size, mats = dim * dim, []
+        mats = []
         for k in range(0, len(nums), size):
             num, qs = nums[k:k + size], dens[k:k + size]
             if (den := lcm(*qs)) != 1:
                 num = [p * (den // q) for p, q in zip(num, qs)]
-            mats.append(Matrix.from_ints(den, list(zip(*[iter(num)] * dim))))
+            mats.append(Matrix.from_ints(den, dim, num))
     return [RankOneTerm(*mats[k:k + 3]) for k in range(0, len(mats), 3)]
 
 

@@ -8,7 +8,7 @@ n x n multiplication tensors to their (n-1) x (n-1) projections.
 from __future__ import annotations
 
 import warnings
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter
 
 from .matrix import Matrix
@@ -26,30 +26,24 @@ def _check_index(n: int, *indices: int):
 
 def matrix_zero(m: Matrix, i: int, j: int) -> Matrix:
     """Zero out row i and column j, leaving the rest unchanged."""
-    _check_index(m.rows, i)
-    _check_index(m.cols, j)
-    rows = [row[:j - 1] + (0,) + row[j:] for row in m.num]
-    rows[i - 1] = [0] * m.cols
-    return Matrix.from_ints(m.den, rows)
+    kept = set(_kept(m.rows, m.cols, i, j))
+    return Matrix.from_ints(m.den, m.cols, [v if k in kept else 0
+                                            for k, v in enumerate(m.num)])
 
 
 def matrix_project(m: Matrix, i: int, j: int) -> Matrix:
     """Delete row i and column j (the zeroed line and column are removed)."""
     if m.rows < 2 or m.cols < 2:
         raise ValueError("cannot project a 1x1 matrix")
-    _check_index(m.rows, i)
-    _check_index(m.cols, j)
-    return Matrix.from_ints(m.den, [row[:j - 1] + row[j:] for r, row
-                                    in enumerate(m.num, start=1) if r != i])
+    return Matrix.from_ints(m.den, m.cols - 1,
+                            _cut(m.rows, m.cols, i, j)(m.num))
 
 
 def matrix_lift(m: Matrix, i: int, j: int) -> Matrix:
     """Insert a zero row at i and zero column at j; projecting back recovers m."""
-    _check_index(m.rows + 1, i)
-    _check_index(m.cols + 1, j)
-    rows = [row[:j - 1] + (0,) + row[j - 1:] for row in m.num]
-    rows.insert(i - 1, [0] * (m.cols + 1))
-    return Matrix.from_ints(m.den, rows)
+    kept = dict(zip(_kept(m.rows + 1, m.cols + 1, i, j), m.num))
+    return Matrix.from_ints(m.den, m.cols + 1, [
+        kept.get(k, 0) for k in range((m.rows + 1) * (m.cols + 1))])
 
 
 def tensor_zero(t: Tensor, idx: IndexTriple) -> Tensor:
@@ -83,12 +77,13 @@ def projection_census(t: Tensor):
     n-monomials.  So p verifies iff no failure of t survives (i, j, k).
 
     The lengths count merge_keyed_terms's surviving slots.  Each factor
-    is cut once per (row, column) cell from its flat entries, by one
-    itemgetter per cell, and zero cuts are dropped there; each nonzero
-    (den, cut entries) goes through one classifier() that all n^3 merges
-    share, so each distinct cut is keyed once.  Projection (i, j, k)
-    hands merge_keyed_terms as slots the classed a, b and c cuts at
-    (i, j), (j, k) and (k, i) of the terms whose three cuts are all
+    m is cut once per (row, column) cell from m.num, by one _cut
+    itemgetter per cell, the rule matrix_project uses too, and zero cuts
+    are dropped there.  Each nonzero cut (den, cut entries) is a flat
+    factor, as (m.den, m.num) is; it goes through one classifier() that
+    all n^3 merges share, so each distinct cut is keyed once.  Projection
+    (i, j, k) hands merge_keyed_terms as slots the classed a, b and c cuts
+    at (i, j), (j, k) and (k, i) of the terms whose three cuts are all
     nonzero, the terms merge_shared_factors keeps, and the merges fold
     those ints as they are: a census builds no Matrix and no rank-one
     term."""
@@ -100,8 +95,9 @@ def projection_census(t: Tensor):
     bad = [((a[0], c[1]), (a[1], b[0]), (b[1], c[0]))
            for a, b, c in brent_failures(t)]
     classify = classifier()
-    cuts = [(rc, _cut(n, *rc)) for rc in cells]
-    proj = [[_projections(m, cuts, classify) for m in (tm.a, tm.b, tm.c)]
+    cuts = [(rc, _cut(n, n, *rc)) for rc in cells]
+    proj = [[{rc: classify((m.den, vals)) for rc, cut in cuts
+              if any(vals := cut(m.num))} for m in (tm.a, tm.b, tm.c)]
             for tm in t.nonzero_terms()]
     for i, j, k in product(range(1, n + 1), repeat=3):
         slots = [(a, b, c) for pa, pb, pc in proj if (a := pa.get((i, j)))
@@ -110,20 +106,20 @@ def projection_census(t: Tensor):
             i not in x and j not in y and k not in z for x, y, z in bad)
 
 
-def _cut(n: int, i: int, j: int):
-    """The function from the flat row-major entries of an n x n matrix to
-    the flat entries of its projection at (i, j), one itemgetter."""
-    get = itemgetter(*(r * n + c for r in range(n) if r != i - 1
-                       for c in range(n) if c != j - 1))
-    return get if n > 2 else lambda flat: (get(flat),)
+def _kept(rows: int, cols: int, i: int, j: int) -> list[int]:
+    """The row-major positions of a rows x cols matrix off row i and column
+    j, kept by its projection at (i, j); IndexError unless both exist."""
+    _check_index(rows, i)
+    _check_index(cols, j)
+    return [r * cols + c for r in range(rows) if r != i - 1
+            for c in range(cols) if c != j - 1]
 
 
-def _projections(m: Matrix, cuts, classify) -> dict:
-    """{(i, j): classify((den, cut entries))} over cuts, the (cell, _cut)
-    pairs, for the nonzero cuts of m."""
-    flat = tuple(chain.from_iterable(m.num))
-    return {rc: classify((m.den, vals)) for rc, cut in cuts
-            if any(vals := cut(flat))}
+def _cut(rows: int, cols: int, i: int, j: int):
+    """The function from the row-major entries of a rows x cols matrix to
+    the row-major entries of its projection at (i, j), one itemgetter."""
+    get = itemgetter(*_kept(rows, cols, i, j))
+    return get if (rows - 1) * (cols - 1) > 1 else lambda flat: (get(flat),)
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:

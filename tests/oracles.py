@@ -30,10 +30,10 @@ def is_invertible(m: Matrix) -> bool:
 def perm_matrix(sp) -> Matrix:
     """The matrix of a SignedPerm: column j holds its sign in row f(j)."""
     n = len(sp.images)
-    rows = [[0] * n for _ in range(n)]
+    num = [0] * (n * n)
     for j, (r, s) in enumerate(sp.images):
-        rows[r - 1][j] = s
-    return Matrix.from_ints(1, rows)
+        num[(r - 1) * n + j] = s
+    return Matrix.from_ints(1, n, num)
 
 
 def merge_reference(t: Tensor) -> Tensor:
@@ -155,13 +155,13 @@ def read_tensor_file_by_lines(text: str) -> Tensor:
 
 
 def _factor(rows) -> Matrix:
-    """The matrix of rows, lines of entries p or p/q with q != 0: ints
-    read by int() over den 1 unless some line has a '/'."""
+    """The square matrix of rows, lines of entries p or p/q with q != 0:
+    ints read by int() over den 1 unless some line has a '/'."""
+    dim = len(rows)
     if not any("/" in row for row in rows):
-        return Matrix.from_ints(1, [list(map(int, row.split()))
-                                    for row in rows])
-    rows = [[(int(p), int(q or 1)) for p, _, q in
-             (tok.partition("/") for tok in row.split())] for row in rows]
-    den = lcm(*(q for row in rows for _, q in row))
-    return Matrix.from_ints(den, [[p * (den // q) for p, q in row]
-                                  for row in rows])
+        return Matrix.from_ints(1, dim, [int(tok) for row in rows
+                                         for tok in row.split()])
+    ratios = [(int(p), int(q or 1)) for row in rows for p, _, q in
+              (tok.partition("/") for tok in row.split())]
+    den = lcm(*(q for _, q in ratios))
+    return Matrix.from_ints(den, dim, [p * (den // q) for p, q in ratios])

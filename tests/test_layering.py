@@ -73,3 +73,16 @@ def test_transforms_classes_its_cuts_through_the_tensor_classifier():
     names = _names("transforms")
     assert "classifier" in names
     assert "flat_projective_key" not in names
+
+
+def test_no_module_flattens_matrix_num():
+    """Matrix.num is the row-major ints already, so (m.den, m.num) is the
+    flat factor: no module chains a num's rows together."""
+    flattens = [f"{name}.py:{node.lineno}"
+                for name, tree in MODULES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "from_iterable"
+                and any(isinstance(arg, ast.Attribute) and arg.attr == "num"
+                        for arg in node.args)]
+    assert flattens == []

@@ -190,12 +190,16 @@ def _rows(draw, r, c):
 
 
 def assert_canonical(m, rows):
-    """m holds the value rows in lowest terms."""
+    """m holds the value rows in lowest terms, num its row-major ints."""
     assert m.row_list() == rows
     assert (m.rows, m.cols) == (len(rows), len(rows[0]))
-    assert m.den > 0 and gcd(m.den, *(v for r in m.num for v in r)) == 1
+    assert type(m.num) is tuple and len(m.num) == m.rows * m.cols
+    assert m.den > 0 and gcd(m.den, *m.num) == 1
     assert m.den == lcm(*(v.denominator for r in rows for v in r))
-    assert all(type(v) is int for r in m.num for v in r)
+    assert all(type(v) is int for v in m.num)
+    assert all(Fraction(m.num[(i - 1) * m.cols + j - 1], m.den) == m[i, j]
+               == v for i, row in enumerate(rows, 1)
+               for j, v in enumerate(row, 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,3 +261,4 @@ def test_equal_values_have_equal_fields(data, r, c, s):
         assert (other.den, other.num, hash(other)) == \
             (m.den, m.num, hash(m))
         assert other == m
+        assert_canonical(other, x)

@@ -537,7 +537,7 @@ def test_brent_failures_are_where_the_form_differs(t):
 
 def _flat(m, k=1):
     """m as a flat factor (den, row-major entries), both times k > 0."""
-    return m.den * k, tuple(v * k for row in m.num for v in row)
+    return m.den * k, tuple(v * k for v in m.num)
 
 
 @pytest.mark.parametrize("s", [Fraction(-3, 7), Fraction(2), Fraction(-1, 6)])
@@ -568,9 +568,8 @@ def _flat_factor_pair(draw):
     entry = st.integers(-2, 2)
 
     def matrix():
-        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                             min_size=n, max_size=n))
-        return Matrix.from_ints(draw(st.integers(1, 3)), rows)
+        num = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        return Matrix.from_ints(draw(st.integers(1, 3)), n, num)
 
     ma = matrix()
     if draw(st.booleans()):
@@ -579,7 +578,7 @@ def _flat_factor_pair(draw):
     else:
         mb, kd, ke = matrix(), 1, 1
     return ((ma, _flat(ma)),
-            (mb, (mb.den * kd, tuple(v * ke for row in mb.num for v in row))))
+            (mb, (mb.den * kd, tuple(v * ke for v in mb.num))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -217,7 +217,7 @@ def test_non_canonical_tokens_read_as_their_values():
     text = "dim 2\nterms 1\nterm\n2/4 +3\n-0 0/5\n1 0\n0 1\n1 0\n0 1\n"
     (tm,) = read_tensor_file(text).terms
     assert tm.a == mm.Matrix([[Fraction(1, 2), 3], [0, 0]])
-    assert tm.a.den == 2 and tm.a.num == ((1, 6), (0, 0))
+    assert tm.a.den == 2 and tm.a.num == (1, 6, 0, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -189,8 +189,8 @@ def test_census_builds_no_term_without_shared_pair_key(name, monkeypatch):
     else:
         assert folds
     cells = list(product(range(1, n + 1), repeat=2))
-    cuts = {(m.den, tuple(v for r, row in enumerate(m.num, 1) if r != i
-                          for c, v in enumerate(row, 1) if c != j))
+    cuts = {(m.den, tuple(v for k, v in enumerate(m.num)
+                          if k // n != i - 1 and k % n != j - 1))
             for tm in t.terms for m in (tm.a, tm.b, tm.c) for i, j in cells
             if not mm.matrix_project(m, i, j).is_zero()}
     factors = cuts | {w for _, w in folds if any(w[1])}
