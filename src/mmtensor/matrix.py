@@ -141,14 +141,14 @@ class Matrix:
                              f"for {self.rows}x{self.cols} matrix")
         return Fraction(self.num[(i - 1) * self.cols + j - 1], self.den)
 
-    def _row_slices(self) -> list[tuple[int, ...]]:
+    def row_slices(self) -> list[tuple[int, ...]]:
         """The rows of num, one slice each."""
         num, c = self.num, self.cols
         return [num[k:k + c] for k in range(0, len(num), c)]
 
     def row_list(self) -> list[list[Fraction]]:
         d = self.den
-        return [[Fraction(v, d) for v in row] for row in self._row_slices()]
+        return [[Fraction(v, d) for v in row] for row in self.row_slices()]
 
     def entries(self):
         """Yield (i, j, value) for nonzero entries, row-major."""
@@ -194,11 +194,11 @@ class Matrix:
             raise ValueError("matrix product dimension mismatch")
         cols = [other.num[j::other.cols] for j in range(other.cols)]
         return Matrix.from_ints(self.den * other.den, other.cols, [
-            sum(map(mul, r, c)) for r in self._row_slices() for c in cols])
+            sum(map(mul, r, c)) for r in self.row_slices() for c in cols])
 
     def transpose(self) -> "Matrix":
         return Matrix.from_ints(self.den, self.rows, [
-            v for col in zip(*self._row_slices()) for v in col])
+            v for col in zip(*self.row_slices()) for v in col])
 
     def trace_pair(self, other: "Matrix") -> Fraction:
         """trace(self^T . other), the entrywise pairing."""
@@ -211,7 +211,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""
-        return _eliminate(self._row_slices(), self.cols)[0]
+        return _eliminate(self.row_slices(), self.cols)[0]
 
     def inverse(self) -> "Matrix":
         """Exact inverse by fraction-free Gauss-Jordan on [num | I], which
@@ -220,7 +220,7 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         a = [row + tuple(int(i == j) for j in range(n))
-             for i, row in enumerate(self._row_slices())]
+             for i, row in enumerate(self.row_slices())]
         rank, det = _eliminate(a, n)
         if rank < n:
             raise ValueError("singular matrix")
@@ -230,11 +230,12 @@ class Matrix:
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.den == other.den
-                and self.num == other.num)
+        # cols and len(num) fix the shape, which flat num alone does not.
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.den, self.num))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, row)) for row in self.row_list())

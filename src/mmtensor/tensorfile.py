@@ -92,8 +92,7 @@ def write_tensor_file(t: Tensor, lam=None) -> str:
 def _format_rows(m: Matrix):
     """m's rows, slices of num, as canonical entries p or p/q over den:
     entry v is (v/g)/(den/g), g = gcd(v, den), p alone when den/g is 1."""
-    den, num, c = m.den, m.num, m.cols
-    rows = [num[k:k + c] for k in range(0, len(num), c)]
+    den, rows = m.den, m.row_slices()
     if den == 1:
         return [" ".join(map(str, row)) for row in rows]
     return [" ".join(f"{v // g}/{q}" if (q := den // (g := gcd(v, den))) != 1

@@ -48,6 +48,17 @@ def test_arithmetic():
         a @ Matrix([[1, 2, 3]])
 
 
+def test_equality_takes_the_shape():
+    # num is flat, so matrices of one row-major int tuple differ by shape.
+    pairs = [(Matrix([[1, 2]]), Matrix([[1], [2]])),
+             (Matrix([[1, 2, 3], [4, 5, 6]]), Matrix([[1, 2], [3, 4], [5, 6]])),
+             (Matrix.zeros(2), Matrix([[0, 0, 0, 0]]))]
+    for a, b in pairs:
+        assert (a.den, a.num) == (b.den, b.num)
+        assert a != b and hash(a) != hash(b)
+        assert len({a, b}) == 2
+
+
 def test_trace_pair():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[5, 6], [7, 8]])
@@ -116,7 +127,7 @@ def test_projective_key_of_derived_matrices_and_immutability():
     assert projective_key(matrix_project(m, 2, 2)) == (1, 1)
     assert projective_key(matrix_lift(m, 1, 1)) == (3, 3, 0, 0, 0,
                                                     0, 0, 1, 0, -6, 9)
-    # Equality and hashing read only den and num.
+    # Equality and hashing read only cols, den and num.
     assert m == fresh() and hash(m) == hash(fresh())
     assert len({m, fresh()}) == 1
     with pytest.raises(AttributeError):
@@ -258,7 +269,7 @@ def test_equal_values_have_equal_fields(data, r, c, s):
     if s:
         same.append(Matrix(x).scale(s).scale(1 / s))
     for other in same:
-        assert (other.den, other.num, hash(other)) == \
-            (m.den, m.num, hash(m))
+        assert (other.rows, other.cols, other.den, other.num,
+                hash(other)) == (m.rows, m.cols, m.den, m.num, hash(m))
         assert other == m
         assert_canonical(other, x)
