@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 Rational = Fraction | int
 
@@ -261,3 +261,9 @@ def flat_projective_key(rows: int, cols: int, flat: tuple) -> tuple[int, ...]:
     if next(filter(None, flat)) < 0:
         g = -g
     return rows, cols, *(flat if g == 1 else (v // g for v in flat))
+
+
+def tuple_getter(indices):
+    """itemgetter(*indices), returning a tuple for a single index too."""
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda flat: (get(flat),)

@@ -8,10 +8,10 @@ n x n multiplication tensors to their (n-1) x (n-1) projections.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 
-from .matrix import Matrix
+from .matrix import Matrix, tuple_getter
 from .tensor import (Tensor, brent_failures, classifier, is_matmul_tensor,
                      map_factors, merge_keyed_terms)
 
@@ -115,11 +115,11 @@ def _kept(rows: int, cols: int, i: int, j: int) -> list[int]:
             for c in range(cols) if c != j - 1]
 
 
+@lru_cache(maxsize=256)
 def _cut(rows: int, cols: int, i: int, j: int):
     """The function from the row-major entries of a rows x cols matrix to
     the row-major entries of its projection at (i, j), one itemgetter."""
-    get = itemgetter(*_kept(rows, cols, i, j))
-    return get if (rows - 1) * (cols - 1) > 1 else lambda flat: (get(flat),)
+    return tuple_getter(_kept(rows, cols, i, j))
 
 
 def tensor_lift(t: Tensor, idx: IndexTriple) -> Tensor:

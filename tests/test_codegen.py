@@ -1,6 +1,10 @@
+import math
 import random
+import re
 from fractions import Fraction
+from dataclasses import replace
 from functools import lru_cache, partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,16 +54,32 @@ def run_schedule(s, a, b):
     return Matrix([out[i:i + s.dim] for i in range(0, len(out), s.dim)])
 
 
+def run_emitted(s, a, b):
+    """The flat emit_code text of s run as Python over the Fraction entries
+    of A and B, temporaries included; p/q literals are read as Fractions."""
+    env = {"F": Fraction}
+    for letter, m in (("a", a), ("b", b)):
+        for (i, j), v in zip(product(range(1, s.dim + 1), repeat=2),
+                             (v for row in m.row_list() for v in row)):
+            env[f"{letter}{i}{j}"] = v
+    exec(re.sub(r"(\d+)/(\d+)", r"F(\1, \2)", emit_code(s)), env)
+    return Matrix([[env[f"c{i}{j}"] for j in range(1, s.dim + 1)]
+                   for i in range(1, s.dim + 1)])
+
+
 def _agrees(t, a, b):
-    got = run_schedule(extract_schedule(t), a, b)
+    s = extract_schedule(t)
+    got = run_schedule(s, a, b)
     # the schedule folds the final transpose in
     assert got == contract12(t, a, b).transpose()
     assert got == a @ b
     assert got == mm.recursive_multiply(t, a, b).product
+    assert run_emitted(s, a, b) == got
 
 
 def test_schedule_agrees_with_contract12(rng):
-    for t in (mm.classical(2), mm.strassen(), mm.winograd(2), mm.laderman()):
+    for t in (mm.classical(2), mm.strassen(), mm.winograd(2), mm.laderman(),
+              mm.laderman_variant(Fraction(-3, 7))):
         for _ in range(10):
             _agrees(t, rand_matrix(rng, t.dim), rand_matrix(rng, t.dim))
 
@@ -97,16 +117,25 @@ def test_op_count_read_off_the_factors(make):
 
 
 def test_op_counts():
-    """Naive multiplications / additions / scalar multiplications; the
-    multiplications are the decomposition length."""
-    for t, counts in [(mm.classical(3), (27, 18, 0)),
-                      (mm.strassen(), (7, 18, 0)),
-                      (mm.winograd(1), (7, 24, 0)),
-                      (mm.winograd(Fraction(5, 7)), (7, 24, 24)),
-                      (mm.laderman(), (23, 98, 0)),
-                      (mm.laderman_variant(1), (23, 98, 2)),
-                      (mm.laderman_variant(Fraction(3, 4)), (23, 98, 74))]:
-        assert op_count(extract_schedule(t)) == mm.OpCount(*counts)
+    """Naive multiplications / additions / scalar multiplications, and the
+    additions of the program with temporaries; the multiplications are the
+    decomposition length.  Winograd's 15 is the known optimum for its
+    basis; laderman and the variants share down to at most 72."""
+    for t, counts, shared in [
+            (mm.classical(3), (27, 18, 0), 18),
+            (mm.strassen(), (7, 18, 0), 18),
+            (mm.winograd(1), (7, 24, 0), 15),
+            (mm.winograd(Fraction(5, 7)), (7, 24, 24), 15),
+            (mm.laderman(), (23, 98, 0), 72),
+            (mm.laderman_variant(1), (23, 98, 2), 72),
+            (mm.laderman_variant(Fraction(2, 3)), (23, 98, 74), 72),
+            (mm.laderman_variant(Fraction(3, 4)), (23, 98, 74), 72)]:
+        got = op_count(extract_schedule(t))
+        assert (got.multiplications, got.additions,
+                got.scalar_multiplications) == counts
+        assert got.shared_additions <= shared
+        if shared < 72:
+            assert got.shared_additions == shared
         assert counts[0] == mm.decomposition_length(t)
 
 
@@ -152,58 +181,81 @@ def test_emit_code_styles_and_determinism():
 
 
 # Full emit_code text for schedules with fractional and negative non-unit
-# coefficients and inlined products; the flat style is the annotated one
-# without its "  # ..." comments.
+# coefficients, inlined products and temporaries on all three sides; the
+# flat style is the annotated one without its "  # ..." comments.
 WINOGRAD_5_7_ANNOTATED = """\
-p1 = (-a11 + 5/7*a12 - 7/5*a21) * (-b11 + 5/7*b12 - 7/5*b21)  # term 1
-p2 = (a11 - 5/7*a12 + 7/5*a21 - a22) * (-7/5*b21)  # term 2
+s1 = 7*a11 - 5*a12
+s2 = 49*a21 + 5*s1
+t1 = 7*b11 - 5*b12
+t2 = 49*b21 + 5*t1
+p1 = (-1/35*s2) * (-1/35*t2)  # term 1
+p2 = (-a22 + 1/35*s2) * (-7/5*b21)  # term 2
 p3 = (a11 + 7/5*a21) * (-b11 - 7/5*b21)  # term 3
 p4 = (-a22) * (-b22)  # term 4
 p5 = (-7/5*a21) * (-5/7*b12)  # term 5
-p6 = (-a11 + 5/7*a12) * (b11 - 5/7*b12)  # term 6
-p7 = (5/7*a12) * (-b11 + 5/7*b12 - 7/5*b21 + b22)  # term 7
-c11 = -p1 - p3 - p5 - p6  # terms 1,3,5,6
-c12 = -7/5*p1 - 7/5*p3 - 7/5*p5 + 7/5*p7  # terms 1,3,5,7
-c21 = 5/7*p1 + 5/7*p2 + 5/7*p5 + 5/7*p6  # terms 1,2,5,6
+p6 = (-1/7*s1) * (1/7*t1)  # term 6
+p7 = (5/7*a12) * (b22 - 1/35*t2)  # term 7
+u1 = p1 + p5
+u2 = p3 + u1
+c11 = -p6 - u2  # terms 1,3,5,6
+c12 = 7/5*p7 - 7/5*u2  # terms 1,3,5,7
+c21 = 5/7*p2 + 5/7*p6 + 5/7*u1  # terms 1,2,5,6
 c22 = p4 + p5  # terms 4,5
 """
 
 VARIANT_M3_7_ANNOTATED = """\
-p5 = (-a22 - 3/7*a23 + 7/3*a32) * (-b22 - 3/7*b23 + 7/3*b32)  # term 5
-p6 = (-a11 - 3/7*a13 - a22 - 3/7*a23 + 7/3*a31 + 7/3*a32 + a33) * (b32)  # term 6
+s1 = 7*a11 + 3*a13
+s2 = 7*a12 + 3*a13
+s3 = 7*a21 + 3*a23
+s4 = 7*a22 + 3*a23
+s5 = a31 + a32
+s6 = 3*a33 + 7*s5
+t1 = 7*b11 + 3*b13
+t2 = 7*b12 + 3*b13
+t3 = 7*b21 + 3*b23
+t4 = 7*b22 + 3*b23
+t5 = b31 + b32
+t6 = 3*b33 + 7*t5
+p5 = (7/3*a32 - 1/7*s4) * (7/3*b32 - 1/7*t4)  # term 5
+p6 = (-1/7*s1 - 1/7*s4 + 1/3*s6) * (b32)  # term 6
 p7 = (a22 - 7/3*a32) * (-b22 + 7/3*b32)  # term 7
 p8 = (-3*a33) * (b33)  # term 8
 p9 = (-a32) * (b23)  # term 9
-p10 = (-a22 - 3/7*a23) * (b22 + 3/7*b23)  # term 10
-p11 = (-a23) * (b11 + 3/7*b13 + b22 + 3/7*b23 - 7/3*b31 - 7/3*b32 - b33)  # term 11
-p12 = (-a21 - 3/7*a23 + 7/3*a31) * (-b11 - 3/7*b13 + 7/3*b31)  # term 12
-p13 = (-a12 - 3/7*a13 - a21 - 3/7*a23 + 7/3*a31 + 7/3*a32 + a33) * (b31)  # term 13
+p10 = (-1/7*s4) * (1/7*t4)  # term 10
+p11 = (-a23) * (1/7*t1 + 1/7*t4 - 1/3*t6)  # term 11
+p12 = (7/3*a31 - 1/7*s3) * (7/3*b31 - 1/7*t1)  # term 12
+p13 = (-1/7*s2 - 1/7*s3 + 1/3*s6) * (b31)  # term 13
 p14 = (a21 - 7/3*a31) * (-b11 + 7/3*b31)  # term 14
 p15 = (-a31) * (b13)  # term 15
-p16 = (-a21 - 3/7*a23) * (b11 + 3/7*b13)  # term 16
-p17 = (-a11 - 3/7*a13 + 7/3*a31) * (-b12 - 3/7*b13 + 7/3*b32)  # term 17
+p16 = (-1/7*s3) * (1/7*t1)  # term 16
+p17 = (7/3*a31 - 1/7*s1) * (7/3*b32 - 1/7*t2)  # term 17
 p18 = (a11 - 7/3*a31) * (-b12 + 7/3*b32)  # term 18
-p19 = (-a11 - 3/7*a13) * (b12 + 3/7*b13)  # term 19
-p20 = (-a13) * (b12 + 3/7*b13 + b21 + 3/7*b23 - 7/3*b31 - 7/3*b32 - b33)  # term 20
-p21 = (-a12 - 3/7*a13 + 7/3*a32) * (-b21 - 3/7*b23 + 7/3*b31)  # term 21
+p19 = (-1/7*s1) * (1/7*t2)  # term 19
+p20 = (-a13) * (1/7*t2 + 1/7*t3 - 1/3*t6)  # term 20
+p21 = (7/3*a32 - 1/7*s2) * (7/3*b31 - 1/7*t3)  # term 21
 p22 = (a12 - 7/3*a32) * (-b21 + 7/3*b31)  # term 22
-p23 = (-a12 - 3/7*a13) * (b21 + 3/7*b23)  # term 23
-c11 = a11 * b11 + p9 - p21 - p22 - p23  # terms 1,9,21,22,23
-c12 = a12 * b22 + p15 - p17 - p18 - p19  # terms 2,15,17,18,19
-c13 = -7/3*p9 - 7/3*p15 + 7/3*p17 + 7/3*p18 + p20 + 7/3*p21 + 7/3*p22  # terms 9,15,17,18,20,21,22
-c21 = a22 * b21 - p12 - p14 + p15 - p16  # terms 3,12,14,15,16
-c22 = a21 * b12 - p5 - p7 + p9 - p10  # terms 4,5,7,9,10
-c23 = 7/3*p5 + 7/3*p7 - 7/3*p9 + p11 + 7/3*p12 + 7/3*p14 - 7/3*p15  # terms 5,7,9,11,12,14,15
-c31 = 3/7*p9 - 3/7*p12 + p13 + 3/7*p15 - 3/7*p16 - 3/7*p21 - 3/7*p23  # terms 9,12,13,15,16,21,23
-c32 = -3/7*p5 + p6 + 3/7*p9 - 3/7*p10 + 3/7*p15 - 3/7*p17 - 3/7*p19  # terms 5,6,9,10,15,17,19
-c33 = -1/3*p8 - p9 - p15  # terms 8,9,15
+p23 = (-1/7*s2) * (1/7*t3)  # term 23
+u1 = p9 + p15
+u2 = p5 + p7
+u3 = p12 + p14
+u4 = p17 + p18
+u5 = p21 + p22
+c11 = a11 * b11 + p9 - p23 - u5  # terms 1,9,21,22,23
+c12 = a12 * b22 + p15 - p19 - u4  # terms 2,15,17,18,19
+c13 = p20 - 7/3*u1 + 7/3*u4 + 7/3*u5  # terms 9,15,17,18,20,21,22
+c21 = a22 * b21 + p15 - p16 - u3  # terms 3,12,14,15,16
+c22 = a21 * b12 + p9 - p10 - u2  # terms 4,5,7,9,10
+c23 = p11 - 7/3*u1 + 7/3*u2 + 7/3*u3  # terms 5,7,9,11,12,14,15
+c31 = -3/7*p12 + p13 - 3/7*p16 - 3/7*p21 - 3/7*p23 + 3/7*u1  # terms 9,12,13,15,16,21,23
+c32 = -3/7*p5 + p6 - 3/7*p10 - 3/7*p17 - 3/7*p19 + 3/7*u1  # terms 5,6,9,10,15,17,19
+c33 = -1/3*p8 - u1  # terms 8,9,15
 """
 
 
 @pytest.mark.parametrize("tensor, annotated", [
     (lambda: mm.winograd(Fraction(5, 7)), WINOGRAD_5_7_ANNOTATED),
     (lambda: mm.laderman_variant(Fraction(-3, 7)), VARIANT_M3_7_ANNOTATED),
-])
+], ids=["winograd-5_7", "variant-m3_7"])
 def test_emit_code_golden(tensor, annotated):
     sched = extract_schedule(tensor())
     assert emit_code(sched, style="annotated") == annotated
@@ -377,6 +429,67 @@ def test_compiled_schedule_sizes_and_thresholds(make, monkeypatch):
             res = mm.recursive_multiply(t, a, b, threshold=threshold)
             assert res.product == a @ b
             assert res.scalar_multiplications == products ** levels * leaf ** 3
+
+
+@pytest.mark.parametrize("make, scale", [
+    (mm.strassen, 1), (mm.laderman, 1), (lambda: mm.laderman_variant(1), 1),
+    (lambda: mm.laderman_variant(Fraction(3, 4)), 1728)])
+def test_compiled_forms_are_primitive(make, scale):
+    """Each cleared a and b form is its schedule form over a factor, with
+    coprime ints and a positive first one; the factors go into c, whose
+    ints are scale times the schedule's c coefficients times them.  So
+    laderman_variant(1), whose -3*a33 once set every c coefficient to a
+    multiple of 3, compiles with scale 1."""
+    s = extract_schedule(make())
+    prog = codegen._lower(s)
+    assert prog.scale == codegen._compile(make())[4] == scale
+    for forms, q, cleared in ((s.a, prog.qa, prog.a.cleared),
+                              (s.b, prog.qb, prog.b.cleared)):
+        for form, f, ints in zip(forms, q, cleared):
+            assert [(k, f * v) for k, v in ints] == list(form)
+            assert ints[0][1] > 0 and math.gcd(*(v for _, v in ints)) == 1
+    assert [[(p, Fraction(v, prog.scale) / (prog.qa[p] * prog.qb[p]))
+             for p, v in ints] for ints in prog.c.cleared] == \
+        [list(form) for form in s.c]
+
+
+def _mutants(prog):
+    """prog with one coefficient of a form or a temporary changed, or one
+    use of a temporary in a form read from another variable."""
+    for side in "abc":
+        sd = getattr(prog, side)
+        for i, form in enumerate(sd.forms):
+            for j, (x, k) in enumerate(form):
+                changed = [form[:j] + ((x, k + 1),) + form[j + 1:]]
+                if x >= sd.inputs:  # a temporary: read another one
+                    other = x - 1 if x > sd.inputs else x + 1
+                    if other < sd.inputs + len(sd.temps) and \
+                            other not in dict(form):
+                        changed.append(
+                            form[:j] + ((other, k),) + form[j + 1:])
+                for mutated in changed:
+                    forms = sd.forms[:i] + (mutated,) + sd.forms[i + 1:]
+                    yield replace(prog, **{side: replace(sd, forms=forms)})
+        for i, (u, v, alpha, beta) in enumerate(sd.temps):
+            temps = list(sd.temps)
+            temps[i] = (u, v, alpha, beta + 1)
+            yield replace(prog, **{side: replace(sd, temps=tuple(temps))})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mm.winograd(1), mm.laderman,
+    lambda: mm.laderman_variant(Fraction(3, 4))])
+def test_compiled_program_proof_refuses_mutants(make):
+    """_compile proves down and up against the cleared forms before it
+    caches them; a program with one coefficient changed, or one use of a
+    temporary read from another variable, is refused."""
+    prog = codegen._lower(extract_schedule(make()))
+    codegen._prove(prog, *codegen._build(prog))
+    mutants = list(_mutants(prog))
+    assert len(mutants) > 40
+    for mutant in mutants:
+        with pytest.raises(RuntimeError, match="does not compute"):
+            codegen._prove(mutant, *codegen._build(mutant))
 
 
 def test_equal_tensors_share_one_compiled_program(rng):
