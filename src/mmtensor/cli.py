@@ -41,7 +41,7 @@ class CliError(Exception):
 def _parse_lambda(text: str) -> Fraction:
     try:
         lam = parse_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise CliError(f"malformed rational for --lambda: {text!r}")
     if lam == 0:
         raise CliError("--lambda must be nonzero")

@@ -443,31 +443,26 @@ def _leaf(m: int):
 
 
 @lru_cache(maxsize=4)
-def _order(size: int, padded: int, n: int, levels: int) -> tuple[int, ...]:
-    """Row-major indices of a size x size matrix zero-padded to padded x
-    padded, in digit-reversed order, size**2 at each padding position:
-    position i + n*n*j holds position j, in this order itself, of the
-    top-level block i (row-major), down to row-major leaves of side
-    padded // n**levels.  So block i is the strided slice [i::n*n], the
-    leaf entry is the most significant digit, and the same holds for the
-    operands of every level: down puts each product's batch of subproblems
-    whole, one after another, above their block digits."""
+def _movers(size: int, padded: int, n: int, levels: int):
+    """(gather, scatter), each one itemgetter, for the row-major indices of
+    a size x size matrix zero-padded to padded x padded, in digit-reversed
+    order, size**2 at each padding position: position i + n*n*j holds
+    position j, in this order itself, of the top-level block i (row-major),
+    down to row-major leaves of side padded // n**levels.  So block i is
+    the strided slice [i::n*n], the leaf entry is the most significant
+    digit, and the same holds for the operands of every level: down puts
+    each product's batch of subproblems whole, one after another, above
+    their block digits.  gather(num + (0,)) reads a row-major num into
+    that order, and scatter(result) reads the row-major num of the product
+    back out of it."""
     m = side = padded // n ** levels
     order = [i * padded + j for i in range(m) for j in range(m)]
     for _ in range(levels):
         order = [k + (bi * padded + bj) * side for k in order
                  for bi in range(n) for bj in range(n)]
         side *= n
-    return tuple(r * size + c if r < size and c < size else size * size
-                 for r, c in (divmod(k, padded) for k in order))
-
-
-@lru_cache(maxsize=4)
-def _movers(size: int, padded: int, n: int, levels: int):
-    """(gather, scatter) for _order: gather(num + (0,)) reads a row-major
-    num into that order, and scatter(result) reads the row-major num of
-    the product back out of it, each one itemgetter."""
-    order = _order(size, padded, n, levels)
+    order = [r * size + c if r < size and c < size else size * size
+             for r, c in (divmod(k, padded) for k in order)]
     place = [0] * size ** 2
     for i, k in enumerate(order):
         if k < size ** 2:

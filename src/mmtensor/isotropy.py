@@ -265,27 +265,20 @@ def orbit_partition_sum(partition: MonomialOrbitPartition, coeffs) -> Tensor:
 
 # -- brute-force stabilizer search over signed permutation triples ---------------
 
-def signed_permutations(n: int) -> list[SignedPerm]:
+@cache
+def signed_permutations(n: int) -> tuple[SignedPerm, ...]:
     """All n! * 2^n signed permutations, in a fixed deterministic order
     that starts with the identity."""
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            out.append(SignedPerm(tuple(zip(perm, signs))))
-    return out
-
-
-@cache
-def _signed_perms(n: int) -> tuple[SignedPerm, ...]:
-    """signed_permutations(n), kept for the stabilizer code (n <= 3)."""
-    return tuple(signed_permutations(n))
+    return tuple(SignedPerm(tuple(zip(perm, signs)))
+                 for perm in permutations(range(1, n + 1))
+                 for signs in product((1, -1), repeat=n))
 
 
 @cache
 def _product_table(n: int):
     """table[i][j]: the index in signed_permutations(n) of the matrix
     product of its elements i and j."""
-    sps = _signed_perms(n)
+    sps = signed_permutations(n)
     index = {sp.images: i for i, sp in enumerate(sps)}
 
     def times(p, q):  # column j of PQ is P applied to column j of Q
@@ -329,7 +322,7 @@ def _f3_classes(n: int):
     otherwise, against n! 2^n candidates."""
     n2 = n * n
     classes = [[{} for _ in range(n)] for _ in range(n)]
-    for bit, f3 in enumerate(_signed_perms(n)):
+    for bit, f3 in enumerate(signed_permutations(n)):
         for (l, (y, sy)), (m, (z, sz)) in product(enumerate(f3.images),
                                                   repeat=2):
             group = classes[l][m]
@@ -357,7 +350,7 @@ def _stabilizer_masks(t: Tensor):
     if n > 3:
         raise ValueError("signed-perm search supports n <= 3")
     sums = expansion(t)[1]
-    sps = _signed_perms(n)
+    sps = signed_permutations(n)
     n2, n3, n4 = n * n, n ** 3, n ** 4
     # Each entry's base-n key digits (i, j), (k, l), (m, nn), positions
     # into images; image rows are 1-based, so a key built from them is

@@ -20,7 +20,8 @@ Rational = Fraction | int
 MAX_DIGITS = 640
 _DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"
 INTEGER = re.compile(rf"[+-]?{_DIGITS}")
-RATIONAL = re.compile(rf"{INTEGER.pattern}(?:/{_DIGITS})?")  # p or p/q
+# p or p/q with q != 0: the lookahead asks q for a nonzero digit.
+RATIONAL = re.compile(rf"{INTEGER.pattern}(?:/(?=0*[1-9]){_DIGITS})?")
 
 
 def parse_int(text: str) -> int:
@@ -33,8 +34,7 @@ def parse_int(text: str) -> int:
 
 def parse_rational(text: str) -> Fraction:
     """The integer or p/q in text, ASCII digit runs of at most MAX_DIGITS
-    with an optional sign on p; ValueError for any other text,
-    ZeroDivisionError for q = 0."""
+    with an optional sign on p and q != 0; ValueError for any other text."""
     if not RATIONAL.fullmatch(text):
         raise ValueError(f"malformed rational: {text!r}")
     p, _, q = text.partition("/")

@@ -25,13 +25,11 @@ term of three matrices (group files list the identity first).
 
 from __future__ import annotations
 
-import re
 from itertools import islice
 from math import gcd, lcm
 
 from .isotropy import Isotropy, IsotropyGroup
-from .matrix import (INTEGER, MAX_DIGITS, Matrix, as_fraction, parse_int,
-                     parse_rational)
+from .matrix import RATIONAL, Matrix, as_fraction, parse_int, parse_rational
 from .tensor import MAX_CLASSICAL_SIZE, RankOneTerm, Tensor
 
 
@@ -39,16 +37,11 @@ class TensorFileError(ValueError):
     pass
 
 
-# One matrix entry p or p/q, q != 0: RATIONAL with a nonzero digit in q.
-_ENTRY = re.compile(
-    rf"{INTEGER.pattern}(?:/(?=0*[1-9])[0-9]{{1,{MAX_DIGITS}}})?")
-
-
 def _row_error(lineno: int, line: str, dim: int) -> TensorFileError | None:
     """The error of a row, None if it has none: its first token that is no
     entry p or p/q with q != 0, else a token count other than dim."""
     tokens = line.split()
-    bad = next((tok for tok in tokens if not _ENTRY.fullmatch(tok)), None)
+    bad = next((tok for tok in tokens if not RATIONAL.fullmatch(tok)), None)
     if bad is not None:
         return TensorFileError(f"line {lineno}: malformed rational {bad!r}")
     if len(tokens) != dim:
@@ -127,7 +120,7 @@ def read_tensor_file(text: str) -> Tensor:
             raise TensorFileError(f"line {lineno}: 'lambda' needs a value")
         try:
             parse_rational(value[0])
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise TensorFileError(
                 f"line {lineno}: malformed rational {value[0]!r}")
     start = 3 if key == "lambda" else 2
@@ -140,7 +133,7 @@ def read_tensor_file(text: str) -> Tensor:
         tokens = " ".join(body).split()
         entries = set(tokens)
         if (all(map(dim.__eq__, map(len, map(str.split, body))))
-                and all(map(_ENTRY.fullmatch, entries))):
+                and all(map(RATIONAL.fullmatch, entries))):
             return Tensor(dim, _terms(tokens, entries, dim))
     # numbered resumes at the logical line after the three in head.
     raise _body_error(head[start:] + list(numbered), nterms, dim)

@@ -18,9 +18,9 @@ from functools import cache
 from math import lcm
 
 from mmtensor import Matrix, RankOneTerm, Tensor, act, form_equal
-from mmtensor.matrix import parse_rational, projective_key
+from mmtensor.matrix import RATIONAL, parse_rational, projective_key
 from mmtensor.tensor import MAX_CLASSICAL_SIZE
-from mmtensor.tensorfile import _ENTRY, TensorFileError, _parse_count
+from mmtensor.tensorfile import TensorFileError, _parse_count
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -89,14 +89,15 @@ def is_form_stabilized(g, t: Tensor) -> bool:
 @cache
 def _row_pattern(dim: int) -> re.Pattern:
     """A row of exactly dim whitespace-separated entries p or p/q, q != 0."""
-    return re.compile(rf"{_ENTRY.pattern}(?:\s+{_ENTRY.pattern}){{{dim - 1}}}")
+    entry = RATIONAL.pattern
+    return re.compile(rf"{entry}(?:\s+{entry}){{{dim - 1}}}")
 
 
 def _row_error(lineno: int, line: str, dim: int) -> TensorFileError:
     """The error of a row that _row_pattern(dim) refuses: its first token
     that is no entry p or p/q with q != 0, else its entry count."""
     tokens = line.split()
-    bad = next((tok for tok in tokens if not _ENTRY.fullmatch(tok)), None)
+    bad = next((tok for tok in tokens if not RATIONAL.fullmatch(tok)), None)
     if bad is not None:
         return TensorFileError(f"line {lineno}: malformed rational {bad!r}")
     return TensorFileError(f"line {lineno}: ragged matrix, expected {dim} "
@@ -128,7 +129,7 @@ def read_tensor_file_by_lines(text: str) -> Tensor:
             raise TensorFileError(f"line {lineno}: 'lambda' needs a value")
         try:
             parse_rational(value[0])
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise TensorFileError(
                 f"line {lineno}: malformed rational {value[0]!r}")
         lineno, line = next_line()

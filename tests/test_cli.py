@@ -13,11 +13,73 @@ import mmtensor as mm
 from mmtensor import read_tensor_file, write_group_file
 from mmtensor.cli import run
 
+from conftest import three_cycle_group
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _split_strassen(x, y):
+    """Strassen with its first term, (I, I, I), split into copies x and y."""
+    first, *rest = mm.strassen().terms
+    return mm.Tensor(2, [first.scaled(x), first.scaled(y), *rest])
+
+
+def _respelled(text):
+    """text with comments, blank lines, leading spaces and CRLF endings."""
+    return "# the variant at lambda = 3/4\r\n\r\n" + "".join(
+        f"  {line}  # line {i}\r\n\r\n"
+        for i, line in enumerate(text.splitlines(), 1))
+
+
+def _dense_image(t, *rows):
+    return mm.act(mm.Isotropy(*map(mm.Matrix, rows)), t)
+
+
+_LAD, _unit = mm.laderman(), mm.Matrix.unit
+_VARIANT_3_4 = mm.write_tensor_file(mm.laderman_variant("3/4"), lam="3/4")
+# Tensor files built with the library: each name's tensor or file text.
+CRAFTED = {
+    "laderman-less-one": lambda: mm.Tensor(3, _LAD.terms[1:]),
+    # One Brent failure, ((1,2),(3,3),(1,1)), met by two projections.
+    "classical-3-plus-third": lambda: mm.Tensor(3, [
+        *mm.classical(3).terms,
+        mm.term(_unit(3, 1, 2), _unit(3, 3, 3).scale("1/3"), _unit(3, 1, 1))]),
+    # Every projection merges to no term.
+    "laderman-cancelled": lambda: mm.combine(_LAD, 1, _LAD, -1),
+    # Each pair of copies merges back into one term.
+    "laderman-doubled": lambda: mm.combine(_LAD, 2, _LAD, -1),
+    # verify reads the lowest-terms form: 1/3 + 2/3 = 1, 1/3 + 5/6 != 1.
+    "strassen-split-thirds": lambda: _split_strassen("1/3", "2/3"),
+    "strassen-split-uneven": lambda: _split_strassen("1/3", "5/6"),
+    "variant-3-4": lambda: _VARIANT_3_4,
+    "variant-3-4-respelled": lambda: _respelled(_VARIANT_3_4),
+    # Dense L.U images, whose expansion takes the packed accumulation; the
+    # p/q one has a 161-bit lane bound, three 64-bit words per lane.
+    "laderman-dense": lambda: _dense_image(
+        _LAD, [[2, 1, 1], [1, 1, 0], [1, 1, 1]],
+        [[1, 2, -1], [1, 3, -1], [-1, -1, 2]],
+        [[1, 1, 1], [1, 2, 2], [1, 2, 3]]),
+    "variant-dense-pq": lambda: _dense_image(
+        mm.laderman_variant("-1234567/7654321"),
+        [[2, "1/2", 1], [1, 1, 0], ["1/3", 1, 1]],
+        [[1, 2, -1], [1, 3, "-1/5"], [-1, -1, 2]],
+        [[1, 1, 1], [1, 2, 2], [1, "2/7", 3]]),
+}
+
+
+def spec(tmp_path, name):
+    """A builtin spec as it is, else the path of the CRAFTED file name."""
+    if name.startswith("builtin:"):
+        return name
+    made = CRAFTED[name]()
+    path = tmp_path / f"{name}.tensor"
+    path.write_text(made if isinstance(made, str)
+                    else mm.write_tensor_file(made))
+    return str(path)
 
 
 def test_verify_builtin(capsys):
@@ -31,6 +93,17 @@ def test_verify_failure_exit_code(capsys):
     assert code == 1 and out.strip() == "NOT A MULTIPLICATION TENSOR"
 
 
+# (CRAFTED name, exit code, stdout) of verify.
+VERIFY_CASES = [
+    ("laderman-less-one", 1, "NOT A MULTIPLICATION TENSOR\n"),
+    ("classical-3-plus-third", 1, "NOT A MULTIPLICATION TENSOR\n"),
+    ("strassen-split-thirds", 0, "VERIFIED n=2 terms=8\n"),
+    ("strassen-split-uneven", 1, "NOT A MULTIPLICATION TENSOR\n"),
+    ("laderman-dense", 0, "VERIFIED n=3 terms=23\n"),
+    ("variant-dense-pq", 0, "VERIFIED n=3 terms=23\n"),
+]
+
+
 def test_verify_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "t.tensor"
     code, _, _ = invoke(capsys, "construct", "winograd", "--lambda", "5/7",
@@ -38,6 +111,19 @@ def test_verify_file_roundtrip(tmp_path, capsys):
     assert code == 0
     code, out, _ = invoke(capsys, "verify", "--tensor", str(path))
     assert code == 0 and "VERIFIED n=2 terms=7" in out
+    for name, code, stdout in VERIFY_CASES:
+        assert invoke(capsys, "verify", "--tensor", spec(tmp_path, name)) == (
+            code, stdout, ""), name
+
+
+def test_comments_and_crlf_change_nothing(tmp_path, capsys):
+    """Comments, blank lines, leading spaces and CRLF endings change
+    nothing that verify and census print."""
+    plain = spec(tmp_path, "variant-3-4")
+    respelled = spec(tmp_path, "variant-3-4-respelled")
+    for command in ("verify", "census"):
+        assert invoke(capsys, command, "--tensor", respelled) == invoke(
+            capsys, command, "--tensor", plain)
 
 
 def test_type_compare(tmp_path, capsys):
@@ -112,20 +198,44 @@ def test_act_and_orbit(tmp_path, capsys):
     assert code == 0 and len(read_tensor_file(out).terms) == 28
 
 
-def test_merge(capsys):
+def test_merge(tmp_path, capsys):
     code, out, err = invoke(capsys, "merge", "--tensor",
                             "builtin:klein-orbit-sum")
     assert code == 0
     assert len(read_tensor_file(out).terms) == 19
     assert "19" in err
+    # The Klein orbit of lifted Winograd merges to the Klein orbit sum, at
+    # lambda = -3/7 by folding negative p/q leads.
+    orbit = tmp_path / "orbit.tensor"
+    for lam in ("1", "-3/7"):
+        assert invoke(capsys, "orbit", "--tensor", "builtin:lifted-winograd",
+                      "--lambda", lam, "--group", "builtin:klein",
+                      "--out", str(orbit))[0] == 0
+        assert invoke(capsys, "merge", "--tensor", str(orbit)) == (
+            0, invoke(capsys, "show", "--tensor", "builtin:klein-orbit-sum",
+                      "--lambda", lam)[1], "merged 28 -> 19 terms\n")
 
 
-def test_correction(capsys):
-    code, out, err = invoke(capsys, "correction", "--group", "builtin:klein")
-    assert code == 0
-    assert "corner coefficient 3/4" in err
-    assert "total weight 3" in err
-    read_tensor_file(out)
+_D = mm.Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+# (group, stderr, terms of R).  The 3-cycle group weighs the corner orbit
+# 2 and the two orbits of permutations of (1, 2, 3) -1; the signed group
+# {I, (D, D, D)} fixes the corner, so its stabilizer order is 2.
+CORRECTION_CASES = [
+    (mm.klein_group(), "corner coefficient 3/4 (total weight 3)\n", 7),
+    (three_cycle_group(), "corner coefficient 2 (total weight 2)\n", 9),
+    (mm.IsotropyGroup([mm.Isotropy.identity(3), mm.Isotropy(_D, _D, _D)]),
+     "corner coefficient 1/2 (total weight 1)\n", 27),
+]
+
+
+def test_correction(tmp_path, capsys):
+    """R is one integral monomial term per nonzero weight."""
+    path = tmp_path / "g.group"
+    for group, stderr, terms in CORRECTION_CASES:
+        path.write_text(write_group_file(group))
+        code, out, err = invoke(capsys, "correction", "--group", str(path))
+        assert (code, err) == (0, stderr)
+        assert "/" not in out and len(read_tensor_file(out).terms) == terms
 
 
 # A closed involution group whose generator (G, G, G), G = [[1, 1], [0, -1]],
@@ -244,6 +354,15 @@ def test_codegen(capsys):
     assert code == 0 and "# term" in out
 
 
+def test_readme_shows_what_codegen_prints(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    head = "`mmtensor codegen --tensor builtin:strassen` emits:\n\n```\n"
+    assert head in readme
+    block = readme.split(head, 1)[1].split("```\n", 1)[0]
+    assert invoke(capsys, "codegen", "--tensor",
+                  "builtin:strassen")[1] == block
+
+
 def test_codegen_refuses_two_digit_indices(capsys):
     """Atoms have one digit per index, so a111 cannot name both a(1,11)
     and a(11,1): codegen stops at n = 9."""
@@ -255,30 +374,66 @@ def test_codegen_refuses_two_digit_indices(capsys):
     assert code == 0 and out.endswith(" + a99 * b99\n")
 
 
+# (size, base, stdout) of mul --threshold 1 --seed 1.  Laderman at 81
+# runs 4 levels, whose 23**4 leaf products run in chunks under the batch
+# cap; winograd's program with temporaries runs 6 levels past the cap.
+MUL_CASES = [
+    ("4", "builtin:strassen", "size 4 multiplications 49 OK\n"),
+    ("9", "builtin:laderman-variant", "size 9 multiplications 529 OK\n"),
+    ("81", "builtin:laderman", "size 81 multiplications 279841 OK\n"),
+    ("64", "builtin:winograd", "size 64 multiplications 117649 OK\n"),
+]
+
+
 def test_mul_counts(capsys):
-    code, out, _ = invoke(capsys, "mul", "--size", "4", "--seed", "1",
-                          "--base", "builtin:strassen", "--threshold", "1")
-    assert code == 0 and "multiplications 49 OK" in out
-    code, out, _ = invoke(capsys, "mul", "--size", "9", "--seed", "1",
-                          "--base", "builtin:laderman-variant",
-                          "--threshold", "1")
-    assert code == 0 and "multiplications 529 OK" in out
+    for size, base, stdout in MUL_CASES:
+        assert invoke(capsys, "mul", "--size", size, "--seed", "1", "--base",
+                      base, "--threshold", "1") == (0, stdout, "")
 
 
-def test_stabilizer_search(capsys):
-    code, out, _ = invoke(capsys, "stabilizer-search", "--tensor",
-                          "builtin:classical-2")
-    assert code == 0 and out.strip() == "stabilizers 512"
+# (tensor, --lambda, stabilizer count).
+STABILIZER_CASES = [
+    ("builtin:classical-2", "1", 512),
+    ("builtin:klein-orbit-sum", "3/4", 2048),
+    ("builtin:lifted-winograd", "-3/7", 4096),
+    ("builtin:winograd", "2", 512),
+    ("laderman-dense", "1", 110592),
+]
 
 
-def test_census(capsys):
-    code, out, _ = invoke(capsys, "census", "--tensor", "builtin:laderman")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 27
-    assert all(ln.endswith("VERIFIED") for ln in lines)
-    assert sum(1 for ln in lines if "terms 7" in ln) == 4
-    assert sum(1 for ln in lines if "terms 8" in ln) == 23
+def test_stabilizer_search(tmp_path, capsys):
+    for name, lam, count in STABILIZER_CASES:
+        assert invoke(capsys, "stabilizer-search", "--tensor",
+                      spec(tmp_path, name), "--lambda", lam) == (
+            0, f"stabilizers {count}\n", "")
+
+
+# (tensor, n, exit code, {line end: how many of the n**3 lines end so}).
+_LADERMAN_ENDS = {" terms 7 VERIFIED": 4, " terms 8 VERIFIED": 23}
+CENSUS_CASES = [
+    ("builtin:laderman", 3, 0, _LADERMAN_ENDS),
+    ("builtin:strassen", 2, 0, {" terms 1 VERIFIED": 8}),
+    ("builtin:classical-4", 4, 0, {" terms 27 VERIFIED": 64}),
+    ("laderman-less-one", 3, 1, {" VERIFIED": 19}),
+    ("classical-3-plus-third", 3, 1, {" FAILED": 2,
+                                      "(2,1,2) terms 8 FAILED": 1,
+                                      "(3,1,2) terms 8 FAILED": 1}),
+    ("laderman-cancelled", 3, 1, {" terms 0 FAILED": 27}),
+    ("laderman-doubled", 3, 0, _LADERMAN_ENDS),
+    ("variant-3-4", 3, 0, {" VERIFIED": 27}),
+    ("laderman-dense", 3, 0, {" VERIFIED": 27}),
+]
+
+
+def test_census(tmp_path, capsys):
+    """census exits 1 if any projection fails, whichever it is."""
+    for name, n, code, ends in CENSUS_CASES:
+        got, out, err = invoke(capsys, "census", "--tensor",
+                               spec(tmp_path, name))
+        lines = out.splitlines()
+        assert (got, err, len(lines)) == (code, "", n ** 3), name
+        for end, count in ends.items():
+            assert sum(ln.endswith(end) for ln in lines) == count, (name, end)
 
 
 def test_census_tests_no_term_for_zero_again(capsys, monkeypatch):
@@ -433,20 +588,47 @@ def test_mul_leaf_bound(capsys):
 
 def python_dash_m(*argv, **env):
     """Run python -m mmtensor argv in a subprocess, with this mmtensor on
-    PYTHONPATH and env added to the environment."""
+    PYTHONPATH and env added to the environment; TimeoutExpired past 20 s."""
     src = str(Path(mm.__file__).resolve().parents[1])
     env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "mmtensor", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=120)
+                          timeout=20)
 
 
-def test_python_dash_m():
-    proc = python_dash_m("verify", "--tensor", "builtin:strassen")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "VERIFIED n=2 terms=7"
+# (argv, text of {file}, exit code, the start of stdout or stderr).  The
+# inputs that exit 2 once hung or exhausted memory.
+DASH_M_CASES = [
+    (["verify", "--tensor", "builtin:strassen"], None, 0,
+     "VERIFIED n=2 terms=7\n"),
+    (["--help"], None, 0, "usage: mmtensor [-h]"),
+    (["construct", "winograd", "--lambda", "1e99999999"], None, 2,
+     "error: malformed rational for --lambda: '1e99999999'"),
+    (["verify", "--tensor", "{file}"], "dim 1\nterms 1\nterm\n1e99999999\n",
+     2, "error: bad tensor file"),
+    (["verify", "--tensor", "builtin:classical-100000"], None, 2,
+     "error: builtin tensor classical-100000: N must lie in 1..16"),
+    (["verify", "--tensor", "{file}"], "dim 100000\nterms 0\n", 2,
+     "error: bad tensor file"),
+    (["census", "--tensor", "{file}"], "dim 17\nterms 0\n", 2,
+     "error: bad tensor file"),
+]
+
+
+def test_python_dash_m(tmp_path):
+    path = tmp_path / "input.tensor"
+    for argv, text, code, start in DASH_M_CASES:
+        if text is not None:
+            path.write_text(text)
+        proc = python_dash_m(*(a.replace("{file}", str(path)) for a in argv))
+        # Success prints on stdout alone; exit 2 prints one stderr line.
+        shown, other = ((proc.stdout, proc.stderr) if code == 0
+                        else (proc.stderr, proc.stdout))
+        assert (proc.returncode, other) == (code, ""), argv
+        assert shown.startswith(start), argv
+        assert code == 0 or len(shown.splitlines()) == 1, argv
 
 
 @pytest.mark.parametrize("limit", [{}, {"PYTHONINTMAXSTRDIGITS": "0"}],

@@ -4,7 +4,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmtensor import Matrix, as_fraction, matrix_lift, matrix_project
+from mmtensor import (Matrix, as_fraction, matrix_lift, matrix_project,
+                      winograd)
 from mmtensor.matrix import projective_key
 
 from oracles import is_invertible
@@ -105,6 +106,17 @@ def test_fraction_helpers():
     for text in ("0.5", "1e3", "1_000", "1/-2", " 1", "", "\u0661"):
         with pytest.raises(ValueError):
             as_fraction(text)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: as_fraction("1/0"), lambda: as_fraction("-3/000"),
+    lambda: Matrix([["1/0"]]), lambda: winograd("1/0")],
+    ids=["as_fraction", "zero-run", "Matrix", "winograd"])
+def test_zero_denominator_is_a_value_error(make):
+    """A p/q string with q = 0 is malformed text, refused like any other,
+    not a ZeroDivisionError from Fraction."""
+    with pytest.raises(ValueError, match="malformed rational"):
+        make()
 
 
 def test_projective_key():
