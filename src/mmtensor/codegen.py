@@ -24,10 +24,15 @@ block with coefficient 1, is its strided slice.  The streams are
 concatenated, the product index becoming the most significant digit of
 the next level's batch.  up is one pass over the zipped product streams
 and returns the n*n outputs of a position as one tuple; flattened in
-position order they are the layout down read.  A generated schoolbook
-kernel multiplies the whole batch of leaves at once.  Where the operands
-down returns would pass _BATCH_CAP entries, the level below runs on one
-product's contiguous slice at a time, which bounds memory.
+position order they are the layout down read.  B is packed once, before
+the first level: each run of m entries of a leaf row, m the leaf side,
+becomes one int with m signed lanes.  down and up are int-linear, so on
+the packed B and products they compute all m lanes at once; one
+generated kernel multiplies the whole batch of leaves, each row of a
+product the sum of A's entries times B's packed rows, and the lanes of
+the result are read back once.  Where the operands down returns would
+pass _BATCH_CAP entries, the level below runs on one product's
+contiguous slice at a time, which bounds memory.
 
 Convention note: with the trace pairing used throughout, the (1,2)
 contraction of a multiplication tensor yields the transposed product, i.e.
@@ -46,7 +51,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .matrix import Matrix, tuple_getter
-from .tensor import Tensor, is_matmul_tensor
+from .tensor import Tensor, is_matmul_tensor, signed_lanes
 from .trilinear import atoms, format_sum
 
 # A linear form: (index, coefficient) pairs with nonzero coefficients.
@@ -300,7 +305,7 @@ class MultiplyResult:
 
 # Entries the operands down returns may hold before the level below runs
 # one product at a time: at mul's largest size, 243 on laderman, this keeps
-# the peak about 22 MB above the inputs.
+# the peak about 30 MB above the inputs.
 _BATCH_CAP = 1 << 16
 
 
@@ -425,49 +430,66 @@ def _compile(t: Tensor):
 
 @lru_cache(maxsize=4)
 def _leaf(m: int):
-    """Schoolbook products of a batch of m x m row-major int lists laid end
-    to end, in one comprehension over the leaves, their rows and their
-    columns.  Inner products are unrolled, so the source grows as m, not
-    m**3."""
+    """Products of a batch of m x m leaves laid end to end, A's as
+    row-major ints and B's as m packed rows: row i of a product is the sum
+    of a_ik times packed row k of B, one packed int, in one comprehension
+    over the leaves and A's rows.  The sum is unrolled, so the source grows
+    as m, and a leaf takes m**2 multiplications of an int by a packed
+    row."""
     xs = ", ".join(f"x{k}" for k in range(m)) + ","
     ys = xs.replace("x", "y")
     body = " + ".join(f"x{k}*y{k}" for k in range(m))
     env = {}
     exec("def leaf(X, Y):\n"
          f"    rows = zip(*[zip(*[iter(X)] * {m})] * {m})\n"
-         f"    cols = zip(*[zip(*[iter(Y[u::{m}])] * {m}) "
-         f"for u in range({m})])\n"
-         f"    return [{body} for R, C in zip(rows, cols)\n"
-         f"            for {xs} in R for {ys} in C]\n", env)
+         f"    return [{body} for R, ({ys}) in zip(rows, "
+         f"zip(*[iter(Y)] * {m}))\n"
+         f"            for {xs} in R]\n", env)
     return env["leaf"]
 
 
 @lru_cache(maxsize=4)
 def _movers(size: int, padded: int, n: int, levels: int):
-    """(gather, scatter), each one itemgetter, for the row-major indices of
-    a size x size matrix zero-padded to padded x padded, in digit-reversed
-    order, size**2 at each padding position: position i + n*n*j holds
-    position j, in this order itself, of the top-level block i (row-major),
-    down to row-major leaves of side padded // n**levels.  So block i is
-    the strided slice [i::n*n], the leaf entry is the most significant
-    digit, and the same holds for the operands of every level: down puts
-    each product's batch of subproblems whole, one after another, above
-    their block digits.  gather(num + (0,)) reads a row-major num into
-    that order, and scatter(result) reads the row-major num of the product
-    back out of it."""
+    """(gather, pack, scatter) for the row-major indices of a size x size
+    matrix zero-padded to padded x padded, size**2 at each padding
+    position, in digit-reversed order: position i + n*n*j holds position
+    j, in this order itself, of the top-level block i (row-major), down to
+    leaves of side m = padded // n**levels.  So block i is the strided
+    slice [i::n*n], the leaf's digits are the most significant, and the
+    same holds for the operands of every level: down puts each product's
+    batch of subproblems whole, one after another, above their block
+    digits.
+
+    gather(num + (0,)) reads a row-major num into that order with
+    row-major leaves.  pack(num + (0,), s) reads it into the packed order,
+    which has one position per leaf row, holding the row's m entries as
+    lanes of s bits, and scatter reads the row-major num of the product
+    back out of the lanes of a packed result, position after position."""
     m = side = padded // n ** levels
-    order = [i * padded + j for i in range(m) for j in range(m)]
+    rows = [i * padded for i in range(m)]
     for _ in range(levels):
-        order = [k + (bi * padded + bj) * side for k in order
-                 for bi in range(n) for bj in range(n)]
+        rows = [k + (bi * padded + bj) * side for k in rows
+                for bi in range(n) for bj in range(n)]
         side *= n
-    order = [r * size + c if r < size and c < size else size * size
-             for r, c in (divmod(k, padded) for k in order)]
+    blocks = len(rows) // m
+    packed = [r * size + c if r < size and c < size else size * size
+              for r, c in (divmod(k + j, padded) for k in rows
+                           for j in range(m))]
     place = [0] * size ** 2
-    for i, k in enumerate(order):
+    for i, k in enumerate(packed):
         if k < size ** 2:
             place[k] = i
-    return tuple_getter(order), tuple_getter(place)
+    gather = tuple_getter([packed[(i * blocks + k) * m + c] for i in range(m)
+                           for c in range(m) for k in range(blocks)])
+    lanes = [tuple_getter(packed[c::m]) for c in range(m)]
+
+    def pack(num, s):
+        Y = lanes[-1](num)
+        for lane in reversed(lanes[:-1]):
+            Y = [(y << s) + x for y, x in zip(Y, lane(num))]
+        return Y
+
+    return gather, pack, tuple_getter(place)
 
 
 def blocking(t: Tensor, size: int, threshold: int = 1):
@@ -520,7 +542,8 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
     def run(X, Y, depth):
         # Levels depth.. of X and Y: one down per level over the whole batch
         # while it fits under the cap; past it the level below runs on one
-        # product's slice at a time.  Then one up per level descended.
+        # product's slice of each at a time.  Then one up per level
+        # descended.
         top = depth
         while depth < levels and len(X) * products <= _BATCH_CAP * n * n:
             X, Y = down(X, Y)
@@ -530,17 +553,26 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
         else:
             X, Y = down(X, Y)
             depth += 1
-            q = len(X) // products
-            P = list(chain.from_iterable(run(X[i:i + q], Y[i:i + q], depth)
-                                         for i in range(0, len(X), q)))
+            qx, qy = len(X) // products, len(Y) // products
+            P = list(chain.from_iterable(
+                run(X[i * qx:(i + 1) * qx], Y[i * qy:(i + 1) * qy], depth)
+                for i in range(products)))
         del X, Y  # up's outputs need not share the peak with the operands
         for _ in range(top, depth):
             P = up(P)
         return P
 
-    gather, scatter = _movers(a.rows, padded, n, levels)
+    gather, pack, scatter = _movers(a.rows, padded, n, levels)
+    # Each final lane is scale**levels times an entry of a.num @ b.num, a
+    # sum of a.rows products, and lanes of 64 * words bits hold every value
+    # below 2**(64 * words - 1) in magnitude.  Every step is int-linear in
+    # the packed B, so no intermediate value needs a bound.
+    bound = (scale ** levels * a.rows * max(map(abs, a.num))
+             * max(map(abs, b.num)))
+    words = (bound.bit_length() + 64) // 64
     # the 0 appended to num is read at every padding position
-    product = run(gather(a.num + (0,)), gather(b.num + (0,)), 0)
+    product = signed_lanes(run(gather(a.num + (0,)),
+                               pack(b.num + (0,), 64 * words), 0), m, words)
     return MultiplyResult(
         product=Matrix.from_ints(a.den * b.den * scale ** levels, a.rows,
                                  scatter(product)),

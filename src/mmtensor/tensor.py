@@ -186,6 +186,30 @@ def _direct_sums(big_d: int, cleared) -> dict[int, int]:
     return sums
 
 
+def signed_lanes(values, count: int, words: int) -> list[int]:
+    """The lanes of the ints in values, a list or dict values, lowest lane
+    first, value after value: each value is the sum of v_k 2^(s k) over
+    count lanes v_k of s = 64 words bits, each v_k in [-2^(s-1), 2^(s-1)).
+    Adding 2^(s-1) to every lane makes each lane nonnegative and below 2^s,
+    and flipping its top bit then leaves v_k in two's complement, so the
+    values' bytes, in host order, are the lanes' words; one word is a
+    signed lane."""
+    s = 64 * words
+    tops = sum(1 << s * k + s - 1 for k in range(count))
+    little = sys.byteorder == "little"
+    data = bytearray()
+    for v in values if little else reversed(values):
+        data += ((v + tops) ^ tops).to_bytes(count * s // 8, sys.byteorder)
+    lanes = memoryview(data).cast("q" if words == 1 else "Q").tolist()
+    if not little:
+        lanes.reverse()
+    if words > 1:
+        lanes = [sum(x << 64 * j for j, x in enumerate(lanes[i:i + words]))
+                 for i in range(0, len(lanes), words)]
+        lanes = [v - (v >> s - 1 << s) for v in lanes]
+    return lanes
+
+
 def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
     """_direct_sums without its zero sums, by Kronecker substitution.
 
@@ -193,9 +217,8 @@ def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
     c's entry at lane fc, and added, times w va vb, to the accumulator of
     each (a, b) entry pair.  A lane sums one product per term, so no lane
     or partial sum passes B = sum of w max|a| max|b| max|c| over the
-    terms; s is the least multiple of 64 with 2^(s-1) > B.  Adding
-    2^(s-1) to every lane makes each lane nonnegative and below 2^s, so
-    the accumulators' bytes, in host order, are the lanes' s/64 words."""
+    terms; s is the least multiple of 64 with 2^(s-1) > B, and
+    signed_lanes reads the lanes back."""
     bound = sum(big_d // d * max(abs(v) for _, v in a)
                 * max(abs(v) for _, v in b) * max(abs(v) for _, v in c)
                 for d, a, b, c in cleared)
@@ -210,20 +233,9 @@ def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
             for kb, vb in b:
                 kab = ka + kb
                 accs[kab] = accs.get(kab, 0) + wa * vb * packed
-    half = 1 << s - 1
-    offset = sum(half << s * k for k in range(n2))
-    little = sys.byteorder == "little"
-    parts = [(acc + offset).to_bytes(n2 * s // 8, sys.byteorder)
-             for acc in accs.values()]
-    lanes = memoryview(b"".join(parts if little else parts[::-1])
-                       ).cast("Q").tolist()
-    if not little:
-        lanes.reverse()
-    if words > 1:
-        lanes = [sum(x << 64 * j for j, x in enumerate(lanes[i:i + words]))
-                 for i in range(0, len(lanes), words)]
     keys = (kab + fc for kab in accs for fc in range(n2))
-    return {key: v - half for key, v in zip(keys, lanes) if v != half}
+    return {key: v for key, v in
+            zip(keys, signed_lanes(accs.values(), n2, words)) if v}
 
 
 def _decoder(n: int):

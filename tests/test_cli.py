@@ -374,21 +374,28 @@ def test_codegen_refuses_two_digit_indices(capsys):
     assert code == 0 and out.endswith(" + a99 * b99\n")
 
 
-# (size, base, stdout) of mul --threshold 1 --seed 1.  Laderman at 81
-# runs 4 levels, whose 23**4 leaf products run in chunks under the batch
-# cap; winograd's program with temporaries runs 6 levels past the cap.
+# (size, base, threshold, stdout) of mul --seed 1.  Laderman at 81 runs 4
+# levels, whose 23**4 leaf products run in chunks under the batch cap;
+# winograd's program with temporaries runs 6 levels past the cap.
+# Laderman at 243 over 81 runs 23 packed leaves of side 81, and
+# classical-1 one leaf of side 100.
 MUL_CASES = [
-    ("4", "builtin:strassen", "size 4 multiplications 49 OK\n"),
-    ("9", "builtin:laderman-variant", "size 9 multiplications 529 OK\n"),
-    ("81", "builtin:laderman", "size 81 multiplications 279841 OK\n"),
-    ("64", "builtin:winograd", "size 64 multiplications 117649 OK\n"),
+    ("4", "builtin:strassen", "1", "size 4 multiplications 49 OK\n"),
+    ("9", "builtin:laderman-variant", "1",
+     "size 9 multiplications 529 OK\n"),
+    ("81", "builtin:laderman", "1", "size 81 multiplications 279841 OK\n"),
+    ("64", "builtin:winograd", "1", "size 64 multiplications 117649 OK\n"),
+    ("243", "builtin:laderman", "81",
+     "size 243 multiplications 12223143 OK\n"),
+    ("100", "builtin:classical-1", "1",
+     "size 100 multiplications 1000000 OK\n"),
 ]
 
 
 def test_mul_counts(capsys):
-    for size, base, stdout in MUL_CASES:
+    for size, base, threshold, stdout in MUL_CASES:
         assert invoke(capsys, "mul", "--size", size, "--seed", "1", "--base",
-                      base, "--threshold", "1") == (0, stdout, "")
+                      base, "--threshold", threshold) == (0, stdout, "")
 
 
 # (tensor, --lambda, stabilizer count).
@@ -509,7 +516,7 @@ def test_bad_tensor_file_counts(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
-_E3 = mm.Matrix.identity(3)
+_I3 = mm.Matrix.identity(3)
 _SWAP12 = mm.Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 _ACT = ["act", "--tensor", "builtin:laderman", "--iso"]
 
@@ -519,11 +526,11 @@ BAD_INPUT_FILES = [
      ["orbit", "--tensor", "builtin:laderman", "--group"],
      "cannot read group file"),
     ("group-without-identity-first",
-     mm.write_tensor_file(mm.Tensor(3, [mm.term(_SWAP12, _SWAP12, _E3),
-                                        mm.term(_E3, _E3, _E3)])),
+     mm.write_tensor_file(mm.Tensor(3, [mm.term(_SWAP12, _SWAP12, _I3),
+                                        mm.term(_I3, _I3, _I3)])),
      ["correction", "--group"], "first group element must be the identity"),
     ("singular-iso",
-     mm.write_tensor_file(mm.Tensor(3, [mm.term(_E3, _E3,
+     mm.write_tensor_file(mm.Tensor(3, [mm.term(_I3, _I3,
                                                 mm.Matrix.unit(3, 1, 1))])),
      _ACT, "singular isotropy factor"),
     ("iso-without-elements", "dim 3\nterms 0\n", _ACT, "is empty"),

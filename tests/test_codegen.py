@@ -342,10 +342,13 @@ def _base(name, lam):
             "winograd": lambda: mm.winograd(lam)}[name]()
 
 
+# The large branch makes the packed lanes of B and of the product wider
+# than one 64-bit word.
 _entries = st.one_of(
     st.integers(-99, 99).map(Fraction),
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
-              st.integers(1, 10 ** 6)))
+              st.integers(1, 10 ** 6)),
+    st.integers(-10 ** 40, 10 ** 40).map(Fraction))
 
 
 @st.composite
@@ -490,6 +493,53 @@ def test_compiled_program_proof_refuses_mutants(make):
     for mutant in mutants:
         with pytest.raises(RuntimeError, match="does not compute"):
             codegen._prove(mutant, *codegen._build(mutant))
+
+
+# (id, base, size, threshold): two levels over leaves of side 2 or 3, and
+# a dim-1 base whose one leaf is the whole operand.
+_EDGE_SHAPES = [
+    ("strassen", mm.strassen, 8, 2), ("laderman", mm.laderman, 27, 3),
+    ("variant-3/4", lambda: mm.laderman_variant(Fraction(3, 4)), 27, 3),
+    ("classical-1", lambda: mm.classical(1), 5, 1),
+]
+
+
+def _least_reaching(bits, c):
+    """The least M with c * M**2 >= 2**bits."""
+    m = math.isqrt(-(-(1 << bits) // c))
+    while c * m * m < 1 << bits:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("make, size, threshold",
+                         [shape[1:] for shape in _EDGE_SHAPES],
+                         ids=[shape[0] for shape in _EDGE_SHAPES])
+@pytest.mark.parametrize("magnitude", ["99", "640 digits", "2**63",
+                                       "2**4223"])
+def test_recursive_multiply_lanes_at_the_bound(make, size, threshold,
+                                               magnitude):
+    """Every product lane at the bound the lane width is chosen from,
+    scale**levels * size * M**2, with both signs: row i of A is s_k * M
+    over k, and column j of B is s_k * M times t_j, so entry (i, j) of
+    a.num @ b.num is t_j * size * M**2.  M is 99, a 640-digit number, or
+    the least M that takes the bound to 2**63 or 2**4223, where lanes one
+    bit narrower than the bound needs would overflow."""
+    t = make()
+    scale = codegen._compile(t)[4]
+    levels = mm.blocking(t, size, threshold)[1]
+    c = scale ** levels * size
+    m = {"99": 99, "640 digits": 10 ** 639,
+         "2**63": _least_reaching(63, c),
+         "2**4223": _least_reaching(4223, c)}[magnitude]
+    signs = [(-1) ** (k * k // 3) for k in range(size)]
+    a = Matrix([[s * m for s in signs] for _ in range(size)])
+    b = Matrix([[s * m * (-1) ** j for j in range(size)] for s in signs])
+    want = Matrix([[size * m * m * (-1) ** j for j in range(size)]
+                   for _ in range(size)])
+    assert a @ b == want
+    res = mm.recursive_multiply(t, a, b, threshold=threshold)
+    assert res.product == want
 
 
 def test_equal_tensors_share_one_compiled_program(rng):
