@@ -51,7 +51,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .matrix import Matrix, tuple_getter
-from .tensor import Tensor, is_matmul_tensor, signed_lanes
+from .tensor import Tensor, is_matmul_tensor, lane_bits, signed_lanes
 from .trilinear import atoms, format_sum
 
 # A linear form: (index, coefficient) pairs with nonzero coefficients.
@@ -378,7 +378,10 @@ def _lane_bits(side: _Side) -> int:
     """A lane width w with 2**(w-1) above every coefficient of the cleared
     forms and every one the side's literals can make: a temporary is at
     most |alpha| + |beta| times any earlier variable, a form at most the
-    sum of its |coefficients| times any variable."""
+    sum of its |coefficients| times any variable.  The width is minimal,
+    not tensor.lane_bits's whole words: the proof compares packed ints and
+    never reads a lane back, and wider lanes make every packed value, so
+    the proof, several times slower."""
     top = 1
     for _, _, alpha, beta in side.temps:
         top *= abs(alpha) + abs(beta)
@@ -564,15 +567,13 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
 
     gather, pack, scatter = _movers(a.rows, padded, n, levels)
     # Each final lane is scale**levels times an entry of a.num @ b.num, a
-    # sum of a.rows products, and lanes of 64 * words bits hold every value
-    # below 2**(64 * words - 1) in magnitude.  Every step is int-linear in
-    # the packed B, so no intermediate value needs a bound.
-    bound = (scale ** levels * a.rows * max(map(abs, a.num))
-             * max(map(abs, b.num)))
-    words = (bound.bit_length() + 64) // 64
+    # sum of a.rows products.  Every step is int-linear in the packed B, so
+    # no intermediate value needs a bound.
+    s = lane_bits(scale ** levels * a.rows * max(map(abs, a.num))
+                  * max(map(abs, b.num)))
     # the 0 appended to num is read at every padding position
-    product = signed_lanes(run(gather(a.num + (0,)),
-                               pack(b.num + (0,), 64 * words), 0), m, words)
+    product = signed_lanes(run(gather(a.num + (0,)), pack(b.num + (0,), s),
+                               0), m, s)
     return MultiplyResult(
         product=Matrix.from_ints(a.den * b.den * scale ** levels, a.rows,
                                  scatter(product)),

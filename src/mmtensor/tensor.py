@@ -12,7 +12,7 @@ factors up to scale, read each factor m as its flat factor (m.den, m.num).
 
 from __future__ import annotations
 
-import sys
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,13 +63,11 @@ class RankOneTerm:
         (alpha a, beta b, c/(alpha beta)).  ValueError for a zero term."""
         if self.is_zero():
             raise ValueError("a zero term has no key")
-        c = self.c.scale(_lead(self.a) * _lead(self.b))
-        return projective_key(self.a), projective_key(self.b), (c.den, c.num)
-
-
-def _lead(m: Matrix) -> Fraction:
-    """The first nonzero entry of the nonzero matrix m, row-major."""
-    return Fraction(_first(m.num), m.den)
+        a, b, c = self.a, self.b, self.c
+        lead = _first(a.num) * _first(b.num)
+        c = Matrix.from_ints(c.den * a.den * b.den, c.cols,
+                             [v * lead for v in c.num])
+        return projective_key(a), projective_key(b), (c.den, c.num)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,28 +184,29 @@ def _direct_sums(big_d: int, cleared) -> dict[int, int]:
     return sums
 
 
-def signed_lanes(values, count: int, words: int) -> list[int]:
+def lane_bits(bound: int) -> int:
+    """The Kronecker lane width: the least multiple s of 64 with
+    2^(s-1) > bound, so a lane of s bits holds every int of magnitude at
+    most bound in two's complement, in whole 64-bit words."""
+    return 64 * ((bound.bit_length() + 64) // 64)
+
+
+def signed_lanes(values, count: int, s: int) -> list[int]:
     """The lanes of the ints in values, a list or dict values, lowest lane
     first, value after value: each value is the sum of v_k 2^(s k) over
-    count lanes v_k of s = 64 words bits, each v_k in [-2^(s-1), 2^(s-1)).
-    Adding 2^(s-1) to every lane makes each lane nonnegative and below 2^s,
-    and flipping its top bit then leaves v_k in two's complement, so the
-    values' bytes, in host order, are the lanes' words; one word is a
-    signed lane."""
-    s = 64 * words
+    count lanes v_k of s bits (a multiple of 64), each v_k in
+    [-2^(s-1), 2^(s-1)).  Adding 2^(s-1) to every lane makes each lane
+    nonnegative and below 2^s, and flipping its top bit then leaves v_k in
+    two's complement, so the values' little-endian bytes are the lanes'."""
     tops = sum(1 << s * k + s - 1 for k in range(count))
-    little = sys.byteorder == "little"
     data = bytearray()
-    for v in values if little else reversed(values):
-        data += ((v + tops) ^ tops).to_bytes(count * s // 8, sys.byteorder)
-    lanes = memoryview(data).cast("q" if words == 1 else "Q").tolist()
-    if not little:
-        lanes.reverse()
-    if words > 1:
-        lanes = [sum(x << 64 * j for j, x in enumerate(lanes[i:i + words]))
-                 for i in range(0, len(lanes), words)]
-        lanes = [v - (v >> s - 1 << s) for v in lanes]
-    return lanes
+    for v in values:
+        data += ((v + tops) ^ tops).to_bytes(count * s // 8, "little")
+    if s == 64:
+        return list(struct.unpack(f"<{len(data) // 8}q", data))
+    view, w = memoryview(data), s // 8
+    return [int.from_bytes(view[i:i + w], "little", signed=True)
+            for i in range(0, len(data), w)]
 
 
 def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
@@ -217,13 +216,11 @@ def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
     c's entry at lane fc, and added, times w va vb, to the accumulator of
     each (a, b) entry pair.  A lane sums one product per term, so no lane
     or partial sum passes B = sum of w max|a| max|b| max|c| over the
-    terms; s is the least multiple of 64 with 2^(s-1) > B, and
-    signed_lanes reads the lanes back."""
+    terms; s is lane_bits(B), and signed_lanes reads the lanes back."""
     bound = sum(big_d // d * max(abs(v) for _, v in a)
                 * max(abs(v) for _, v in b) * max(abs(v) for _, v in c)
                 for d, a, b, c in cleared)
-    words = (bound.bit_length() + 64) // 64
-    s = 64 * words
+    s = lane_bits(bound)
     accs = {}
     for d, a, b, c in cleared:
         w = big_d // d
@@ -235,7 +232,7 @@ def _packed_sums(big_d: int, cleared, n2: int) -> dict[int, int]:
                 accs[kab] = accs.get(kab, 0) + wa * vb * packed
     keys = (kab + fc for kab in accs for fc in range(n2))
     return {key: v for key, v in
-            zip(keys, signed_lanes(accs.values(), n2, words)) if v}
+            zip(keys, signed_lanes(accs.values(), n2, s)) if v}
 
 
 def _decoder(n: int):

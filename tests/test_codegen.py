@@ -516,21 +516,22 @@ def _least_reaching(bits, c):
                          [shape[1:] for shape in _EDGE_SHAPES],
                          ids=[shape[0] for shape in _EDGE_SHAPES])
 @pytest.mark.parametrize("magnitude", ["99", "640 digits", "2**63",
-                                       "2**4223"])
+                                       "2**127", "2**4223"])
 def test_recursive_multiply_lanes_at_the_bound(make, size, threshold,
                                                magnitude):
     """Every product lane at the bound the lane width is chosen from,
     scale**levels * size * M**2, with both signs: row i of A is s_k * M
     over k, and column j of B is s_k * M times t_j, so entry (i, j) of
     a.num @ b.num is t_j * size * M**2.  M is 99, a 640-digit number, or
-    the least M that takes the bound to 2**63 or 2**4223, where lanes one
-    bit narrower than the bound needs would overflow."""
+    the least M that takes the bound to 2**63, 2**127 or 2**4223, where
+    lanes one bit narrower than the bound needs would overflow."""
     t = make()
     scale = codegen._compile(t)[4]
     levels = mm.blocking(t, size, threshold)[1]
     c = scale ** levels * size
     m = {"99": 99, "640 digits": 10 ** 639,
          "2**63": _least_reaching(63, c),
+         "2**127": _least_reaching(127, c),
          "2**4223": _least_reaching(4223, c)}[magnitude]
     signs = [(-1) ** (k * k // 3) for k in range(size)]
     a = Matrix([[s * m for s in signs] for _ in range(size)])

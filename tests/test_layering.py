@@ -86,3 +86,14 @@ def test_no_module_flattens_matrix_num():
                 and any(isinstance(arg, ast.Attribute) and arg.attr == "num"
                         for arg in node.args)]
     assert flattens == []
+
+
+def test_no_module_reads_the_host_byte_order():
+    """Kronecker lanes are read as little-endian bytes on every host, so
+    no module asks which byte order the host has."""
+    reads = [f"{name}.py:{node.lineno}"
+             for name, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "byteorder"
+             or isinstance(node, ast.ImportFrom) and node.module == "sys"
+             and any(a.name == "byteorder" for a in node.names)]
+    assert reads == []

@@ -448,6 +448,40 @@ def test_packed_lanes_at_the_bound(values):
         assert packed == direct
 
 
+def _lane_values(s, count, rng):
+    """(lanes, values): values of count signed s-bit lanes each, lowest
+    lane first, at least eight lanes in all; the lanes are both extremes,
+    0 and -1, then random ints in range alternating with those four, and
+    each value is the sum of lane_k 2^(s k)."""
+    top = 1 << s - 1
+    pool = [-top, top - 1, 0, -1]
+    lanes = pool + [pool[i % 4] if i % 2 else rng.randrange(-top, top)
+                    for i in range(count * (8 // count + 2) - 4)]
+    values = [sum(v << s * k for k, v in enumerate(lanes[i:i + count]))
+              for i in range(0, len(lanes), count)]
+    return lanes, values
+
+
+@pytest.mark.parametrize("count", [1, 3, 9, 81])
+@pytest.mark.parametrize("s", [64, 128, 192, 256])
+def test_signed_lanes_round_trips(s, count, rng):
+    """signed_lanes reads back every lane packed into a list of values, a
+    dict's values, or nothing, whatever the lane width."""
+    lanes, values = _lane_values(s, count, rng)
+    assert tensor.signed_lanes(values, count, s) == lanes
+    by_key = dict(enumerate(values))
+    assert tensor.signed_lanes(by_key.values(), count, s) == lanes
+    assert tensor.signed_lanes([], count, s) == []
+    assert tensor.signed_lanes({}.values(), count, s) == []
+
+
+@pytest.mark.parametrize("bound, bits", [
+    (0, 64), (2 ** 63 - 1, 64), (2 ** 63, 128), (2 ** 127 - 1, 128),
+    (2 ** 127, 192)])
+def test_lane_bits_is_the_least_word_multiple_above_the_bound(bound, bits):
+    assert tensor.lane_bits(bound) == bits
+
+
 @pytest.mark.parametrize("make, packs", [
     (mm.laderman, False),
     (lambda: mm.laderman_variant(Fraction(3, 4)), False),
