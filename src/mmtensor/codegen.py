@@ -34,11 +34,9 @@ the result are read back once.  Where the operands down returns would
 pass _BATCH_CAP entries, the level below runs on one product's
 contiguous slice at a time, which bounds memory.
 
-Convention note: with the trace pairing used throughout, the (1,2)
-contraction of a multiplication tensor yields the transposed product, i.e.
-contract12(t, A, B) == (A.B)^T.  Schedules and recursive_multiply fold the
-final transpose in, so they compute A.B itself: the form of output entry
-(s,u) collects the (u,s) coefficients of the c factors.
+tensor.contract12 yields the transposed product (A.B)^T; schedules fold
+that transpose in, so the form of output entry (s,u) collects the (u,s)
+coefficients of the c factors and recursive_multiply computes A.B itself.
 """
 
 from __future__ import annotations
@@ -56,18 +54,6 @@ from .trilinear import atoms, format_sum
 
 # A linear form: (index, coefficient) pairs with nonzero coefficients.
 Form = tuple[tuple[int, Fraction], ...]
-
-
-def contract12(t: Tensor, a: Matrix, b: Matrix) -> Matrix:
-    """Sum of trace(Ta^T A) trace(Tb^T B) Tc over the terms.
-
-    For a verified multiplication tensor the result D satisfies D^T == A.B.
-    """
-    if not (a.rows == a.cols == b.rows == b.cols == t.dim):
-        raise ValueError("contract12 expects square matrices of the tensor "
-                         "dimension")
-    return sum((tm.c.scale(tm.a.trace_pair(a) * tm.b.trace_pair(b))
-                for tm in t.terms), Matrix.zeros(t.dim))
 
 
 @dataclass(frozen=True)
@@ -503,14 +489,14 @@ def blocking(t: Tensor, size: int, threshold: int = 1):
     products**d subproblems and the leaf kernel on products**levels pairs
     of m x m blocks, each in one pass unless the batch cap splits a level
     above it by product.  Raises ValueError when t is not a multiplication
-    tensor."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+    tensor, or threshold is below 1."""
     return _blocking(_compile(t), size, threshold)
 
 
 def _blocking(compiled, size: int, threshold: int):
     """blocking for the _compile result of its tensor."""
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
     n, products = compiled[:2]
     padded, levels = size, 0
     if n > 1:
@@ -531,13 +517,11 @@ def recursive_multiply(t: Tensor, a: Matrix, b: Matrix,
     Inputs are zero-padded up to the next power of t.dim; blocks below the
     threshold fall back to schoolbook.  scalar_multiplications counts the
     entry-level multiplications actually performed.  Raises ValueError when
-    t is not a multiplication tensor.
+    t is not a multiplication tensor, or threshold is below 1.
     """
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("recursive_multiply expects square matrices of "
                          "equal size")
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
     compiled = _compile(t)
     padded, levels, m, count = _blocking(compiled, a.rows, threshold)
     n, products, down, up, scale = compiled

@@ -127,10 +127,6 @@ def compose(g: Isotropy, h: Isotropy) -> Isotropy:
     return Isotropy(g.g1 @ h.g1, g.g2 @ h.g2, g.g3 @ h.g3)
 
 
-def inverse(g: Isotropy) -> Isotropy:
-    return Isotropy(g.g1.inverse(), g.g2.inverse(), g.g3.inverse())
-
-
 class IsotropyGroup:
     """A finite group of isotropies, the first being the identity.
 

@@ -427,12 +427,19 @@ def form_equal(t1: Tensor, t2: Tensor) -> bool:
     return expansion(t1) == expansion(t2)
 
 
+def contract12(t: Tensor, a: Matrix, b: Matrix) -> Matrix:
+    """Sum of trace(Ta^T A) trace(Tb^T B) Tc over the terms, the (1,2)
+    contraction.  With the trace pairing used throughout, a verified
+    multiplication tensor yields the transposed product: the result D
+    satisfies D^T == A.B."""
+    if not (a.rows == a.cols == b.rows == b.cols == t.dim):
+        raise ValueError("contract12 expects square matrices of the tensor "
+                         "dimension")
+    return sum((tm.c.scale(tm.a.trace_pair(a) * tm.b.trace_pair(b))
+                for tm in t.terms), Matrix.zeros(t.dim))
+
+
 def full_contraction(t: Tensor, a: Matrix, b: Matrix, c: Matrix) -> Fraction:
-    """Trace pairing <T | A (x) B (x) C>, the value of the trilinear form."""
-    for m in (a, b, c):
-        if not (m.rows == m.cols == t.dim):
-            raise ValueError("contraction matrix dimension mismatch")
-    total = Fraction(0)
-    for tm in t.terms:
-        total += tm.a.trace_pair(a) * tm.b.trace_pair(b) * tm.c.trace_pair(c)
-    return total
+    """Trace pairing <T | A (x) B (x) C>, the value of the trilinear form:
+    the trace pairing of contract12(t, A, B) with C."""
+    return contract12(t, a, b).trace_pair(c)

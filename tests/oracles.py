@@ -11,13 +11,16 @@ errors.
 `Matrix` factors: keys by `projective_key`, leads as Fractions and each
 fold by `Matrix.scale` and `+`, so a differential test against it checks
 the flat-int fold of `mmtensor.tensor`.
+
+`inverse` is the isotropy of the three inverse factors; only the test of
+the left action composes it.
 """
 
 import re
 from functools import cache
 from math import lcm
 
-from mmtensor import Matrix, RankOneTerm, Tensor, act, form_equal
+from mmtensor import Isotropy, Matrix, RankOneTerm, Tensor, act, form_equal
 from mmtensor.matrix import RATIONAL, parse_rational, projective_key
 from mmtensor.tensor import MAX_CLASSICAL_SIZE
 from mmtensor.tensorfile import TensorFileError, _parse_count
@@ -25,6 +28,12 @@ from mmtensor.tensorfile import TensorFileError, _parse_count
 
 def is_invertible(m: Matrix) -> bool:
     return m.is_square() and m.rank() == m.rows
+
+
+def inverse(g: Isotropy) -> Isotropy:
+    """The isotropy of the three inverse factors: compose(g, inverse(g))
+    acts as the identity."""
+    return Isotropy(g.g1.inverse(), g.g2.inverse(), g.g3.inverse())
 
 
 def perm_matrix(sp) -> Matrix:

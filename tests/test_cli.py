@@ -328,6 +328,9 @@ def test_group_check_accepts_exactly_klein_subgroups(fuzz_dir, rest):
     elements = [klein[i] for i in idx]
     is_group = len(set(idx)) == len(idx) and set(idx) in KLEIN_SUBGROUPS
     path = fuzz_dir / "klein-subset.group"
+    # A fresh file, not a truncated one: rewriting a file just written can
+    # wait for the filesystem to flush it.
+    path.unlink(missing_ok=True)
     path.write_text(_group_text(elements))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -831,6 +834,7 @@ def test_run_closed_error_surface(fuzz_dir, command, files, values):
     nothing."""
     for kind, text in files.items():
         path = fuzz_dir / f"{kind}.txt"
+        path.unlink(missing_ok=True)  # a fresh file; see the Klein test
         path.write_text(text)
         values[kind] = str(path)
     values["other"] = values["other"].format(**values)

@@ -295,6 +295,9 @@ def test_blocking():
     assert mm.blocking(mm.classical(9), 82) == (729, 3, 1, 729 ** 3)
     with pytest.raises(ValueError, match="threshold"):
         mm.blocking(mm.strassen(), 4, threshold=-1)
+    with pytest.raises(ValueError, match="threshold"):
+        mm.recursive_multiply(mm.strassen(), Matrix.identity(4),
+                              Matrix.identity(4), threshold=0)
 
 
 def test_recursive_multiply_matches_schoolbook_all_sizes(rng):

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 import mmtensor as mm
 from mmtensor import isotropy
 from mmtensor import (Isotropy, IsotropyGroup, Matrix, MonomialOrbitPartition,
-                      Tensor, act, compose, inverse)
+                      Tensor, act, compose)
 from mmtensor.isotropy import (SignedPerm, monomial_stabilizer_count,
                                signed_permutations)
 
 from conftest import canonical_terms, rand_matrix, three_cycle_group
-from oracles import is_form_stabilized, is_invertible, perm_matrix
+from oracles import inverse, is_form_stabilized, is_invertible, perm_matrix
 
 
 # Orbits of the four-group of row/column-12 swaps acting on the 27
@@ -68,6 +68,11 @@ def test_act_is_left_action(rng):
     g, h = gs
     assert act(compose(g, h), t) == act(g, act(h, t))
     assert act(compose(g, inverse(g)), t) == act(Isotropy.identity(2), t)
+
+
+def test_act_refuses_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="isotropy/tensor dimension mismatch"):
+        act(Isotropy.identity(2), mm.laderman())
 
 
 def test_adjunction(rng):
