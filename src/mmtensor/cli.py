@@ -10,8 +10,10 @@ Exit codes: 0 success / verified, 1 failed check, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
+import stat
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -86,13 +88,16 @@ def _load_group(spec: str):
 
 
 def _output_tensor(t: Tensor, out: str | None, lam: Fraction | None = None):
+    """Rewrite out in place: truncating on open waits for an ext4 flush."""
     text = write_tensor_file(t, lam)
     if not out:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # ftruncate fails on /dev/null, FIFOs, ttys
     except OSError as exc:
         raise CliError(f"cannot write tensor file {out}: {exc}")
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -483,14 +484,74 @@ def test_usage_errors(capsys):
     ["project", "--tensor", "builtin:laderman", "--i", "1", "--j", "1",
      "--k", "1"],
 ], ids=["construct", "merge", "correction", "project"])
-@pytest.mark.parametrize("missing_dir", [True, False],
-                         ids=["missing-dir", "directory"])
-def test_unwritable_out(tmp_path, capsys, argv, missing_dir):
-    out = tmp_path / "no" / "x.tensor" if missing_dir else tmp_path
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "file-parent"])
+def test_unwritable_out(tmp_path, capsys, argv, where):
+    """A file as the parent is refused even as root, unlike a read-only
+    file."""
+    (tmp_path / "file").write_text("")
+    out = {"missing-dir": tmp_path / "no" / "x.tensor",
+           "directory": tmp_path,
+           "file-parent": tmp_path / "file" / "x.tensor"}[where]
     code, stdout, err = invoke(capsys, *argv, "--out", str(out))
     assert code == 2 and stdout == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot write tensor file {out}: ")
+
+
+def _construct_out(capsys, name, out):
+    code, stdout, err = invoke(capsys, "construct", name, "--out", str(out))
+    assert (code, stdout, err) == (0, "", "")
+    return mm.write_tensor_file(mm.builtin(name, 1), 1)
+
+
+def test_out_rewrites_a_longer_file_without_a_stale_tail(tmp_path, capsys):
+    out = tmp_path / "out.tensor"
+    longer = _construct_out(capsys, "laderman-variant", out)
+    shorter = _construct_out(capsys, "winograd", out)
+    assert len(shorter) < len(longer)
+    assert out.read_text() == shorter
+
+
+def test_out_keeps_the_inode_and_mode_of_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "out.tensor"
+    out.write_text("x" * 10000)
+    out.chmod(0o600)
+    before = out.stat()
+    text = _construct_out(capsys, "winograd", out)
+    after = out.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino,
+                                                           0o600)
+    assert out.read_text() == text
+
+
+def test_out_follows_a_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.tensor", tmp_path / "link.tensor"
+    target.write_text("x" * 10000)
+    link.symlink_to(target)
+    text = _construct_out(capsys, "winograd", link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == text
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no /dev/null")
+def test_out_to_dev_null(capsys):
+    _construct_out(capsys, "winograd", os.devnull)
+
+
+def test_out_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    """A truncating reopen of a file written moments before waits for an
+    ext4 flush; this catches a revert on hosts that do not stall."""
+    flags = []
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    os_open = mm.cli.os.open
+    monkeypatch.setattr(mm.cli.os, "open", recording_open)
+    for _ in range(2):
+        _construct_out(capsys, "winograd", tmp_path / "out.tensor")
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
 
 
 def test_bad_tensor_file(tmp_path, capsys):

@@ -97,3 +97,40 @@ def test_no_module_reads_the_host_byte_order():
              or isinstance(node, ast.ImportFrom) and node.module == "sys"
              and any(a.name == "byteorder" for a in node.names)]
     assert reads == []
+
+
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _opens_for_writing(call) -> bool:
+    """call is open(...) with a mode that can write, or os.open(...) with a
+    write flag; a mode that is not a literal counts as writing."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = (call.args[1:2] or [k.value for k in call.keywords
+                                   if k.arg == "mode"] or [ast.Constant("r")])
+        return not (isinstance(mode[0], ast.Constant)
+                    and set(mode[0].value) <= set("rbt"))
+    return (isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id == "os"
+            and any(isinstance(node, ast.Attribute)
+                    and node.attr in _WRITE_FLAGS
+                    for arg in call.args[1:] for node in ast.walk(arg)))
+
+
+def _writers(node, where):
+    """The function of each call under node that opens for writing; where
+    names the function that node sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _opens_for_writing(child):
+            yield where
+        yield from _writers(child, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+
+def test_only_cli_output_tensor_opens_a_file_for_writing():
+    """cli._output_tensor rewrites --out in place without O_TRUNC; a
+    second writer could bring back the truncating reopen."""
+    writers = {(name, where) for name, tree in MODULES.items()
+               for where in _writers(tree, "<module>")}
+    assert writers == {("cli", "_output_tensor")}
